@@ -33,22 +33,12 @@ use dcn_workloads::{generate_flows, AllToAll, PFabricWebSearch};
 const BASELINE: &str = "trace_overhead_baseline.json";
 
 /// One full experiment; returns (events processed, wall seconds).
-fn run_once(
-    tracer: Option<Box<dyn Tracer>>,
-    telemetry: bool,
-    wall_counters: bool,
-    seed: u64,
-) -> (u64, f64) {
+fn run_once(tracer: Option<Box<dyn Tracer>>, telemetry: bool, seed: u64) -> (u64, f64) {
     let pair = paper_networks(Scale::Tiny, seed);
     let xp = &pair.xpander;
     let pattern = AllToAll::new(xp, xp.tors_with_servers());
     let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 2000.0, 0.02, seed);
-    let cfg = if wall_counters {
-        SimConfig::default().with_wall_counters()
-    } else {
-        SimConfig::default()
-    };
-    let mut sim = Simulator::new(xp, Routing::PAPER_HYB.selector(xp), cfg);
+    let mut sim = Simulator::new(xp, Routing::PAPER_HYB.selector(xp), SimConfig::default());
     sim.set_window(0, 10 * MS);
     sim.inject(&flows);
     if let Some(t) = tracer {
@@ -92,16 +82,10 @@ fn failpoint_rate(reps: u32) -> f64 {
 
 /// Best-of-`reps` event rate (events/s) for one observability
 /// configuration.
-fn rate(
-    reps: u32,
-    seed: u64,
-    telemetry: bool,
-    wall_counters: bool,
-    mk: impl Fn() -> Option<Box<dyn Tracer>>,
-) -> f64 {
+fn rate(reps: u32, seed: u64, telemetry: bool, mk: impl Fn() -> Option<Box<dyn Tracer>>) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..reps {
-        let (events, secs) = run_once(mk(), telemetry, wall_counters, seed);
+        let (events, secs) = run_once(mk(), telemetry, seed);
         best = best.max(events as f64 / secs);
     }
     best
@@ -112,20 +96,15 @@ fn main() {
     let dir = cli.out_dir.clone().unwrap_or_else(|| "results".to_string());
     let path = format!("{dir}/{BASELINE}");
 
-    let nop = rate(3, cli.seed, false, false, || None);
-    let counting = rate(3, cli.seed, false, false, || {
-        Some(Box::new(CountingTracer::new()))
-    });
-    let jsonl = rate(3, cli.seed, false, false, || {
+    let nop = rate(3, cli.seed, false, || None);
+    let counting = rate(3, cli.seed, false, || Some(Box::new(CountingTracer::new())));
+    let jsonl = rate(3, cli.seed, false, || {
         Some(Box::new(JsonlTracer::new(SharedBuf::new())))
     });
-    // Informational only — the --check gate stays on the nop rate. The
-    // nop configuration runs with the default SimConfig, where the
-    // wall-clock counter set is off: its floor is therefore also the
-    // "counters are free when disabled" gate (the deterministic counter
-    // set is always on and priced into nop itself).
-    let telemetry = rate(3, cli.seed, true, false, || None);
-    let wall_counters = rate(3, cli.seed, false, true, || None);
+    // Informational only — the --check gate stays on the nop rate (the
+    // deterministic engine counter set is always on and priced into nop
+    // itself).
+    let telemetry = rate(3, cli.seed, true, || None);
     let failpoint = failpoint_rate(3);
 
     println!("tracer\tevents_per_sec");
@@ -133,7 +112,6 @@ fn main() {
     println!("counting\t{counting:.0}");
     println!("jsonl\t{jsonl:.0}");
     println!("telemetry\t{telemetry:.0}");
-    println!("wall_counters\t{wall_counters:.0}");
     println!("failpoint_checks\t{failpoint:.0}");
 
     if cli.has_flag("bless") {

@@ -271,6 +271,15 @@ pub fn run_queue<R: Send>(
 mod tests {
     use super::*;
 
+    /// Held by every test that spawns through [`run_attempt`]: the
+    /// `supervise.spawn` failpoint is process-global, so a test that arms
+    /// it must not share the window with one that spawns.
+    static SPAWN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn spawn_lock() -> std::sync::MutexGuard<'static, ()> {
+        SPAWN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn sh(script: &str) -> Command {
         let mut c = Command::new("sh");
         c.arg("-c").arg(script);
@@ -279,6 +288,7 @@ mod tests {
 
     #[test]
     fn clean_exit_is_reported() {
+        let _g = spawn_lock();
         let a = run_attempt(&mut sh("exit 0"), None).unwrap();
         assert_eq!(a, Attempt::Exited(0));
         assert_eq!(a.exit_code(), EXIT_OK);
@@ -287,6 +297,7 @@ mod tests {
 
     #[test]
     fn crash_codes_map_to_crash() {
+        let _g = spawn_lock();
         let a = run_attempt(&mut sh("exit 9"), None).unwrap();
         assert_eq!(a, Attempt::Exited(9));
         assert_eq!(a.exit_code(), EXIT_CRASH);
@@ -295,6 +306,7 @@ mod tests {
 
     #[test]
     fn degraded_success_is_success_not_retryable() {
+        let _g = spawn_lock();
         let a = run_attempt(&mut sh("exit 7"), None).unwrap();
         assert_eq!(a, Attempt::Exited(EXIT_OK_DEGRADED));
         assert!(a.degraded());
@@ -312,6 +324,7 @@ mod tests {
 
     #[test]
     fn spawn_failure_is_a_retryable_outcome_not_an_error() {
+        let _g = spawn_lock();
         let a = run_attempt(&mut Command::new("/no/such/binary/anywhere"), None).unwrap();
         assert_eq!(a, Attempt::SpawnFailed);
         assert!(a.retryable());
@@ -320,6 +333,7 @@ mod tests {
 
     #[test]
     fn injected_spawn_failure_retries_to_success() {
+        let _g = spawn_lock();
         dcn_core::failpoint::configure("supervise.spawn", "2*err");
         let out = retry(
             |_| sh("exit 0"),
@@ -346,6 +360,7 @@ mod tests {
 
     #[test]
     fn watchdog_kills_a_hung_child() {
+        let _g = spawn_lock();
         let t0 = Instant::now();
         let a = run_attempt(&mut sh("sleep 30"), Some(Duration::from_millis(100))).unwrap();
         assert_eq!(a, Attempt::TimedOut);
@@ -358,6 +373,7 @@ mod tests {
 
     #[test]
     fn sigkilled_child_is_a_crash() {
+        let _g = spawn_lock();
         // The shell kills itself with SIGKILL: no exit code.
         let a = run_attempt(&mut sh("kill -9 $$"), None).unwrap();
         assert_eq!(a, Attempt::Signaled);
@@ -403,6 +419,7 @@ mod tests {
 
     #[test]
     fn retry_recovers_from_a_crash() {
+        let _g = spawn_lock();
         let marker = std::env::temp_dir().join(format!("supervise_retry_{}", std::process::id()));
         let _ = std::fs::remove_file(&marker);
         let script = format!(
@@ -424,6 +441,7 @@ mod tests {
 
     #[test]
     fn retry_budget_is_finite() {
+        let _g = spawn_lock();
         let out = retry(
             |_| sh("exit 9"),
             None,
@@ -437,6 +455,7 @@ mod tests {
 
     #[test]
     fn retry_stops_at_config_errors() {
+        let _g = spawn_lock();
         let out = retry(
             |_| sh("exit 1"),
             None,

@@ -225,7 +225,6 @@ pub fn run_fct_experiment_instrumented(
         events: sim.events_processed(),
     };
     let engine = sim.engine_counters();
-    let engine_wall = sim.wall_clock_counters();
     let manifest = manifest.map(|spec| {
         RunManifest::build(&ManifestInputs {
             spec,
@@ -239,7 +238,6 @@ pub fn run_fct_experiment_instrumented(
             dists: &dists,
             counters: &counters,
             engine: &engine,
-            engine_wall: &engine_wall,
             conservation: sim.conservation(),
             peak_heap: sim.heap_peak(),
             wall,

@@ -20,22 +20,18 @@ use dcn_json::Json;
 use dcn_sim::stats::FctDistributions;
 use dcn_sim::{
     Conservation, EngineCounters, FaultPlan, Metrics, Ns, SimConfig, StreamingHistogram,
-    WallClockCounters,
+    SCHEDULE_VERSION,
 };
 use dcn_topology::Topology;
 
 /// Manifest fields that legitimately differ between two identical-seed
 /// runs: wall-clock measurements and caller-chosen output paths.
-/// `dcnstat diff` skips exactly these (at any nesting depth — the last
-/// three are the wall-clock leaves of the `engine` counter block).
+/// `dcnstat diff` skips exactly these (at any nesting depth).
 pub const WALL_CLOCK_FIELDS: &[&str] = &[
     "wall_ms",
     "events_per_sec_wall",
     "trace_path",
     "telemetry_path",
-    "drain_ns",
-    "barrier_wait_ns",
-    "mailbox_flush_ns",
 ];
 
 /// What the caller wants recorded about a run: tool identity, workload
@@ -75,12 +71,8 @@ pub struct ManifestInputs<'a> {
     pub dists: &'a FctDistributions,
     pub counters: &'a SimCounters,
     /// The engine's deterministic self-observability counters
-    /// (per-shard events, cross-shard traffic, calendar/arena behavior).
+    /// (calendar and arena behavior).
     pub engine: &'a EngineCounters,
-    /// The engine's wall-clock counter set; zeros unless the run enabled
-    /// `SimConfig::wall_counters`. Rendered under [`WALL_CLOCK_FIELDS`]
-    /// names so `dcnstat diff` skips them.
-    pub engine_wall: &'a WallClockCounters,
     pub conservation: Conservation,
     pub peak_heap: usize,
     pub wall: Duration,
@@ -193,41 +185,12 @@ impl RunManifest {
             ("ecn_marks", Json::from(c.ecn_marks)),
         ]);
         let eng = inp.engine;
-        let shards = Json::Arr(
-            eng.shards
-                .iter()
-                .map(|s| {
-                    Json::obj(vec![
-                        ("events", Json::from(s.events)),
-                        (
-                            "cross_shard",
-                            Json::Arr(s.cross_shard_sent.iter().map(|&v| Json::from(v)).collect()),
-                        ),
-                        ("calendar_peak", Json::from(s.calendar_peak)),
-                        ("ladder_spills", Json::from(s.ladder_spills)),
-                        ("scatter_fallbacks", Json::from(s.scatter_fallbacks)),
-                        ("arena_live", Json::from(s.arena_live)),
-                        ("arena_high_water", Json::from(s.arena_high_water)),
-                    ])
-                })
-                .collect(),
-        );
-        let wall = inp.engine_wall;
         let engine = Json::obj(vec![
-            ("epochs", Json::from(eng.epochs)),
-            ("merge_ties", Json::from(eng.merge_ties)),
-            ("events_total", Json::from(eng.events_total())),
-            ("cross_shard_total", Json::from(eng.cross_shard_total())),
-            ("imbalance", Json::from(eng.imbalance())),
-            ("shards", shards),
-            // Wall-clock leaves, named exactly as in WALL_CLOCK_FIELDS so
-            // dcnstat diff ignores them wherever they nest.
-            (
-                "drain_ns",
-                Json::Arr(wall.drain_ns.iter().map(|&v| Json::from(v)).collect()),
-            ),
-            ("barrier_wait_ns", Json::from(wall.barrier_wait_ns)),
-            ("mailbox_flush_ns", Json::from(wall.mailbox_flush_ns)),
+            ("calendar_peak", Json::from(eng.calendar_peak)),
+            ("ladder_spills", Json::from(eng.ladder_spills)),
+            ("scatter_fallbacks", Json::from(eng.scatter_fallbacks)),
+            ("arena_live", Json::from(eng.arena_live)),
+            ("arena_high_water", Json::from(eng.arena_high_water)),
         ]);
         let telemetry = match &inp.telemetry {
             Some((samples, every, path)) => Json::obj(vec![
@@ -248,6 +211,9 @@ impl RunManifest {
             json: Json::obj(vec![
                 ("schema", Json::from(1u32)),
                 ("tool", Json::from(inp.spec.tool.as_str())),
+                // The engine's event-order version: results from builds
+                // with different values are not comparable field by field.
+                ("schedule_version", Json::from(SCHEDULE_VERSION)),
                 ("seed", Json::from(inp.spec.seed)),
                 ("topology", topology),
                 ("routing", Json::from(inp.routing_label)),
@@ -320,15 +286,6 @@ mod tests {
     fn wall_clock_fields_cover_paths() {
         for f in ["wall_ms", "events_per_sec_wall", "trace_path"] {
             assert!(WALL_CLOCK_FIELDS.contains(&f));
-        }
-    }
-
-    #[test]
-    fn wall_clock_fields_cover_engine_counter_leaves() {
-        // The engine's wall-clock counter leaves must be diff-ignored,
-        // and the two lists must agree on their names.
-        for f in dcn_sim::WALL_CLOCK_COUNTER_FIELDS {
-            assert!(WALL_CLOCK_FIELDS.contains(&f), "missing {f}");
         }
     }
 }

@@ -55,9 +55,14 @@
 //! stale ones.
 //!
 //! The ring doubles (up to [`MAX_SLOTS`]) whenever the ladder outgrows
-//! `4 × num_slots`, amortizing redistribution; [`CalendarQueue::from_items`]
-//! sizes the ring from a restored checkpoint's event population up front
-//! so a big snapshot never degrades into an all-ladder queue.
+//! `4 × num_slots`, amortizing redistribution.
+//!
+//! Because the ring/ladder/sub-bucket partition is a pure function of the
+//! ring size, the cursor (`cur_abs`, active sub-bucket), and the pending
+//! event set, [`CalendarQueue::from_items`] rebuilds a checkpointed queue
+//! into exactly the layout it had: the restored queue pops in the same
+//! order *and* spills, grows, and falls back exactly as the original
+//! would have, so the engine counters replay byte-for-byte.
 
 use crate::engine::Ev;
 use crate::types::Ns;
@@ -164,12 +169,12 @@ pub(crate) struct CalendarQueue {
     /// proxy that run manifests report.
     pub(crate) peak: usize,
     /// Ladder→ring migrations performed by cursor advances — a pure
-    /// function of the push/pop sequence, so thread-count invariant
-    /// (reported by the engine's deterministic counter set).
+    /// function of the push/pop sequence (reported by the engine's
+    /// deterministic counter set).
     pub(crate) ladder_spills: u64,
     /// Sub-bucket sorts that fell back from the counting scatter to a
     /// comparison sort (per-`t` seq monotonicity broken by a ladder
-    /// migration); also thread-count invariant.
+    /// migration); also a pure function of the push/pop sequence.
     pub(crate) scatter_fallbacks: u64,
 }
 
@@ -178,7 +183,7 @@ impl CalendarQueue {
         Self::with_slots(MIN_SLOTS, 0)
     }
 
-    fn with_slots(num_slots: usize, now: Ns) -> Self {
+    fn with_slots(num_slots: usize, cur_abs: u64) -> Self {
         debug_assert!(num_slots.is_power_of_two() && num_slots >= 64);
         CalendarQueue {
             shift: WIDTH_BITS,
@@ -192,7 +197,7 @@ impl CalendarQueue {
             sub_cur: NO_SUB,
             bucket_len: 0,
             scratch: Vec::new(),
-            cur_abs: now >> WIDTH_BITS,
+            cur_abs,
             ring_len: 0,
             overflow: BinaryHeap::new(),
             len: 0,
@@ -203,32 +208,41 @@ impl CalendarQueue {
         }
     }
 
-    /// Rebuilds a queue from a checkpoint's event population: `items`
-    /// carry their original `seq`s (in arbitrary order), and the ring is
-    /// sized to the population so restoring a large snapshot into the
-    /// default ring cannot degrade into an all-ladder queue. `min_slots`
-    /// floors the sizing (checkpoints record the organic ring size so a
-    /// restore never lands on a smaller ring than the run had grown);
-    /// pass 0 for population-derived sizing alone.
+    /// The cursor: absolute index of the current bucket and the active
+    /// sub-bucket (`u32::MAX` when none is active). Checkpoints record it
+    /// alongside [`CalendarQueue::num_slots`] so
+    /// [`CalendarQueue::from_items`] can rebuild the exact layout.
+    pub(crate) fn cursor(&self) -> (u64, u32) {
+        (self.cur_abs, self.sub_cur)
+    }
+
+    /// Rebuilds a queue from a checkpoint: `items` carry their original
+    /// `seq`s (any order, as long as entries sharing a ring slot or
+    /// sub-bucket keep their relative order — which
+    /// [`CalendarQueue::iter`] guarantees), and the ring size and cursor
+    /// are the original's, so every entry lands where it was.
     pub(crate) fn from_items(
         seq: u64,
         peak: usize,
         items: Vec<CalEntry>,
-        now: Ns,
-        min_slots: usize,
-    ) -> Self {
-        let num_slots = (items.len() / 4)
-            .next_power_of_two()
-            .max(min_slots.next_power_of_two())
-            .clamp(MIN_SLOTS, MAX_SLOTS);
-        let mut q = Self::with_slots(num_slots, now);
+        (cur_abs, sub_cur): (u64, u32),
+        num_slots: usize,
+    ) -> Result<Self, String> {
+        if !num_slots.is_power_of_two() || !(MIN_SLOTS..=MAX_SLOTS).contains(&num_slots) {
+            return Err(format!("calendar ring size {num_slots} out of range"));
+        }
+        if sub_cur != NO_SUB && sub_cur >= SUB_COUNT as u32 {
+            return Err(format!("calendar sub-bucket cursor {sub_cur} out of range"));
+        }
+        let mut q = Self::with_slots(num_slots, cur_abs);
+        q.sub_cur = sub_cur;
         q.seq = seq;
         q.peak = peak;
         for e in items {
             q.len += 1;
             q.insert(e);
         }
-        q
+        Ok(q)
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -241,9 +255,11 @@ impl CalendarQueue {
         self.slots.len()
     }
 
-    /// Every pending event, in arbitrary order (checkpoint serialization
-    /// and in-flight accounting; pop order is derived from `(t, seq)`, not
-    /// from this iteration).
+    /// Every pending event (checkpoint serialization and in-flight
+    /// accounting). Pop order is derived from `(t, seq)`, not from this
+    /// iteration; entries of one ring slot or sub-bucket come out in
+    /// their stored order, which is what lets
+    /// [`CalendarQueue::from_items`] rebuild the layout exactly.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &CalEntry> {
         self.cur
             .iter()
@@ -329,35 +345,37 @@ impl CalendarQueue {
         }
     }
 
+    /// Pops the next event (tests drive the queue directly; the engine
+    /// uses [`CalendarQueue::pop_before`]).
+    #[cfg(test)]
     pub(crate) fn pop(&mut self) -> Option<CalEntry> {
-        if self.cur.is_empty() && self.incoming.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.refill();
+        let (from_cur, _) = self.front()?;
+        self.take(from_cur)
+    }
+
+    /// Pops the next event if it fires strictly before `end` — the
+    /// engine loop's fused peek-and-pop.
+    #[inline]
+    pub(crate) fn pop_before(&mut self, end: Ns) -> Option<CalEntry> {
+        let (from_cur, t) = self.front()?;
+        if t >= end {
+            return None;
         }
-        self.len -= 1;
-        // The next event is the smaller of the sorted sub-bucket's back
-        // and the side heap's top. `<=` favors the sub-bucket, but keys
-        // are unique (`seq` is a fresh counter per push) so either bias
-        // is correct.
-        let take_cur = match (self.cur.last(), self.incoming.peek()) {
-            (Some(v), Some(h)) => v.key() <= h.key(),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let e = if take_cur {
-            self.cur.pop()
-        } else {
-            self.incoming.pop()
-        };
-        debug_assert!(e.is_some());
-        e
+        self.take(from_cur)
     }
 
     /// Timestamp of the next event to pop. `&mut` because reaching the
     /// next event may require activating its bucket.
     pub(crate) fn peek_t(&mut self) -> Option<Ns> {
+        self.front().map(|(_, t)| t)
+    }
+
+    /// Locates the next event, activating its bucket if needed: whether
+    /// it sits at the back of the sorted sub-bucket (`true`) or on top of
+    /// the side heap (`false`), and its timestamp. Keys are unique (`seq`
+    /// is a fresh counter per push), so the `<=` tie bias is immaterial.
+    #[inline]
+    fn front(&mut self) -> Option<(bool, Ns)> {
         if self.cur.is_empty() && self.incoming.is_empty() {
             if self.len == 0 {
                 return None;
@@ -365,11 +383,23 @@ impl CalendarQueue {
             self.refill();
         }
         match (self.cur.last(), self.incoming.peek()) {
-            (Some(v), Some(h)) => Some(v.t.min(h.t)),
-            (Some(v), None) => Some(v.t),
-            (None, Some(h)) => Some(h.t),
+            (Some(v), Some(h)) if v.key() <= h.key() => Some((true, v.t)),
+            (_, Some(h)) => Some((false, h.t)),
+            (Some(v), None) => Some((true, v.t)),
             (None, None) => None,
         }
+    }
+
+    #[inline]
+    fn take(&mut self, from_cur: bool) -> Option<CalEntry> {
+        self.len -= 1;
+        let e = if from_cur {
+            self.cur.pop()
+        } else {
+            self.incoming.pop()
+        };
+        debug_assert!(e.is_some());
+        e
     }
 
     /// Makes the next event poppable: advances to the next ring bucket if
@@ -682,11 +712,46 @@ mod tests {
     }
 
     #[test]
-    fn from_items_respects_min_slots_floor() {
-        let q = CalendarQueue::from_items(0, 0, Vec::new(), 0, MAX_SLOTS);
-        assert_eq!(q.num_slots(), MAX_SLOTS);
-        let q = CalendarQueue::from_items(0, 0, Vec::new(), 0, 0);
-        assert_eq!(q.num_slots(), MIN_SLOTS);
+    fn from_items_rejects_bad_shapes() {
+        assert!(CalendarQueue::from_items(0, 0, Vec::new(), (0, NO_SUB), MAX_SLOTS).is_ok());
+        assert!(CalendarQueue::from_items(0, 0, Vec::new(), (0, NO_SUB), 3 * MIN_SLOTS).is_err());
+        assert!(CalendarQueue::from_items(0, 0, Vec::new(), (0, NO_SUB), 2 * MAX_SLOTS).is_err());
+        assert!(CalendarQueue::from_items(0, 0, Vec::new(), (0, 99), MIN_SLOTS).is_err());
+    }
+
+    #[test]
+    fn from_items_replays_pops_and_counters_exactly() {
+        // Snapshot a queue mid-drain (cursor advanced, a sub-bucket
+        // active, events in ring and ladder), rebuild it, and drain both:
+        // pops, spills, and fallbacks must agree.
+        let mut q = CalendarQueue::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..3_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            q.push(x % 6_000_000, Ev::FlowStart(i));
+        }
+        for _ in 0..700 {
+            q.pop();
+        }
+        let items: Vec<CalEntry> = q.iter().copied().collect();
+        let mut r =
+            CalendarQueue::from_items(q.seq, q.peak, items, q.cursor(), q.num_slots()).unwrap();
+        // Checkpoints carry the counters themselves.
+        r.ladder_spills = q.ladder_spills;
+        r.scatter_fallbacks = q.scatter_fallbacks;
+        assert_eq!(r.len(), q.len());
+        loop {
+            let (a, b) = (q.pop(), r.pop());
+            assert_eq!(a.map(|e| (e.t, e.seq)), b.map(|e| (e.t, e.seq)));
+            if a.is_none() {
+                break;
+            }
+        }
+        assert!(q.ladder_spills > 0, "the scenario must exercise the ladder");
+        assert_eq!(r.ladder_spills, q.ladder_spills);
+        assert_eq!(r.scatter_fallbacks, q.scatter_fallbacks);
     }
 
     #[test]
@@ -703,44 +768,6 @@ mod tests {
         while let Some(e) = q.pop() {
             assert!((e.t, e.seq) > last);
             last = (e.t, e.seq);
-        }
-    }
-
-    #[test]
-    fn from_items_sizes_ring_to_population() {
-        let mut model = HeapModel::new();
-        let mut items = Vec::new();
-        let mut seq = 0u64;
-        for i in 0..40_000u32 {
-            seq += 1;
-            let t = 7_000_000 + (i as Ns * 37) % 90_000_000;
-            items.push(CalEntry {
-                t,
-                seq,
-                ev: Ev::FlowStart(i),
-            });
-            model.heap.push(CalEntry {
-                t,
-                seq,
-                ev: Ev::FlowStart(i),
-            });
-        }
-        model.seq = seq;
-        let mut q = CalendarQueue::from_items(seq, 123, items, 5_000_000, 0);
-        assert!(
-            q.num_slots() == MAX_SLOTS,
-            "40k events must size the ring up to the cap, got {}",
-            q.num_slots()
-        );
-        assert_eq!(q.peak, 123);
-        assert_eq!(q.len(), 40_000);
-        loop {
-            let want = model.pop();
-            let got = q.pop().map(|e| (e.t, e.seq, id_of(&e.ev)));
-            assert_eq!(got, want);
-            if want.is_none() {
-                break;
-            }
         }
     }
 }

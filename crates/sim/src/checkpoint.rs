@@ -1,7 +1,7 @@
 //! Versioned, fingerprinted snapshots of complete simulator state.
 //!
 //! [`Simulator::checkpoint`] captures everything the run depends on — the
-//! per-shard event queues, per-flow transport state (sender and receiver
+//! event queue, per-flow transport state (sender and receiver
 //! halves), switch queues, fault-controller state, the control-plane
 //! schedule, observability cursors, and the intrinsic counters — into a
 //! self-validating byte image. [`Simulator::restore`] rebuilds a simulator
@@ -11,13 +11,8 @@
 //! fault plans active. The `dcnrun` supervisor leans on this to resume
 //! crashed or killed jobs from their last good checkpoint.
 //!
-//! Checkpoints are taken between epochs, when every cross-shard mailbox
-//! and per-shard barrier buffer is drained — so the only queue state is
-//! the eight shard calendars themselves. The shard partition is a pure
-//! function of the topology fingerprint and the worker count is not part
-//! of the image (nor of the config fingerprint): a snapshot taken under
-//! `threads = N` restores and continues byte-identically under any
-//! `threads = M`.
+//! Checkpoints are taken outside [`Simulator::run`]/`run_until`, so the
+//! calendar and the channel queues are the whole event state.
 //!
 //! Wire format (all integers little-endian):
 //!
@@ -28,7 +23,7 @@
 //!
 //! The topology fingerprint is [`Topology::fingerprint`]; the config
 //! fingerprint hashes every behavior-relevant [`SimConfig`] field (floats
-//! via `to_bits`). Restore refuses images whose fingerprints do not match
+//! via `to_bits`) and the engine's [`SCHEDULE_VERSION`]. Restore refuses images whose fingerprints do not match
 //! the topology and config it is given, and any truncation or bit flip
 //! fails the trailing checksum in [`Checkpoint::from_bytes`] before any
 //! state is trusted.
@@ -40,10 +35,9 @@
 //! [`QueueDiscipline::snapshot_queue`](crate::switch::QueueDiscipline).
 
 use crate::calendar::{CalEntry, CalendarQueue};
-use crate::engine::{CtrlEntry, CtrlEv, Ev, Simulator};
+use crate::engine::{CtrlEntry, CtrlEv, Ev, Simulator, SCHEDULE_VERSION};
 use crate::fault::{survivor_topology_from, FaultEvent, FaultKind, RemappedSelector};
 use crate::host::{Flow, FlowRx};
-use crate::shard::NUM_SHARDS;
 use crate::slab::PacketArena;
 use crate::stats::{ChannelCounters, DropCounters, TraceCounters};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
@@ -51,17 +45,16 @@ use crate::trace::{CountingTracer, JsonlTracer, NopTracer, TracerSnapshot};
 use crate::types::{Ns, Packet, SimConfig};
 use dcn_routing::PathSelector;
 use dcn_topology::Topology;
-use std::cell::UnsafeCell;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"DCNCKPT1";
-/// v3: v2 (per-shard calendars, split sender/receiver flow halves, the
-/// counter-based gray-loss state, the control-plane schedule) plus the
-/// deterministic engine counter set — per-shard event totals, cross-shard
-/// mailbox counts, calendar spill/fallback counters, arena high-water,
-/// ring size — and the epoch/merge-tie scalars. The wall-clock counter
-/// set is deliberately not serialized (it is not simulated state).
-pub const VERSION: u32 = 3;
+/// v4: one calendar section (push counter, peak, spill/fallback counters,
+/// arena high-water, ring size, pending events) in place of v3's eight
+/// per-shard sections and its epoch/merge-tie/cross-shard counters; the
+/// rest — split sender/receiver flow halves, channel state with the
+/// counter-based gray-loss draws, fault controller, control-plane
+/// schedule, observability cursors — is unchanged.
+pub const VERSION: u32 = 4;
 /// magic + version + topo fp + cfg fp + now + events_processed.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
@@ -74,12 +67,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fingerprint of every behavior-relevant [`SimConfig`] field, so a
-/// checkpoint can only be restored under the exact configuration that
-/// produced it. `threads` is deliberately excluded: the event schedule is
-/// invariant to the worker count, so the same image restores under any.
+/// Fingerprint of every behavior-relevant [`SimConfig`] field plus the
+/// engine's [`SCHEDULE_VERSION`], so a checkpoint can only be restored —
+/// and a cached result only reused — under the exact configuration *and
+/// event order* that produced it.
 pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
+    fingerprint_at(cfg, SCHEDULE_VERSION)
+}
+
+fn fingerprint_at(cfg: &SimConfig, schedule_version: u32) -> u64 {
     let mut e = Enc::new();
+    e.u32(schedule_version);
     e.f64(cfg.link_gbps);
     e.f64(cfg.server_link_gbps);
     e.u64(cfg.prop_delay_ns);
@@ -712,16 +710,14 @@ fn io_hook(site: &'static str) -> std::io::Result<()> {
 impl Simulator {
     /// Snapshots the complete simulator state (see the module docs).
     ///
-    /// Must be called between epochs (any time outside [`Simulator::run`]
-    /// and `run_until` is): the cross-shard mailboxes and per-shard
-    /// barrier buffers are empty then, so the shard calendars are the
-    /// whole event state. Takes `&mut self` because file-backed
+    /// Call outside [`Simulator::run`] and `run_until` (after a paused
+    /// `run_until`, typically). Takes `&mut self` because file-backed
     /// observability sinks are flushed first, so their on-disk temporaries
     /// cover the cursors the snapshot records. Fails — without side
     /// effects on the run — when some installed component cannot be
     /// checkpointed.
     pub fn checkpoint(&mut self) -> Result<Checkpoint, String> {
-        if self.sh.oracle.is_some() {
+        if self.oracle.is_some() {
             return Err("oracle routing cannot be checkpointed".into());
         }
         let tracer_snap = self
@@ -745,7 +741,7 @@ impl Simulator {
         e.buf.extend_from_slice(MAGIC);
         e.u32(VERSION);
         e.u64(self.topo.fingerprint());
-        e.u64(config_fingerprint(&self.sh.cfg));
+        e.u64(config_fingerprint(&self.cfg));
         e.u64(self.now);
         e.u64(self.events_processed);
 
@@ -756,53 +752,41 @@ impl Simulator {
         e.u64(self.pkts_sent);
         e.u64(self.pkts_delivered);
         e.u64(self.telemetry_next);
-        e.u64(self.sh.plan_seed);
+        e.u64(self.plan_seed);
         e.u64(self.ctrl_seq);
-        e.u64(self.epochs);
-        e.u64(self.merge_ties);
 
-        // Shard calendars, one section per shard in shard order, each in
-        // arbitrary internal order: pop order is determined by the
-        // (t, seq) element set alone, so restore is free to re-file
-        // entries into differently sized calendars. The shard partition
-        // is derived from the topology fingerprint, so each section
-        // restores into the same shard that produced it.
-        for s in 0..NUM_SHARDS {
-            // Sound: `&mut self` is exclusive, no epoch is in flight.
-            let st = unsafe { &*self.shards[s].0.get() };
-            e.u64(st.queue.seq);
-            e.u64(st.queue.peak as u64);
-            // Deterministic per-shard counters, and the organic ring size
-            // so the restored calendar spills exactly like the original
-            // would have.
-            e.u64(st.events_total);
-            for d in 0..NUM_SHARDS {
-                e.u64(st.xshard_sent[d]);
-            }
-            e.u64(st.queue.ladder_spills);
-            e.u64(st.queue.scatter_fallbacks);
-            e.u64(st.pkts.high_water() as u64);
-            e.u64(st.queue.num_slots() as u64);
-            e.u64(st.queue.len() as u64);
-            for item in st.queue.iter() {
-                e.u64(item.t);
-                e.u64(item.seq);
-                enc_ev(&mut e, &item.ev, &st.pkts);
-            }
+        // The calendar: its counters, ring size, and cursor, then the
+        // pending events in iteration order — together enough for restore
+        // to rebuild the exact layout, so the resumed queue pops, spills,
+        // and falls back exactly like the original.
+        let q = &self.queue;
+        let (cur_abs, sub_cur) = q.cursor();
+        e.u64(q.seq);
+        e.u64(q.peak as u64);
+        e.u64(q.ladder_spills);
+        e.u64(q.scatter_fallbacks);
+        e.u64(self.pkts.high_water() as u64);
+        e.u64(q.num_slots() as u64);
+        e.u64(cur_abs);
+        e.u32(sub_cur);
+        e.u64(q.len() as u64);
+        for item in q.iter() {
+            e.u64(item.t);
+            e.u64(item.seq);
+            enc_ev(&mut e, &item.ev, &self.pkts);
         }
 
         // Flows: all sender halves, then all receiver halves.
-        e.u64(self.sh.flows.len() as u64);
-        for id in 0..self.sh.flows.len() as u32 {
-            enc_flow(&mut e, self.flow_ref(id));
+        e.u64(self.flows.len() as u64);
+        for f in &self.flows {
+            enc_flow(&mut e, f);
         }
-        for id in 0..self.sh.flows.len() as u32 {
-            enc_rx(&mut e, self.rx_ref(id));
+        for rx in &self.rx {
+            enc_rx(&mut e, rx);
         }
 
-        // Channels. Queued packets live in the arena of the shard owning
-        // the channel's source node — snapshot against that arena.
-        let chs = &self.sh.fabric.channels;
+        // Channels.
+        let chs = &self.fabric.channels;
         e.u64(chs.len() as u64);
         for i in 0..chs.len() {
             let ch = i as u32;
@@ -814,9 +798,7 @@ impl Simulator {
             e.u64(chs.fault_drops(ch));
             e.u64(chs.evictions(ch));
             e.u64(chs.gray_ctr(ch));
-            let owner = self.sh.shard_of_node(chs.src_node[i]);
-            let pool = unsafe { &(*self.shards[owner].0.get()).pkts };
-            let q = chs.snapshot_queue(ch, pool).ok_or_else(|| {
+            let q = chs.snapshot_queue(ch, &self.pkts).ok_or_else(|| {
                 "a channel's queue discipline does not support checkpointing".to_string()
             })?;
             e.u64(q.len() as u64);
@@ -902,8 +884,7 @@ impl Simulator {
     ///
     /// The restored simulator continues byte-identically: driving it to
     /// the end produces the same flow records, trace lines, and telemetry
-    /// samples the uninterrupted run would have — at any `cfg.threads`,
-    /// including one differing from the snapshotting run's.
+    /// samples the uninterrupted run would have.
     pub fn restore(
         topo: &Topology,
         selector: Box<dyn PathSelector>,
@@ -936,60 +917,23 @@ impl Simulator {
         let telemetry_next = d.u64()?;
         let plan_seed = d.u64()?;
         let ctrl_seq = d.u64()?;
-        let epochs = d.u64()?;
-        let merge_ties = d.u64()?;
 
-        // Per-shard calendars; Deliver packets decode into the owning
-        // shard's fresh arena.
-        struct ShardQueue {
-            seq: u64,
-            peak: usize,
-            events_total: u64,
-            xshard_sent: [u64; NUM_SHARDS],
-            ladder_spills: u64,
-            scatter_fallbacks: u64,
-            arena_hwm: usize,
-            num_slots: usize,
-            items: Vec<CalEntry>,
-            pkts: PacketArena,
-        }
-        let mut shard_queues = Vec::with_capacity(NUM_SHARDS);
-        for _ in 0..NUM_SHARDS {
+        // The calendar; Deliver packets decode into a fresh arena.
+        let cal_seq = d.u64()?;
+        let cal_peak = d.u64()? as usize;
+        let ladder_spills = d.u64()?;
+        let scatter_fallbacks = d.u64()?;
+        let arena_hwm = d.u64()? as usize;
+        let num_slots = d.u64()? as usize;
+        let cursor = (d.u64()?, d.u32()?);
+        let n_items = d.len()?;
+        let mut pkts = PacketArena::new();
+        let mut items = Vec::with_capacity(n_items);
+        for _ in 0..n_items {
+            let t = d.u64()?;
             let seq = d.u64()?;
-            let peak = d.u64()? as usize;
-            let events_total = d.u64()?;
-            let mut xshard_sent = [0u64; NUM_SHARDS];
-            for x in xshard_sent.iter_mut() {
-                *x = d.u64()?;
-            }
-            let ladder_spills = d.u64()?;
-            let scatter_fallbacks = d.u64()?;
-            let arena_hwm = d.u64()? as usize;
-            let num_slots = d.u64()? as usize;
-            if num_slots != 0 && !num_slots.is_power_of_two() {
-                return Err("checkpoint corrupt: calendar ring size not a power of two".into());
-            }
-            let n_items = d.len()?;
-            let mut pkts = PacketArena::new();
-            let mut items = Vec::with_capacity(n_items);
-            for _ in 0..n_items {
-                let t = d.u64()?;
-                let seq = d.u64()?;
-                let ev = dec_ev(&mut d, &mut pkts)?;
-                items.push(CalEntry { t, seq, ev });
-            }
-            shard_queues.push(ShardQueue {
-                seq,
-                peak,
-                events_total,
-                xshard_sent,
-                ladder_spills,
-                scatter_fallbacks,
-                arena_hwm,
-                num_slots,
-                items,
-                pkts,
-            });
+            let ev = dec_ev(&mut d, &mut pkts)?;
+            items.push(CalEntry { t, seq, ev });
         }
 
         let n_flows = d.len()?;
@@ -1123,45 +1067,25 @@ impl Simulator {
         sim.telemetry_next = telemetry_next;
         sim.routing_down = routing_down;
         sim.goodput_bins = goodput_bins;
-        sim.sh.plan_seed = plan_seed;
-        sim.sh.flows = flows.into_iter().map(UnsafeCell::new).collect();
-        sim.sh.rx = rxs.into_iter().map(UnsafeCell::new).collect();
+        sim.plan_seed = plan_seed;
+        sim.flows = flows;
+        sim.rx = rxs;
         sim.ctrl = ctrl;
         sim.ctrl_pos = 0;
         sim.ctrl_seq = ctrl_seq;
-        sim.epochs = epochs;
-        sim.merge_ties = merge_ties;
 
-        // Each calendar is rebuilt from its serialized element set; pop
-        // order depends only on (t, seq), so the rings are free to be
-        // sized to the checkpointed population rather than the original's
-        // default (a snapshot of a huge event set restores into
-        // proportionally larger rings instead of degrading).
-        for (s, q) in shard_queues.into_iter().enumerate() {
-            let st = sim.shards[s].0.get_mut();
-            st.pkts = q.pkts;
-            st.pkts.set_high_water(q.arena_hwm);
-            st.queue = CalendarQueue::from_items(q.seq, q.peak, q.items, meta.now, q.num_slots);
-            st.queue.ladder_spills = q.ladder_spills;
-            st.queue.scatter_fallbacks = q.scatter_fallbacks;
-            st.events_total = q.events_total;
-            st.xshard_sent = q.xshard_sent;
-        }
+        sim.pkts = pkts;
+        sim.pkts.set_high_water(arena_hwm);
+        sim.queue = CalendarQueue::from_items(cal_seq, cal_peak, items, cursor, num_slots)
+            .map_err(|e| format!("checkpoint corrupt: {e}"))?;
+        sim.queue.ladder_spills = ladder_spills;
+        sim.queue.scatter_fallbacks = scatter_fallbacks;
 
-        if sim.sh.fabric.channels.len() != chans.len() {
+        if sim.fabric.channels.len() != chans.len() {
             return Err("checkpoint corrupt: channel count mismatch".into());
         }
-        // Queued packets reinstate into the owning shard's arena, the one
-        // their ids will be resolved against when the queue drains.
-        let owners: Vec<usize> = {
-            let chs = &sim.sh.fabric.channels;
-            (0..chs.len())
-                .map(|i| sim.sh.node_shard[chs.src_node[i] as usize] as usize)
-                .collect()
-        };
-        let Simulator { sh, shards, .. } = &mut sim;
         for (i, st) in chans.into_iter().enumerate() {
-            let dch = sh.fabric.channels.dyn_mut(i as u32);
+            let dch = sim.fabric.channels.dyn_mut(i as u32);
             dch.busy = st.busy;
             dch.drops = st.drops;
             dch.marks = st.marks;
@@ -1170,11 +1094,9 @@ impl Simulator {
             dch.fault_drops = st.fault_drops;
             dch.evictions = st.evictions;
             dch.gray_ctr = st.gray_ctr;
-            sh.fabric.channels.restore_queue(
-                i as u32,
-                st.queue,
-                &mut shards[owners[i]].0.get_mut().pkts,
-            );
+            sim.fabric
+                .channels
+                .restore_queue(i as u32, st.queue, &mut sim.pkts);
         }
 
         if sim.faults.down_links.len() != down_links.len()
@@ -1213,7 +1135,6 @@ impl Simulator {
             // the first cadence boundary instead of the checkpointed one.
             sim.telemetry = Some(Box::new(tel));
             sim.telemetry_next = telemetry_next;
-            sim.sh.tel_on = true;
         }
         Ok(sim)
     }
@@ -1285,36 +1206,13 @@ mod tests {
     }
 
     #[test]
-    fn restore_at_different_thread_count_is_byte_identical() {
-        // A snapshot taken under one worker count must resume under
-        // another to the exact same end state: the shard partition (and
-        // so the schedule) is independent of `threads`.
-        let t = FatTree::full(4).build();
-        let mut straight = faulty_sim(&t);
-        let want = straight.run(10 * SEC);
-
-        let mut sim = faulty_sim(&t);
-        sim.run_until(3 * MS);
-        let ckpt = sim.checkpoint().expect("checkpoint");
-        for threads in [2u32, 4] {
-            let suite = RoutingSuite::new(&t);
-            let cfg = SimConfig::default().with_threads(threads);
-            let mut resumed =
-                Simulator::restore(&t, Box::new(suite.ecmp()), cfg, &ckpt).expect("restore");
-            let got = resumed.run(10 * SEC);
-            assert_eq!(got, want, "restore under threads={threads} diverged");
-            assert_eq!(resumed.events_processed(), straight.events_processed());
-        }
-    }
-
-    #[test]
     fn serialized_roundtrip_and_meta() {
         let t = FatTree::full(4).build();
         let mut sim = faulty_sim(&t);
         sim.run_until(2 * MS);
         let ckpt = sim.checkpoint().unwrap();
         let meta = ckpt.meta();
-        assert_eq!(meta.version, 3);
+        assert_eq!(meta.version, 4);
         assert_eq!(meta.topo_fingerprint, t.fingerprint());
         assert_eq!(
             meta.cfg_fingerprint,
@@ -1327,12 +1225,17 @@ mod tests {
     }
 
     #[test]
-    fn config_fingerprint_ignores_thread_count() {
+    fn config_fingerprint_covers_the_schedule_version() {
+        // An image or cached result produced under another event order
+        // must never match, even for an identical config.
+        let cfg = SimConfig::default();
         assert_eq!(
-            config_fingerprint(&SimConfig::default()),
-            config_fingerprint(&SimConfig::default().with_threads(4)),
-            "threads must not affect the config fingerprint — a checkpoint \
-             restores at any worker count"
+            config_fingerprint(&cfg),
+            fingerprint_at(&cfg, SCHEDULE_VERSION)
+        );
+        assert_ne!(
+            config_fingerprint(&cfg),
+            fingerprint_at(&cfg, SCHEDULE_VERSION - 1)
         );
     }
 
@@ -1391,19 +1294,19 @@ mod tests {
     }
 
     #[test]
-    fn restore_resizes_calendar_for_large_heaps() {
+    fn restore_keeps_a_grown_calendar_for_large_heaps() {
         // A checkpoint whose event population dwarfs the default calendar
-        // sizing must restore into proportionally larger per-shard rings
-        // (not degrade into overloaded 1024-slot ones) and still continue
+        // sizing must restore into the ring the run had grown (not
+        // degrade into an overloaded 1024-slot one) and still continue
         // byte-identically.
         let t = FatTree::full(4).build();
         let racks = t.tors_with_servers();
         let mk = || {
             let suite = RoutingSuite::new(&t);
             let mut sim = Simulator::new(&t, Box::new(suite.ecmp()), SimConfig::default());
-            // ~80k flows spread over 8 simulated seconds: at t=0 every
-            // populated shard's calendar holds thousands of FlowStarts,
-            // far beyond MIN_SLOTS.
+            // ~80k flows spread over 8 simulated seconds: at t=0 the
+            // calendar holds tens of thousands of FlowStarts, far beyond
+            // MIN_SLOTS.
             let flows: Vec<FlowEvent> = (0..80_000usize)
                 .map(|i| {
                     let src_rack = racks[i % racks.len()];
@@ -1427,18 +1330,16 @@ mod tests {
         let mut resumed =
             Simulator::restore(&t, Box::new(suite.ecmp()), SimConfig::default(), &ckpt)
                 .expect("restore");
-        let mut max_slots = 0;
-        for s in 0..NUM_SHARDS {
-            max_slots = max_slots.max(resumed.shards[s].0.get_mut().queue.num_slots());
-        }
+        let slots = resumed.queue.num_slots();
         assert!(
-            max_slots > 1024,
-            "calendars must resize to the restored population, got a max of {max_slots} slots"
+            slots > 1024,
+            "the calendar must keep its grown ring, got {slots} slots"
         );
         straight.run_until(5 * MS);
         resumed.run_until(5 * MS);
         assert_eq!(straight.events_processed(), resumed.events_processed());
         assert_eq!(straight.records(), resumed.records());
+        assert_eq!(straight.engine_counters(), resumed.engine_counters());
     }
 
     #[test]

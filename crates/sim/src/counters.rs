@@ -1,50 +1,21 @@
 //! Engine self-observability counters.
 //!
-//! The parallel engine exposes two disjoint counter sets, segregated the
-//! same way the bench harness splits `PERF_WALL_CLOCK_FIELDS` from
-//! simulated quantities:
+//! [`EngineCounters`] is a pure function of the event schedule: calendar
+//! occupancy high-water, ladder spills, counting-scatter fallbacks, and
+//! arena live/high-water. Same seed ⇒ identical values; they snapshot and
+//! restore through checkpoints exactly, and the determinism suite asserts
+//! both properties.
 //!
-//! - **Deterministic counters** ([`EngineCounters`]) — pure functions of
-//!   the event schedule: events drained per shard, cross-shard packets
-//!   per mailbox pair, epoch/barrier count, calendar occupancy
-//!   high-water, ladder spills, counting-scatter fallbacks, arena
-//!   live/high-water, and trace merge-order ties. Because the schedule is
-//!   invariant to `SimConfig::threads`, these are **byte-identical at
-//!   every thread count** — the parallel-determinism suite asserts it —
-//!   and they snapshot/restore through checkpoints exactly.
-//! - **Wall-clock counters** ([`WallClockCounters`]) — per-shard drain
-//!   time, coordinator barrier wait, and mailbox flush time, measured
-//!   with `Instant`. These vary run to run and machine to machine, so
-//!   they are gated behind `SimConfig::wall_counters` (off by default;
-//!   the gate keeps the hot loop free of clock reads), never serialized
-//!   into checkpoints, and listed in every diff tool's skip list (see
-//!   [`WALL_CLOCK_COUNTER_FIELDS`]).
-//!
-//! The deterministic set is maintained off the per-event hot path where
-//! possible: per-shard event totals accumulate at epoch barriers from the
-//! existing per-epoch deltas, cross-shard counts accumulate once per
-//! mailbox flush, and the calendar/arena counters live inside branches
-//! that already execute rarely (ladder migration, scatter fallback, slab
-//! growth). The `trace_overhead` bench gate holds the engine to its
-//! blessed no-observability throughput floor with all of this in place.
+//! The counters live off the per-event hot path: the calendar and arena
+//! counters sit inside branches that already execute rarely (ladder
+//! migration, scatter fallback, slab growth). The `trace_overhead` bench
+//! gate holds the engine to its blessed no-observability throughput floor
+//! with all of this in place.
 
-use crate::shard::NUM_SHARDS;
-
-/// Manifest leaf names of the wall-clock counter set — the names
-/// `dcnstat diff` (via `dcn-core`'s `WALL_CLOCK_FIELDS`) must skip so
-/// same-seed runs at different thread counts diff clean.
-pub const WALL_CLOCK_COUNTER_FIELDS: [&str; 3] =
-    ["drain_ns", "barrier_wait_ns", "mailbox_flush_ns"];
-
-/// Deterministic per-shard counters; see the module docs.
+/// The deterministic counter set for a whole run; see the module docs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Events this shard has drained over the whole run.
-    pub events: u64,
-    /// Packets this shard posted to each destination shard's mailbox
-    /// (`cross_shard_sent[self] == 0`: local deliveries never mail).
-    pub cross_shard_sent: [u64; NUM_SHARDS],
-    /// High-water mark of the shard calendar's pending-event population.
+pub struct EngineCounters {
+    /// High-water mark of the calendar's pending-event population.
     pub calendar_peak: u64,
     /// Ladder→ring migrations: events that sat beyond the ring horizon
     /// and were re-filed into buckets as the cursor advanced.
@@ -53,99 +24,8 @@ pub struct ShardCounters {
     /// comparison sort (per-`t` seq monotonicity broken by a ladder
     /// migration).
     pub scatter_fallbacks: u64,
-    /// Packets live in the shard's arena right now.
+    /// Packets live in the arena right now.
     pub arena_live: u64,
-    /// High-water mark of live packets in the shard's arena.
+    /// High-water mark of live packets in the arena.
     pub arena_high_water: u64,
-}
-
-impl ShardCounters {
-    /// Total packets this shard mailed to other shards.
-    pub fn cross_shard_total(&self) -> u64 {
-        self.cross_shard_sent.iter().sum()
-    }
-}
-
-/// The deterministic counter set for a whole run; see the module docs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EngineCounters {
-    /// Data-plane epochs executed (one barrier each).
-    pub epochs: u64,
-    /// Same-timestamp candidates passed over during the barrier's k-way
-    /// trace merge (lowest shard wins; 0 when tracing is off).
-    pub merge_ties: u64,
-    /// Per-shard counters, indexed by shard id (always [`NUM_SHARDS`]).
-    pub shards: Vec<ShardCounters>,
-}
-
-impl EngineCounters {
-    /// Total events drained, summed over shards.
-    pub fn events_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum()
-    }
-
-    /// Total cross-shard packets, summed over all mailbox pairs.
-    pub fn cross_shard_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.cross_shard_total()).sum()
-    }
-
-    /// Busiest shard's event count over the mean — the load-imbalance
-    /// figure `dcnstat shards` reports (1.0 = perfectly balanced; 0.0
-    /// when no events ran).
-    pub fn imbalance(&self) -> f64 {
-        let total = self.events_total();
-        if total == 0 || self.shards.is_empty() {
-            return 0.0;
-        }
-        let max = self.shards.iter().map(|s| s.events).max().unwrap_or(0);
-        max as f64 * self.shards.len() as f64 / total as f64
-    }
-}
-
-/// The wall-clock counter set; all zero unless `SimConfig::wall_counters`
-/// was set. See the module docs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WallClockCounters {
-    /// Time each shard spent draining events, by shard id.
-    pub drain_ns: Vec<u64>,
-    /// Coordinator time spent waiting for workers at epoch barriers.
-    pub barrier_wait_ns: u64,
-    /// Total time spent posting per-shard out-buffers to the mailboxes.
-    pub mailbox_flush_ns: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn imbalance_of_uniform_load_is_one() {
-        let mut c = EngineCounters {
-            shards: vec![ShardCounters::default(); NUM_SHARDS],
-            ..Default::default()
-        };
-        for s in &mut c.shards {
-            s.events = 100;
-        }
-        assert_eq!(c.events_total(), 800);
-        assert!((c.imbalance() - 1.0).abs() < 1e-12);
-        c.shards[0].events = 800;
-        assert!(c.imbalance() > 1.9, "skew must raise the figure");
-    }
-
-    #[test]
-    fn empty_counters_are_safe() {
-        let c = EngineCounters::default();
-        assert_eq!(c.events_total(), 0);
-        assert_eq!(c.cross_shard_total(), 0);
-        assert_eq!(c.imbalance(), 0.0);
-    }
-
-    #[test]
-    fn cross_shard_total_sums_mailbox_pairs() {
-        let mut s = ShardCounters::default();
-        s.cross_shard_sent[1] = 3;
-        s.cross_shard_sent[7] = 4;
-        assert_eq!(s.cross_shard_total(), 7);
-    }
 }

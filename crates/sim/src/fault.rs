@@ -384,8 +384,7 @@ impl FaultPlan {
 /// controller in turn degrades the [`Fabric`] — the engine never flips
 /// channel state itself. Gray losses carry no RNG state here: each draw
 /// is a stateless hash of (plan seed, channel, per-channel counter) —
-/// see [`gray_drop`] — so shards can draw independently and still agree
-/// byte-for-byte at every thread count.
+/// see [`gray_drop`].
 pub(crate) struct FaultController {
     pub(crate) events: Vec<FaultEvent>,
     /// Scheduled fault events not yet fired; when zero, the current
@@ -434,8 +433,7 @@ impl FaultController {
     /// Fires scheduled event `idx` against the fabric. Returns `true` when
     /// the fault is control-plane visible (hard link/switch change) and the
     /// engine must schedule a reconvergence; gray events return `false`.
-    /// Coordinator-only: `up`/`loss_prob` are barrier fields.
-    pub(crate) fn fire(&mut self, idx: u32, fabric: &Fabric) -> bool {
+    pub(crate) fn fire(&mut self, idx: u32, fabric: &mut Fabric) -> bool {
         self.pending -= 1;
         match self.events[idx as usize].kind {
             FaultKind::LinkDown(l) => self.set_link(l, true, fabric),
@@ -458,12 +456,12 @@ impl FaultController {
         true
     }
 
-    fn set_link(&mut self, l: LinkId, down: bool, fabric: &Fabric) {
+    fn set_link(&mut self, l: LinkId, down: bool, fabric: &mut Fabric) {
         self.down_links[l as usize] = down;
         fabric.apply_fault_state(&self.down_links, &self.down_sw);
     }
 
-    fn set_switch(&mut self, n: NodeId, down: bool, fabric: &Fabric) {
+    fn set_switch(&mut self, n: NodeId, down: bool, fabric: &mut Fabric) {
         self.down_sw[n as usize] = down;
         fabric.apply_fault_state(&self.down_links, &self.down_sw);
     }
@@ -504,14 +502,23 @@ impl FaultController {
 /// fault-plan seed, the channel id, and the channel's draw counter,
 /// mapped to `[0, 1)` with 53 bits. Counter-based (instead of a shared
 /// sequential RNG) so the draw a packet sees depends only on how many
-/// packets were offered to *its* channel before it — invariant under the
-/// parallel engine's shard interleaving and thread count.
+/// packets were offered to *its* channel before it.
 pub(crate) fn gray_drop(seed: u64, ch: u32, draw: u64, loss_prob: f64) -> bool {
-    let x = crate::shard::mix64(
+    let x = mix64(
         seed ^ (ch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ draw.wrapping_mul(0xD129_0B2C_76A8_36C1),
     );
     ((x >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < loss_prob
+}
+
+/// splitmix64 finalizer — the stateless hash behind gray-loss draws.
+fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    x
 }
 
 /// Survivor view for explicit down vectors — the restore path rebuilds a

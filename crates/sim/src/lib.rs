@@ -63,9 +63,7 @@ pub mod counters;
 pub mod engine;
 pub mod fault;
 pub mod host;
-pub mod mailbox;
 pub mod net;
-pub mod shard;
 pub mod slab;
 pub mod stats;
 pub mod switch;
@@ -74,11 +72,10 @@ pub mod trace;
 pub mod types;
 
 pub use checkpoint::{config_fingerprint, install_io_hook, Checkpoint, CheckpointMeta};
-pub use counters::{EngineCounters, ShardCounters, WallClockCounters, WALL_CLOCK_COUNTER_FIELDS};
-pub use engine::Simulator;
+pub use counters::EngineCounters;
+pub use engine::{Simulator, SCHEDULE_VERSION};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RemappedSelector};
 pub use host::{AckActions, Dctcp, Flow, NewReno, PFabric, Transport};
-pub use shard::NUM_SHARDS;
 pub use slab::{PacketArena, PktId};
 pub use stats::{
     compute_metrics, compute_metrics_with_dists, percentile, ChannelCounters, DropCounters,

@@ -157,17 +157,6 @@ pub struct SimConfig {
     /// (0 disables). Guards against fault scenarios that would otherwise
     /// spin forever instead of failing loudly.
     pub max_events: u64,
-    /// Worker threads executing the engine's fixed shard set (clamped to
-    /// `1..=NUM_SHARDS`). The shard decomposition — and therefore every
-    /// simulated byte — is identical at every setting; `threads` only
-    /// chooses how many OS threads drain the shards each epoch.
-    pub threads: u32,
-    /// Collect the wall-clock counter set (per-shard drain time, barrier
-    /// wait, mailbox flush — see [`crate::counters`]). Off by default so
-    /// the epoch loop does no clock reads. Deliberately excluded from the
-    /// checkpoint config fingerprint: like `threads`, it cannot affect
-    /// simulated output.
-    pub wall_counters: bool,
 }
 
 impl Default for SimConfig {
@@ -191,8 +180,6 @@ impl Default for SimConfig {
             pfabric_cwnd_pkts: 18,
             reconverge_delay_ns: MS,
             max_events: 0,
-            threads: 1,
-            wall_counters: false,
         }
     }
 }
@@ -216,20 +203,6 @@ impl SimConfig {
     pub fn with_pfabric(mut self) -> Self {
         self.transport = TransportKind::PFabric;
         self.queue_disc = QueueDiscKind::PFabric;
-        self
-    }
-
-    /// Selects how many worker threads drain the shard set each epoch.
-    /// Simulated results are byte-identical at every setting.
-    pub fn with_threads(mut self, n: u32) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Turns on the wall-clock counter set (drain/barrier/flush timing).
-    /// Simulated results are unaffected.
-    pub fn with_wall_counters(mut self) -> Self {
-        self.wall_counters = true;
         self
     }
 

@@ -65,32 +65,26 @@ cargo run --release --bin dcnstat -- util "$obs_dir/ts_a.jsonl" > "$obs_dir/util
 test -s "$obs_dir/util.tsv"
 rm -rf "$obs_dir"
 
-echo "==> parallel engine gate (threads 1/2/4: all artifacts byte-identical)"
-par_dir="$(mktemp -d)"
-for n in 1 2 4; do
-  cargo run --release --bin dcnsim -- examples/configs/trace_tiny.json \
-    --threads "$n" --json \
-    --trace "$par_dir/trace_$n.jsonl" --telemetry "$par_dir/ts_$n.jsonl" \
-    --manifest "$par_dir/man_$n.json" > "$par_dir/report_$n.json"
+echo "==> same-seed engine gate (two runs: all artifacts byte-identical)"
+det_dir="$(mktemp -d)"
+for run in a b; do
+  cargo run --release --bin dcnsim -- examples/configs/trace_tiny.json --json \
+    --trace "$det_dir/trace_$run.jsonl" --telemetry "$det_dir/ts_$run.jsonl" \
+    --manifest "$det_dir/man_$run.json" > "$det_dir/report_$run.json"
 done
-# The sharded schedule is thread-count-invariant: every artifact — metrics
-# report, event trace, telemetry series — must match byte-for-byte, and
-# the manifests must agree on every simulated field (the deterministic
-# engine counter block included; only WALL_CLOCK_FIELDS leaves may vary).
-for n in 2 4; do
-  cmp "$par_dir/report_1.json" "$par_dir/report_$n.json"
-  cmp "$par_dir/trace_1.jsonl" "$par_dir/trace_$n.jsonl"
-  cmp "$par_dir/ts_1.jsonl" "$par_dir/ts_$n.jsonl"
-  cargo run --release --bin dcnstat -- diff "$par_dir/man_1.json" "$par_dir/man_$n.json"
-done
-# Per-shard balance table renders from the 2-thread run's manifest.
-cargo run --release --bin dcnstat -- shards "$par_dir/man_2.json" > "$par_dir/shards.tsv"
-grep -q '^epochs ' "$par_dir/shards.tsv"
-test "$(grep -cE '^[0-9]+\s' "$par_dir/shards.tsv")" -eq 8
-rm -rf "$par_dir"
+# One sequential event loop, one global tie order: the metrics report,
+# event trace, and telemetry series of two same-seed runs must match
+# byte-for-byte, and the manifests must agree on every simulated field
+# (the deterministic engine counter block and schedule version included).
+cmp "$det_dir/report_a.json" "$det_dir/report_b.json"
+cmp "$det_dir/trace_a.jsonl" "$det_dir/trace_b.jsonl"
+cmp "$det_dir/ts_a.jsonl" "$det_dir/ts_b.jsonl"
+cargo run --release --bin dcnstat -- diff "$det_dir/man_a.json" "$det_dir/man_b.json"
+grep -q '"schedule_version"' "$det_dir/man_a.json"
+rm -rf "$det_dir"
 
-echo "==> parallel determinism property sweep (random topo/transport/chaos)"
-cargo test --release -q --test parallel_determinism
+echo "==> determinism property sweep (random topo/transport/chaos: same-seed and resume)"
+cargo test --release -q --test determinism
 
 echo "==> dcnsim error handling (clean failure, no panic)"
 set +e
@@ -169,10 +163,12 @@ EOF
 echo '{"lambda_typo": 1}' > "$batch_dir/bad.json"
 sed 's/"seed": 5/"seed": 6/' "$batch_dir/ok1.json" > "$batch_dir/ok2.json"
 # Default: the batch aborts at the first failure; the job after the bad
-# one is recorded as skipped, and the exit code is the worst seen.
+# one is recorded as skipped, and the exit code is the worst seen. One
+# slot makes dispatch sequential, so the skip set is exact (with more
+# slots, ok2 may be dispatched before the bad job has failed).
 set +e
 dcnrun batch "$batch_dir/ok1.json" "$batch_dir/bad.json" "$batch_dir/ok2.json" \
-  --out-dir "$batch_dir/abort" 2> /dev/null
+  --out-dir "$batch_dir/abort" --jobs 1 2> /dev/null
 abort_rc=$?
 set -e
 test "$abort_rc" -ne 0
@@ -338,7 +334,7 @@ cargo run --profile relcheck --quiet --bin dcnrun -- chaos --plans 5 --seed 2
 echo "==> tracing overhead gate (NopTracer and disarmed failpoints must stay free)"
 cargo run --release -p dcn-bench --bin trace_overhead -- --check > /dev/null
 
-echo "==> engine perf gate (BENCH_sim.json: simulated fields exact, rate floor, shard scaling thread-invariant)"
+echo "==> engine perf gate (BENCH_sim.json: simulated fields exact, rate floor)"
 # Re-baseline deliberate engine changes with:
 #   cargo run --release -p dcn-bench --bin bench -- perf --bless
 # and commit the updated BENCH_sim.json next to the code that moved it.

@@ -7,7 +7,6 @@
 //! dcnstat hist   <trace.jsonl>                FCT / queue-delay / flowlet-gap histograms
 //! dcnstat diff   <a/manifest.json> <b/manifest.json>   field-by-field manifest compare
 //! dcnstat bench  <BENCH_sim.json> [<other.json>]       perf baseline table / diff
-//! dcnstat shards <manifest.json>              per-shard engine counter breakdown
 //! dcnstat top    (--tcp ADDR | --unix PATH)   live dcnserve stats, refreshing
 //! ```
 //!
@@ -24,10 +23,7 @@
 //! the CI floor, and reports any simulated-field drift — so a perf
 //! trajectory of committed baselines stays readable across re-anchors.
 //!
-//! `shards` renders a manifest's `engine` counter block as a per-shard
-//! balance table (events share, cross-shard traffic, calendar/arena
-//! high-water, and — when the run enabled wall counters — drain time),
-//! the fastest way to see why adding threads didn't help. `top` polls a
+//! `top` polls a
 //! running `dcnserve`'s `stats` op and redraws a compact operational
 //! table every `--interval-ms` (default 1000), `--count N` times
 //! (default: until interrupted).
@@ -51,7 +47,6 @@ const USAGE: &str = "usage: dcnstat queues <telemetry.jsonl> [--ch N] \
      | dcnstat util <telemetry.jsonl> | dcnstat hist <trace.jsonl> \
      | dcnstat diff <a/manifest.json> <b/manifest.json> \
      | dcnstat bench <BENCH_sim.json> [<other.json>] \
-     | dcnstat shards <manifest.json> \
      | dcnstat top (--tcp ADDR | --unix PATH) [--interval-ms N] [--count N]";
 
 /// Parses every JSONL line of `path`.
@@ -392,80 +387,6 @@ fn bench_compare(old: &[Json], new: &[Json], out: &mut dyn Write) -> io::Result<
     Ok(bad)
 }
 
-// ---------------------------------------------------------------- shards
-
-/// `shards <manifest.json>`: per-shard balance table from the manifest's
-/// `engine` counter block. The deterministic columns render always; the
-/// wall-clock drain column appears only when the run recorded it
-/// (`SimConfig::wall_counters`), since all-zero timings would mislead.
-fn cmd_shards(path: &str, out: &mut dyn Write) -> io::Result<()> {
-    let body = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
-    let doc = Json::parse(&body).unwrap_or_else(|e| fail(&format!("parse {path}: {e}")));
-    let eng = doc
-        .get("engine")
-        .unwrap_or_else(|| fail(&format!("{path}: no engine counter block in manifest")));
-    render_shards(eng, out)
-}
-
-fn render_shards(eng: &Json, out: &mut dyn Write) -> io::Result<()> {
-    let u = |v: &Json, k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
-    let events_total = u(eng, "events_total");
-    writeln!(
-        out,
-        "epochs {}  events {}  cross_shard {}  merge_ties {}  imbalance {:.3}",
-        u(eng, "epochs"),
-        events_total,
-        u(eng, "cross_shard_total"),
-        u(eng, "merge_ties"),
-        eng.get("imbalance").and_then(|v| v.as_f64()).unwrap_or(0.0),
-    )?;
-    let u64s = |v: Option<&Json>| -> Vec<u64> {
-        v.and_then(|a| a.as_array())
-            .map(|a| a.iter().map(|x| x.as_u64().unwrap_or(0)).collect())
-            .unwrap_or_default()
-    };
-    let drain = u64s(eng.get("drain_ns"));
-    let have_wall = drain.iter().any(|&v| v > 0);
-    let shards = eng
-        .get("shards")
-        .and_then(|s| s.as_array())
-        .unwrap_or_else(|| fail("engine block has no shards array"));
-    write!(
-        out,
-        "shard\tevents\tshare\txshard_out\tcal_peak\tspills\tfallbacks\tarena_live\tarena_hwm"
-    )?;
-    writeln!(out, "{}", if have_wall { "\tdrain_ms" } else { "" })?;
-    for (i, s) in shards.iter().enumerate() {
-        let xshard: u64 = u64s(s.get("cross_shard")).iter().sum();
-        let share = u(s, "events") as f64 / events_total.max(1) as f64;
-        write!(
-            out,
-            "{i}\t{}\t{:.1}%\t{xshard}\t{}\t{}\t{}\t{}\t{}",
-            u(s, "events"),
-            share * 100.0,
-            u(s, "calendar_peak"),
-            u(s, "ladder_spills"),
-            u(s, "scatter_fallbacks"),
-            u(s, "arena_live"),
-            u(s, "arena_high_water"),
-        )?;
-        if have_wall {
-            let ms = drain.get(i).copied().unwrap_or(0) as f64 / 1e6;
-            write!(out, "\t{ms:.2}")?;
-        }
-        writeln!(out)?;
-    }
-    if have_wall {
-        writeln!(
-            out,
-            "barrier_wait_ms {:.2}  mailbox_flush_ms {:.2}",
-            u(eng, "barrier_wait_ns") as f64 / 1e6,
-            u(eng, "mailbox_flush_ns") as f64 / 1e6,
-        )?;
-    }
-    Ok(())
-}
-
 // ------------------------------------------------------------------- top
 
 enum Conn {
@@ -672,7 +593,6 @@ fn main() {
                 Some(b) => bench_compare(&a, &read_bench(b), &mut out).map(|d| drifted = d),
             }
         }
-        "shards" => cmd_shards(args.get(1).unwrap_or_else(|| fail(USAGE)), &mut out),
         "top" => cmd_top(&args[1..], &mut out),
         other => fail(&format!("unknown subcommand \"{other}\"\n{USAGE}")),
     };
@@ -759,7 +679,7 @@ mod tests {
         bench_report(&cases, &mut out).unwrap();
         let s = String::from_utf8(out).unwrap();
         assert_eq!(s.lines().count(), 3, "{s}");
-        assert!(s.contains("fat_tree_k4/dctcp/t1\t100\t10\t1000"), "{s}");
+        assert!(s.contains("fat_tree_k4/dctcp\t100\t10\t1000"), "{s}");
     }
 
     #[test]
@@ -798,55 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_table_renders_deterministic_columns() {
-        let eng = Json::parse(
-            r#"{"epochs": 4, "merge_ties": 1, "events_total": 100,
-                "cross_shard_total": 30, "imbalance": 1.25,
-                "shards": [
-                  {"events": 60, "cross_shard": [0, 20], "calendar_peak": 5,
-                   "ladder_spills": 0, "scatter_fallbacks": 0,
-                   "arena_live": 0, "arena_high_water": 9},
-                  {"events": 40, "cross_shard": [10, 0], "calendar_peak": 3,
-                   "ladder_spills": 1, "scatter_fallbacks": 2,
-                   "arena_live": 0, "arena_high_water": 7}],
-                "drain_ns": [0, 0], "barrier_wait_ns": 0, "mailbox_flush_ns": 0}"#,
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        render_shards(&eng, &mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("epochs 4"), "{s}");
-        assert!(s.contains("0\t60\t60.0%\t20\t5\t0\t0\t0\t9"), "{s}");
-        assert!(s.contains("1\t40\t40.0%\t10\t3\t1\t2\t0\t7"), "{s}");
-        // All-zero wall counters: no misleading timing columns.
-        assert!(!s.contains("drain_ms"), "{s}");
-        assert!(!s.contains("barrier_wait_ms"), "{s}");
-    }
-
-    #[test]
-    fn shards_table_adds_wall_columns_when_recorded() {
-        let eng = Json::parse(
-            r#"{"epochs": 1, "merge_ties": 0, "events_total": 10,
-                "cross_shard_total": 0, "imbalance": 1.0,
-                "shards": [{"events": 10, "cross_shard": [0], "calendar_peak": 1,
-                            "ladder_spills": 0, "scatter_fallbacks": 0,
-                            "arena_live": 0, "arena_high_water": 1}],
-                "drain_ns": [2500000], "barrier_wait_ns": 1000000,
-                "mailbox_flush_ns": 500000}"#,
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        render_shards(&eng, &mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("drain_ms"), "{s}");
-        assert!(s.contains("\t2.50"), "{s}");
-        assert!(
-            s.contains("barrier_wait_ms 1.00  mailbox_flush_ms 0.50"),
-            "{s}"
-        );
-    }
-
-    #[test]
     fn top_table_renders_stats_envelope() {
         let stats = Json::parse(
             r#"{"status": "ok", "version": {"crate": "0.1.0"}, "uptime_ms": 2500,
@@ -867,21 +738,17 @@ mod tests {
         assert!(s.contains("cache: 4 entries  4096 bytes"), "{s}");
     }
 
-    /// The diff satellite: two same-seed runs at different thread counts —
-    /// with wall-clock counters enabled, so every nondeterministic leaf the
-    /// engine can emit is present — must diff clean, because everything
-    /// simulated (including the deterministic counter set) is
-    /// thread-invariant and the wall leaves sit under `WALL_CLOCK_FIELDS`.
+    /// Two same-seed runs must diff clean: everything simulated (the
+    /// deterministic engine counter block included) replays exactly, and
+    /// the wall-clock leaves sit under `WALL_CLOCK_FIELDS`.
     #[test]
-    fn same_seed_manifests_diff_clean_across_thread_counts() {
-        let manifest_at = |threads: u32| {
+    fn same_seed_manifests_diff_clean() {
+        let manifest = || {
             let topo = FatTree::full(4).build();
             let pattern = AllToAll::new(&topo, topo.tors_with_servers());
             let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 200.0, 0.01, 7);
             let spec = ManifestSpec::new("dcnstat-test", 7);
-            let cfg = SimConfig::default()
-                .with_threads(threads)
-                .with_wall_counters();
+            let cfg = SimConfig::default();
             let (_, _, manifest) = run_fct_experiment_instrumented(
                 &topo,
                 Routing::Ecmp,
@@ -896,9 +763,9 @@ mod tests {
             );
             manifest.unwrap().json().clone()
         };
-        let (a, b) = (manifest_at(1), manifest_at(4));
+        let (a, b) = (manifest(), manifest());
         let mut drift = Vec::new();
         diff_json(&a, &b, "", &mut drift);
-        assert!(drift.is_empty(), "thread-count drift: {drift:?}");
+        assert!(drift.is_empty(), "same-seed drift: {drift:?}");
     }
 }

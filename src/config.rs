@@ -103,8 +103,21 @@ const SIM_KEYS: &[&str] = &[
     "transport",
     "queue",
     "pfabric_cwnd_pkts",
-    "threads",
-    "wall_counters",
+];
+
+/// `sim` keys that earlier builds accepted, each with the reason it is
+/// gone, so an old config fails with a pointer instead of a bare
+/// "unknown key".
+const REMOVED_SIM_KEYS: &[(&str, &str)] = &[
+    (
+        "threads",
+        "the engine is one sequential event loop; run independent configs \
+         in parallel with `dcnrun batch --jobs N` instead",
+    ),
+    (
+        "wall_counters",
+        "its per-shard drain/barrier/mailbox timings went with the sharded engine",
+    ),
 ];
 
 /// The config printed by `dcnsim --print-example`.
@@ -206,6 +219,9 @@ pub fn validate_keys(cfg: &Json) -> Result<(), String> {
             return Err("config: \"sim\" must be an object".to_string());
         };
         for (k, _) in fields {
+            if let Some((_, why)) = REMOVED_SIM_KEYS.iter().find(|(r, _)| r == k) {
+                return Err(format!("config: sim key \"{k}\" was removed: {why}"));
+            }
             if !SIM_KEYS.contains(&k.as_str()) {
                 return Err(format!(
                     "config: unknown sim key \"{k}\" (expected one of: {})",
@@ -312,15 +328,6 @@ fn parse_sim(cfg: Option<&Json>) -> Result<SimConfig, String> {
     }
     if let Some(v) = opt_u64(cfg, "pfabric_cwnd_pkts")? {
         c.pfabric_cwnd_pkts = v as u32;
-    }
-    if let Some(v) = opt_u64(cfg, "threads")? {
-        if v == 0 {
-            return Err("config: \"threads\" must be at least 1".to_string());
-        }
-        c.threads = v as u32;
-    }
-    if cfg.get("wall_counters").and_then(|v| v.as_bool()) == Some(true) {
-        c = c.with_wall_counters();
     }
     Ok(c)
 }
@@ -504,6 +511,14 @@ mod tests {
         let cfg = Json::parse(r#"{"sim": {"ecn_pkts": 4}}"#).unwrap();
         let err = validate_keys(&cfg).unwrap_err();
         assert!(err.contains("unknown sim key \"ecn_pkts\""), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_removed_threads_key_with_a_pointer() {
+        let cfg = Json::parse(r#"{"sim": {"threads": 4}}"#).unwrap();
+        let err = validate_keys(&cfg).unwrap_err();
+        assert!(err.contains("\"threads\" was removed"), "{err}");
+        assert!(err.contains("dcnrun batch --jobs"), "{err}");
     }
 
     #[test]

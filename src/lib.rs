@@ -66,9 +66,9 @@ pub mod prelude {
         check_conservation, compute_metrics, compute_metrics_with_dists, config_fingerprint,
         ChannelCounters, Checkpoint, CheckpointMeta, Conservation, CountingTracer, DropCounters,
         EngineCounters, FaultEvent, FaultKind, FaultPlan, FctDistributions, FlowRecord,
-        JsonlTracer, Metrics, NopTracer, QueueDiscKind, QueueDiscipline, Sample, ShardCounters,
-        SharedBuf, SimConfig, Simulator, StreamingHistogram, Telemetry, TraceCounters, TraceEvent,
-        Tracer, Transport, TransportKind, WallClockCounters, DEFAULT_SAMPLE_EVERY_NS, MS, SEC, US,
+        JsonlTracer, Metrics, NopTracer, QueueDiscKind, QueueDiscipline, Sample, SharedBuf,
+        SimConfig, Simulator, StreamingHistogram, Telemetry, TraceCounters, TraceEvent, Tracer,
+        Transport, TransportKind, DEFAULT_SAMPLE_EVERY_NS, MS, SEC, US,
     };
     pub use dcn_topology::{
         fattree::FatTree, jellyfish::Jellyfish, longhop::Longhop, slimfly::SlimFly, toy::ToyFig4,

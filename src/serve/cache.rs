@@ -411,6 +411,31 @@ mod tests {
     }
 
     #[test]
+    fn entries_from_the_sharded_engine_miss() {
+        // `config_fingerprint(&SimConfig::default())` as the sharded
+        // engine (schedule version 1) derived it, before the schedule
+        // version was folded in. A state dir warmed by that engine holds
+        // its results under this key; the current engine must not serve
+        // them.
+        const SHARDED_ENGINE_DEFAULT_CFG_FP: u64 = 0x3b30_274c_a915_6e6f;
+        let _g = fp_lock();
+        let c = fresh("schedule");
+        let old = CacheKey {
+            topo: 7,
+            sim_cfg: SHARDED_ENGINE_DEFAULT_CFG_FP,
+            faults: 0,
+            request: 9,
+        };
+        c.store(&old, b"sharded-engine result").unwrap();
+        let now = CacheKey {
+            sim_cfg: dcn_sim::config_fingerprint(&dcn_sim::SimConfig::default()),
+            ..old
+        };
+        assert_eq!(c.load(&now), Lookup::Miss);
+        let _ = std::fs::remove_dir_all(&c.dir);
+    }
+
+    #[test]
     fn distinct_keys_do_not_collide() {
         let _g = fp_lock();
         let c = fresh("keys");

@@ -402,6 +402,7 @@ impl Server {
                 "checkpoint_format",
                 Json::from(dcn_sim::checkpoint::VERSION),
             ),
+            ("schedule_version", Json::from(dcn_sim::SCHEDULE_VERSION)),
             ("cache_format", Json::from(cache::FORMAT_VERSION)),
         ])
     }

@@ -121,11 +121,10 @@ fn corrupt_checkpoints_are_final_never_retried() {
     assert!(!Attempt::Exited(EXIT_CKPT_CORRUPT).retryable());
 }
 
-/// End to end: a worker launched against a poisoned checkpoint dies with
-/// `EXIT_CKPT_CORRUPT` (4), which the supervisor treats as final.
-#[test]
-fn worker_exits_ckpt_corrupt_on_poisoned_checkpoint() {
-    let cfg_path = tmp("cfg.json");
+/// Launches a `dcnrun worker` resuming from `img`; returns its exit code
+/// and whether it wrote a result.
+fn resume_worker_on(img: &[u8], tag: &str) -> (Option<i32>, bool) {
+    let cfg_path = tmp(&format!("{tag}_cfg.json"));
     std::fs::write(
         &cfg_path,
         r#"{
@@ -139,14 +138,10 @@ fn worker_exits_ckpt_corrupt_on_poisoned_checkpoint() {
 "#,
     )
     .expect("write config");
+    let ckpt_path = tmp(&format!("{tag}.ckpt"));
+    std::fs::write(&ckpt_path, img).expect("write checkpoint");
 
-    let mut img = image();
-    let mid = img.len() / 2;
-    img[mid] ^= 0x01; // single bit flip deep in the payload
-    let ckpt_path = tmp("poisoned.ckpt");
-    std::fs::write(&ckpt_path, &img).expect("write poisoned checkpoint");
-
-    let result_path = tmp("result.json");
+    let result_path = tmp(&format!("{tag}_result.json"));
     let status = Command::new(env!("CARGO_BIN_EXE_dcnrun"))
         .args([
             "worker",
@@ -160,17 +155,48 @@ fn worker_exits_ckpt_corrupt_on_poisoned_checkpoint() {
         ])
         .status()
         .expect("spawn dcnrun worker");
+    let wrote_result = std::fs::metadata(&result_path).is_ok();
+    for p in [cfg_path, ckpt_path, result_path] {
+        let _ = std::fs::remove_file(p);
+    }
+    (status.code(), wrote_result)
+}
+
+/// End to end: a worker launched against a poisoned checkpoint dies with
+/// `EXIT_CKPT_CORRUPT` (4), which the supervisor treats as final.
+#[test]
+fn worker_exits_ckpt_corrupt_on_poisoned_checkpoint() {
+    let mut img = image();
+    let mid = img.len() / 2;
+    img[mid] ^= 0x01; // single bit flip deep in the payload
+    let (code, wrote_result) = resume_worker_on(&img, "poisoned");
     assert_eq!(
-        status.code(),
+        code,
         Some(EXIT_CKPT_CORRUPT),
         "poisoned checkpoint must exit {EXIT_CKPT_CORRUPT}"
     );
     assert!(
-        std::fs::metadata(&result_path).is_err(),
+        !wrote_result,
         "no result may be written from a corrupt resume"
     );
+}
 
-    for p in [cfg_path, ckpt_path, result_path] {
-        let _ = std::fs::remove_file(p);
-    }
+/// A checksum-valid v3 image — the sharded engine's per-shard layout,
+/// recorded under its event order — is refused by version before any
+/// state is decoded, and a worker handed one resumes nothing.
+#[test]
+fn v3_image_from_the_sharded_engine_is_rejected() {
+    let mut img = image();
+    img[VERSION_AT..VERSION_AT + 4].copy_from_slice(&3u32.to_le_bytes());
+    reseal(&mut img);
+    let Err(err) = Checkpoint::from_bytes(img.clone()) else {
+        panic!("a v3 image must not validate");
+    };
+    assert!(
+        err.contains("unsupported checkpoint version 3"),
+        "unexpected error {err:?}"
+    );
+    let (code, wrote_result) = resume_worker_on(&img, "v3");
+    assert_eq!(code, Some(EXIT_CKPT_CORRUPT), "a v3 image must not resume");
+    assert!(!wrote_result, "no result may be written from a v3 image");
 }

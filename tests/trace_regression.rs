@@ -108,23 +108,6 @@ fn pfabric_trace_matches_golden() {
     check_golden("pfabric", SimConfig::default().with_pfabric());
 }
 
-/// The parallel engine's contract: replaying the golden scenarios under
-/// four worker threads reproduces the committed fixtures byte-for-byte.
-/// The fixtures are blessed at `threads = 1`, so this pins the sharded
-/// schedule to the sequential one.
-#[test]
-fn golden_traces_match_at_four_threads() {
-    check_golden("dctcp", SimConfig::default().with_threads(4));
-    check_golden(
-        "newreno",
-        SimConfig::default().with_newreno().with_threads(4),
-    );
-    check_golden(
-        "pfabric",
-        SimConfig::default().with_pfabric().with_threads(4),
-    );
-}
-
 /// The reproducibility contract behind the fixtures: the same seed and
 /// config give byte-identical traces on back-to-back runs.
 #[test]
