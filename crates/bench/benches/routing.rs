@@ -1,5 +1,6 @@
 //! Routing hot paths — table construction, per-flowlet path selection,
-//! and the stable hash.
+//! and the stable hash — on the §6 Xpander (216 switches) and on the
+//! 2048-switch Xpander of the 65,536-host scale proof.
 
 use dcn_bench::bench_case;
 use dcn_routing::ecmp::{hash3, EcmpTable};
@@ -29,6 +30,16 @@ fn main() {
     bench_case("select/hyb_past_threshold", 1_000_000, || {
         key = key.wrapping_add(1);
         hyb.select(3, 200, key, 1_000_000)
+    });
+
+    let big = Xpander::for_switches(31, 2048, 32, 1).build();
+    bench_case("ecmp/table_build_2048", 3, || EcmpTable::new(&big));
+    let big_hyb = RoutingSuite::new(&big).hyb(100_000);
+    // Alternate flowlets below (ECMP) and past (VLB) the threshold.
+    let mut key = 0u64;
+    bench_case("select/hyb", 1_000_000, || {
+        key = key.wrapping_add(1);
+        big_hyb.select(3, 2000, key, (key & 1) * 1_000_000)
     });
 
     let mut x = 0u64;

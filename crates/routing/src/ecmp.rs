@@ -1,53 +1,86 @@
-//! Equal-cost multi-path routing: per-destination next-hop sets over all
-//! shortest paths, with deterministic per-hop hashing — the behavior of a
-//! commodity switch hashing a flow(let) onto one of its equal-cost ports.
+//! Equal-cost multi-path routing over all shortest paths, with
+//! deterministic per-hop hashing — the behavior of a commodity switch
+//! hashing a flow(let) onto one of its equal-cost ports.
+//!
+//! The table stores an n×n hop-distance matrix (4·n² bytes) and a flat
+//! copy of the adjacency; next hops are derived per walk. At node `u`
+//! toward `dst` the equal-cost choices are `u`'s neighbours `v` with
+//! `dist(v, dst) + 1 == dist(u, dst)`, in adjacency order.
 
 use dcn_topology::{LinkId, NodeId, Topology};
 
-/// Precomputed ECMP next hops: for every (destination, node) the set of
-/// `(next node, link)` choices that lie on a shortest path. Parallel links
-/// appear once each, so hashing over the set load-balances them too.
+/// ECMP routing state: hop distances from every node to every
+/// destination, plus the adjacency the next hops are derived from.
+/// Parallel links appear once each among the choices, so hashing over
+/// them load-balances parallel links too.
 pub struct EcmpTable {
-    /// `nexthops[dst][node]` — empty exactly when `node == dst`.
-    nexthops: Vec<Vec<Vec<(NodeId, LinkId)>>>,
-    /// Hop distance `dist[dst][node]`.
-    dist: Vec<Vec<u32>>,
+    n: usize,
+    /// Hop distance `dist[dst * n + node]`; `u32::MAX` = unreachable.
+    dist: Vec<u32>,
+    /// CSR adjacency: `node`'s `(neighbour, link)` pairs are
+    /// `adj[offsets[node]..offsets[node + 1]]`, in topology order.
+    offsets: Vec<u32>,
+    adj: Vec<(NodeId, LinkId)>,
 }
 
 impl EcmpTable {
-    /// Builds the table with one BFS per destination: O(V·E).
+    /// Builds the table with one BFS per destination: O(V·E) time,
+    /// 4·V² bytes of distances.
     pub fn new(t: &Topology) -> Self {
         let n = t.num_nodes();
-        let mut nexthops = Vec::with_capacity(n);
-        let mut dist = Vec::with_capacity(n);
-        for d in 0..n as NodeId {
-            let dd = t.bfs_distances(d);
-            let mut per_node = vec![Vec::new(); n];
-            for u in 0..n as NodeId {
-                if u == d || dd[u as usize] == u32::MAX {
-                    continue;
-                }
-                for &(v, l) in t.neighbors(u) {
-                    if dd[v as usize] + 1 == dd[u as usize] {
-                        per_node[u as usize].push((v, l));
-                    }
-                }
-                debug_assert!(!per_node[u as usize].is_empty());
-            }
-            nexthops.push(per_node);
-            dist.push(dd);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut adj = Vec::new();
+        offsets.push(0);
+        for u in 0..n as NodeId {
+            adj.extend_from_slice(t.neighbors(u));
+            offsets.push(adj.len() as u32);
         }
-        EcmpTable { nexthops, dist }
+        let mut dist = vec![u32::MAX; n * n];
+        let mut queue = Vec::with_capacity(n);
+        for d in 0..n {
+            t.bfs_into(d as NodeId, &mut dist[d * n..(d + 1) * n], &mut queue);
+        }
+        EcmpTable {
+            n,
+            dist,
+            offsets,
+            adj,
+        }
     }
 
-    /// All equal-cost `(next node, link)` choices at `node` toward `dst`.
-    pub fn choices(&self, node: NodeId, dst: NodeId) -> &[(NodeId, LinkId)] {
-        &self.nexthops[dst as usize][node as usize]
+    fn neighbors(&self, node: NodeId) -> &[(NodeId, LinkId)] {
+        let u = node as usize;
+        &self.adj[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+
+    fn row(&self, dst: NodeId) -> &[u32] {
+        let d = dst as usize;
+        &self.dist[d * self.n..(d + 1) * self.n]
+    }
+
+    /// All equal-cost `(next node, link)` choices at `node` toward `dst`,
+    /// in adjacency order — empty when `node == dst` or `dst` is
+    /// unreachable.
+    pub fn choices(
+        &self,
+        node: NodeId,
+        dst: NodeId,
+    ) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
+        let row = self.row(dst);
+        let du = row[node as usize];
+        let nbrs = if du == 0 || du == u32::MAX {
+            &[][..]
+        } else {
+            self.neighbors(node)
+        };
+        nbrs.iter()
+            .copied()
+            .filter(move |&(v, _)| row[v as usize] + 1 == du)
     }
 
     /// Hop distance from `node` to `dst`.
     pub fn distance(&self, node: NodeId, dst: NodeId) -> u32 {
-        self.dist[dst as usize][node as usize]
+        self.dist[dst as usize * self.n + node as usize]
     }
 
     /// Walks the per-hop hash-selected shortest path from `src` to `dst`.
@@ -56,15 +89,25 @@ impl EcmpTable {
     /// empty vector when `dst` is unreachable (a partitioned survivor
     /// topology) — callers treat that as "no route", not "zero hops".
     pub fn path(&self, src: NodeId, dst: NodeId, key: u64) -> Vec<LinkId> {
-        if src != dst && self.dist[dst as usize][src as usize] == u32::MAX {
+        let hops = self.distance(src, dst);
+        if hops == u32::MAX {
             return Vec::new();
         }
-        let mut links = Vec::with_capacity(self.distance(src, dst) as usize);
+        let mut links = Vec::with_capacity(hops as usize);
         let mut u = src;
         while u != dst {
-            let c = self.choices(u, dst);
-            let pick = (hash3(key, u as u64, dst as u64) % c.len() as u64) as usize;
-            let (v, l) = c[pick];
+            // Count the choices, keeping the first so pick 0 needs no
+            // second scan.
+            let mut choices = self.choices(u, dst);
+            let first = choices.next().expect("a reachable node has a next hop");
+            let count = 1 + choices.count() as u64;
+            let (v, l) = match hash3(key, u as u64, dst as u64) % count {
+                0 => first,
+                pick => self
+                    .choices(u, dst)
+                    .nth(pick as usize)
+                    .expect("pick < count"),
+            };
             links.push(l);
             u = v;
         }
@@ -74,7 +117,7 @@ impl EcmpTable {
     /// Number of distinct equal-cost *first hops* from `src` toward `dst`
     /// (Fig 7a's "ECMP uses only the direct link" audit).
     pub fn first_hop_diversity(&self, src: NodeId, dst: NodeId) -> usize {
-        self.choices(src, dst).len()
+        self.choices(src, dst).count()
     }
 }
 

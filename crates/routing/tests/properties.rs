@@ -1,14 +1,17 @@
 //! Property-style tests for routing: path validity, shortest-path
-//! optimality of ECMP, VLB leg structure, HYB threshold semantics, and
-//! rebuild-after-failure equivalence. Seeded sweeps stand in for proptest.
+//! optimality of ECMP, VLB leg structure, HYB threshold semantics,
+//! rebuild-after-failure equivalence, and bit-for-bit agreement with an
+//! explicit next-hop-list reference. Seeded sweeps stand in for proptest.
 
 use dcn_rng::Rng;
-use dcn_routing::ecmp::EcmpTable;
+use dcn_routing::ecmp::{hash3, EcmpTable};
 use dcn_routing::hyb::PathSelector;
 use dcn_routing::ksp::k_shortest_paths;
-use dcn_routing::RoutingSuite;
+use dcn_routing::{RoutingSuite, Vlb};
+use dcn_topology::fattree::FatTree;
 use dcn_topology::jellyfish::Jellyfish;
-use dcn_topology::{NodeId, Topology};
+use dcn_topology::xpander::Xpander;
+use dcn_topology::{LinkId, NodeId, NodeKind, Topology};
 
 fn net(n: u32, d: u32, seed: u64) -> Topology {
     Jellyfish::new(n, d, 2, seed).build()
@@ -109,7 +112,7 @@ fn ecmp_covers_all_choices() {
         let t = net(n, 4, seed);
         let table = EcmpTable::new(&t);
         let (src, dst) = (0u32, n - 1);
-        let choices = table.choices(src, dst).len();
+        let choices = table.choices(src, dst).count();
         if choices < 2 {
             continue;
         }
@@ -163,4 +166,156 @@ fn rebuild_restores_paths_after_link_up() {
             }
         }
     }
+}
+
+/// Reference ECMP routing with explicit next-hop lists: for every
+/// (destination, node) the `(next node, link)` pairs on a shortest path,
+/// in adjacency order, derived from `Topology::apsp` and walked with the
+/// same per-hop `hash3` pick. The distance-matrix table must reproduce it
+/// bit for bit.
+struct NextHopLists {
+    /// `nexthops[dst][node]`.
+    nexthops: Vec<Vec<Vec<(NodeId, LinkId)>>>,
+    /// `dist[dst][node]` (APSP is symmetric on undirected graphs).
+    dist: Vec<Vec<u32>>,
+}
+
+impl NextHopLists {
+    fn new(t: &Topology) -> Self {
+        let dist = t.apsp();
+        let nexthops = dist
+            .iter()
+            .map(|dd| {
+                t.nodes()
+                    .map(|u| {
+                        if dd[u as usize] == u32::MAX {
+                            return Vec::new();
+                        }
+                        t.neighbors(u)
+                            .iter()
+                            .copied()
+                            .filter(|&(v, _)| dd[v as usize] + 1 == dd[u as usize])
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        NextHopLists { nexthops, dist }
+    }
+
+    fn path(&self, src: NodeId, dst: NodeId, key: u64) -> Vec<LinkId> {
+        if self.dist[dst as usize][src as usize] == u32::MAX {
+            return Vec::new();
+        }
+        let mut links = Vec::new();
+        let mut u = src;
+        while u != dst {
+            let c = &self.nexthops[dst as usize][u as usize];
+            let (v, l) = c[(hash3(key, u as u64, dst as u64) % c.len() as u64) as usize];
+            links.push(l);
+            u = v;
+        }
+        links
+    }
+
+    /// `Vlb::path` over the reference lists: two ECMP legs through a
+    /// keyed intermediate, rehashed while it is unreachable.
+    fn vlb_path(&self, vlb: &Vlb, src: NodeId, dst: NodeId, key: u64) -> Vec<LinkId> {
+        let mut h = key;
+        for _ in 0..16 {
+            let via = vlb.intermediate(src, dst, h);
+            if self.dist[via as usize][src as usize] != u32::MAX
+                && self.dist[dst as usize][via as usize] != u32::MAX
+            {
+                let mut p = self.path(src, via, hash3(key, 1, via as u64));
+                p.extend(self.path(via, dst, hash3(key, 2, via as u64)));
+                return p;
+            }
+            h = hash3(h, 0x0DD_5EED, key);
+        }
+        self.path(src, dst, key)
+    }
+}
+
+/// Asserts that `EcmpTable` agrees with the reference on every
+/// (node, destination) pair's choices and distance, and on ECMP and VLB
+/// paths for sampled pairs and many keys.
+fn assert_matches_next_hop_lists(t: &Topology, seed: u64) {
+    let table = EcmpTable::new(t);
+    let reference = NextHopLists::new(t);
+    let n = t.num_nodes() as u32;
+    for dst in 0..n {
+        for u in 0..n {
+            let want = &reference.nexthops[dst as usize][u as usize];
+            let got: Vec<_> = table.choices(u, dst).collect();
+            assert_eq!(&got, want, "{}: choices({u}, {dst})", t.name());
+            assert_eq!(table.first_hop_diversity(u, dst), want.len());
+            assert_eq!(
+                table.distance(u, dst),
+                reference.dist[dst as usize][u as usize],
+                "{}: distance({u}, {dst})",
+                t.name()
+            );
+        }
+    }
+    let vlb = Vlb::new(t);
+    let mut rng = Rng::seed_from_u64(seed);
+    for _ in 0..200 {
+        let src = rng.gen_range(0..n);
+        let dst = rng.gen_range(0..n);
+        for _ in 0..16 {
+            let key = rng.gen_range(0u64..u64::MAX);
+            assert_eq!(
+                table.path(src, dst, key),
+                reference.path(src, dst, key),
+                "{}: path({src}, {dst}, {key})",
+                t.name()
+            );
+            if src != dst && n > 2 {
+                assert_eq!(
+                    vlb.path(&table, src, dst, key),
+                    reference.vlb_path(&vlb, src, dst, key),
+                    "{}: vlb path({src}, {dst}, {key})",
+                    t.name()
+                );
+            }
+        }
+    }
+}
+
+/// The distance-matrix table routes bit-for-bit like explicit next-hop
+/// lists on fat-trees, Xpanders, a Jellyfish, and a partitioned network.
+#[test]
+fn ecmp_matches_next_hop_lists() {
+    assert_matches_next_hop_lists(&FatTree::full(4).build(), 1);
+    assert_matches_next_hop_lists(&FatTree::full(8).build(), 2);
+    assert_matches_next_hop_lists(&Xpander::paper_sec6(1).build(), 3);
+    assert_matches_next_hop_lists(&Xpander::new(6, 8, 3, 2).build(), 4);
+    assert_matches_next_hop_lists(&net(40, 5, 9), 5);
+
+    // Two triangles joined by a path (one link doubled), plus an
+    // isolated switch: pairs with the isolated node have no route.
+    let mut t = Topology::new("partitioned");
+    for _ in 0..7 {
+        t.add_node(NodeKind::Tor, 1);
+    }
+    for (a, b) in [
+        (0, 1),
+        (0, 1),
+        (1, 2),
+        (2, 0),
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (5, 3),
+    ] {
+        t.add_link(a, b);
+    }
+    let table = EcmpTable::new(&t);
+    assert!(table.path(0, 6, 7).is_empty());
+    assert!(table.path(6, 0, 7).is_empty());
+    assert_eq!(table.distance(0, 6), u32::MAX);
+    assert_eq!(table.choices(6, 0).count(), 0);
+    assert_eq!(table.path(0, 5, 7).len(), 3);
+    assert_matches_next_hop_lists(&t, 6);
 }

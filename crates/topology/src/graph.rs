@@ -221,19 +221,28 @@ impl Topology {
     /// Unweighted BFS hop distances from `src` (`u32::MAX` = unreachable).
     pub fn bfs_distances(&self, src: NodeId) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.num_nodes()];
+        self.bfs_into(src, &mut dist, &mut Vec::new());
+        dist
+    }
+
+    /// [`Self::bfs_distances`] into caller-owned buffers: `dist` must hold
+    /// `u32::MAX` for every node on entry; `queue` is scratch space, so a
+    /// caller running many searches allocates it once.
+    pub fn bfs_into(&self, src: NodeId, dist: &mut [u32], queue: &mut Vec<NodeId>) {
+        queue.clear();
+        queue.push(src);
         dist[src as usize] = 0;
-        let mut q = VecDeque::new();
-        q.push_back(src);
-        while let Some(u) = q.pop_front() {
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
             let du = dist[u as usize];
             for &(v, _) in &self.adj[u as usize] {
                 if dist[v as usize] == u32::MAX {
                     dist[v as usize] = du + 1;
-                    q.push_back(v);
+                    queue.push(v);
                 }
             }
         }
-        dist
     }
 
     /// All-pairs shortest hop distances, O(V·E). Suitable for the ≤1000-node

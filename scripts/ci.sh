@@ -340,6 +340,14 @@ echo "==> engine perf gate (BENCH_sim.json: simulated fields exact, rate floor)"
 # and commit the updated BENCH_sim.json next to the code that moved it.
 cargo run --release -p dcn-bench --bin bench -- perf --check > /dev/null
 
+echo "==> ECMP table memory guard (2048-switch Xpander under a 128 MiB ceiling)"
+# The table is a 2048x2048 hop-distance matrix (16 MiB); the whole example
+# fits in ~24 MiB of address space. A table that stores next-hop lists per
+# (destination, node) needs over 512 MiB for this graph: the ceiling keeps
+# that layout from coming back.
+cargo build --release --quiet -p dcn-routing --example ecmp_table_2048
+(ulimit -v 131072 && ./target/release/examples/ecmp_table_2048)
+
 echo "==> cargo build --examples"
 cargo build --release --workspace --examples
 
