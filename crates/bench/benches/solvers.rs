@@ -1,14 +1,18 @@
 //! Fluid-flow solver costs — Garg–Könemann accuracy/runtime trade (the
-//! ε ablation of DESIGN.md §6), Dinic, and the tiny simplex.
+//! ε ablation of DESIGN.md §6), Dinic, the tiny simplex, and the
+//! flow-level simulator on Fig 15's Xpander.
 
 use dcn_bench::bench_case;
+use dcn_flowsim::{FlowSim, FlowSimConfig};
 use dcn_maxflow::concurrent::{max_concurrent_flow, Commodity, GkOptions};
 use dcn_maxflow::dinic::topology_max_flow;
 use dcn_maxflow::lp::exact_concurrent_flow;
 use dcn_maxflow::network::FlowNetwork;
+use dcn_routing::{RoutingSuite, PAPER_Q_BYTES};
 use dcn_topology::fattree::FatTree;
 use dcn_topology::jellyfish::Jellyfish;
-use dcn_workloads::longest_matching;
+use dcn_topology::xpander::Xpander;
+use dcn_workloads::{generate_flows, longest_matching, PFabricWebSearch, Skew};
 
 fn main() {
     let t = Jellyfish::new(60, 6, 4, 1).build();
@@ -70,5 +74,20 @@ fn main() {
     ];
     bench_case("simplex/c6_three_commodities", 50, || {
         exact_concurrent_flow(&net6, &coms)
+    });
+
+    // 5,600 web-search arrivals at 20k flow starts/s under Skew(0.04, 0.77)
+    // with HYB: every arrival and departure re-runs the water-fill.
+    let xp = Xpander::paper_fig15(1).build();
+    let suite = RoutingSuite::new(&xp);
+    let pattern = Skew::projector_like(&xp, xp.tors_with_servers(), 1);
+    let mut flows = generate_flows(&pattern, &PFabricWebSearch::new(), 20_000.0, 0.56, 1);
+    flows.truncate(5_600);
+    assert_eq!(flows.len(), 5_600);
+    bench_case("flowsim/fig15_hyb_5600", 5, || {
+        let selector = Box::new(suite.hyb(PAPER_Q_BYTES));
+        let mut sim = FlowSim::new(&xp, selector, FlowSimConfig::default());
+        sim.inject(&flows);
+        sim.run(1e3)
     });
 }

@@ -32,6 +32,9 @@ use dcn_routing::PathSelector;
 use dcn_sim::stats::FlowRecord;
 use dcn_topology::{Link, NodeId, Topology};
 use dcn_workloads::FlowEvent;
+use waterfill::Waterfill;
+
+mod waterfill;
 
 /// Flow-level simulator configuration.
 #[derive(Clone, Copy, Debug)]
@@ -80,7 +83,6 @@ pub struct FlowSim {
     num_servers: u32,
     selector: Box<dyn PathSelector>,
     pending: Vec<PendingFlow>,
-    records: Vec<FlowRecord>,
 }
 
 impl FlowSim {
@@ -113,7 +115,6 @@ impl FlowSim {
             num_servers,
             selector,
             pending: Vec::new(),
-            records: Vec::new(),
         }
     }
 
@@ -164,62 +165,24 @@ impl FlowSim {
         path
     }
 
-    /// Max-min fair rates by progressive filling (water-filling): raise all
-    /// unfrozen flows' rates together; freeze flows crossing a saturated
-    /// link; repeat.
-    fn waterfill(&self, active: &mut [ActiveFlow]) {
-        let mut residual = self.cap.clone();
-        let mut flows_on = vec![0u32; self.cap.len()];
-        for f in active.iter() {
-            for &c in &f.path {
-                flows_on[c as usize] += 1;
-            }
-        }
-        let mut frozen = vec![false; active.len()];
-        for f in active.iter_mut() {
-            f.rate_gbps = 0.0;
-        }
-        let mut remaining = active.len();
-        while remaining > 0 {
-            let mut inc = f64::INFINITY;
-            for (c, &n) in flows_on.iter().enumerate() {
-                if n > 0 {
-                    inc = inc.min(residual[c] / n as f64);
-                }
-            }
-            if !inc.is_finite() {
-                break;
-            }
-            for (i, f) in active.iter_mut().enumerate() {
-                if !frozen[i] {
-                    f.rate_gbps += inc;
-                    for &c in &f.path {
-                        residual[c as usize] -= inc;
-                    }
-                }
-            }
-            for i in 0..active.len() {
-                if frozen[i] {
-                    continue;
-                }
-                let saturated = active[i].path.iter().any(|&c| residual[c as usize] <= 1e-9);
-                if saturated {
-                    frozen[i] = true;
-                    remaining -= 1;
-                    for &c in &active[i].path {
-                        flows_on[c as usize] -= 1;
-                    }
-                }
-            }
-        }
-    }
-
     /// Runs to completion (or `max_time_s`). Returns per-flow records in
     /// arrival order.
     pub fn run(&mut self, max_time_s: f64) -> Vec<FlowRecord> {
         let pending = std::mem::take(&mut self.pending);
+        let mut fill = Waterfill::new(&self.cap);
+        self.simulate(&pending, max_time_s, |active| fill.fill(active))
+    }
+
+    /// The event loop of [`FlowSim::run`], generic over the water-filling
+    /// step so the unit tests can drive it with a reference solver.
+    fn simulate(
+        &self,
+        pending: &[PendingFlow],
+        max_time_s: f64,
+        mut waterfill: impl FnMut(&mut [ActiveFlow]),
+    ) -> Vec<FlowRecord> {
         let n = pending.len();
-        self.records = pending
+        let mut records: Vec<FlowRecord> = pending
             .iter()
             .map(|p| FlowRecord::basic((p.start_s * 1e9) as u64, p.bytes, None))
             .collect();
@@ -228,7 +191,7 @@ impl FlowSim {
         let mut now = 0.0f64;
 
         while now <= max_time_s && (next_arrival < n || !active.is_empty()) {
-            self.waterfill(&mut active);
+            waterfill(&mut active);
             let mut t_dep = f64::INFINITY;
             for f in &active {
                 if f.rate_gbps > 1e-12 {
@@ -267,9 +230,8 @@ impl FlowSim {
                 while i < active.len() {
                     if active[i].remaining_bits <= 1e-6 {
                         let id = active[i].id;
-                        self.records[id].fct_ns = Some(
-                            ((now - self.records[id].start_ns as f64 / 1e9) * 1e9).round() as u64,
-                        );
+                        records[id].fct_ns =
+                            Some(((now - records[id].start_ns as f64 / 1e9) * 1e9).round() as u64);
                         active.swap_remove(i);
                     } else {
                         i += 1;
@@ -277,7 +239,7 @@ impl FlowSim {
                 }
             }
         }
-        self.records.clone()
+        records
     }
 
     pub fn num_servers(&self) -> u32 {

@@ -348,6 +348,13 @@ echo "==> ECMP table memory guard (2048-switch Xpander under a 128 MiB ceiling)"
 cargo build --release --quiet -p dcn-routing --example ecmp_table_2048
 (ulimit -v 131072 && ./target/release/examples/ecmp_table_2048)
 
+echo "==> flow-level golden (fig15_large_scale --scale small, byte-identical stdout)"
+# Pins dcn-flowsim's results across solver changes. Re-bless only for a
+# deliberate change of the simulated rates, and say why in the change.
+cargo build --release --quiet -p dcn-bench --bin fig15_large_scale
+./target/release/fig15_large_scale --scale small --seed 1 2> /dev/null \
+  | cmp - tests/golden/fig15_small.txt
+
 echo "==> cargo build --examples"
 cargo build --release --workspace --examples
 
