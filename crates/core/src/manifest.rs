@@ -71,7 +71,7 @@ pub struct ManifestInputs<'a> {
     pub dists: &'a FctDistributions,
     pub counters: &'a SimCounters,
     /// The engine's deterministic self-observability counters
-    /// (calendar and arena behavior).
+    /// (calendar and arena behavior, processed events by kind).
     pub engine: &'a EngineCounters,
     pub conservation: Conservation,
     pub peak_heap: usize,
@@ -191,6 +191,16 @@ impl RunManifest {
             ("scatter_fallbacks", Json::from(eng.scatter_fallbacks)),
             ("arena_live", Json::from(eng.arena_live)),
             ("arena_high_water", Json::from(eng.arena_high_water)),
+            (
+                "events_by_kind",
+                Json::obj(vec![
+                    ("flow_start", Json::from(eng.events.flow_start)),
+                    ("tx_free", Json::from(eng.events.tx_free)),
+                    ("deliver", Json::from(eng.events.deliver)),
+                    ("rto_fired", Json::from(eng.events.rto_fired)),
+                    ("rto_stale", Json::from(eng.events.rto_stale)),
+                ]),
+            ),
         ]);
         let telemetry = match &inp.telemetry {
             Some((samples, every, path)) => Json::obj(vec![

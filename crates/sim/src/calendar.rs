@@ -33,9 +33,20 @@
 //! insertion (`seq`) order, which is the tiebreak the old heap used. The
 //! ladder only ever holds events *beyond* the ring horizon, and every
 //! cursor advance first migrates newly-in-horizon ladder events into
-//! their buckets, so nothing can be popped late. `seq` assignment itself
-//! is untouched — one increment per push, in push order — so traces and
-//! flow records stay byte-identical.
+//! their buckets, so nothing can be popped late.
+//!
+//! `seq` is one increment per *reservation*, not per push.
+//! [`CalendarQueue::push`] reserves and files at once;
+//! [`CalendarQueue::reserve_seq`] takes a key for an event the engine may
+//! never schedule, and [`CalendarQueue::push_at`] files one later under
+//! its reserved key. Nothing in the layout assumes that keys arrive in
+//! `seq` order: ring slots and sub-buckets are sorted by `(t, seq)` when
+//! they activate, the side heap and the ladder are ordered by it, and
+//! [`CalendarQueue::front`] compares the two fronts by full key. A late
+//! push under an old `seq` therefore pops before same-`t` entries pushed
+//! in between, exactly where the eager push would have popped. The only
+//! cost is the counting scatter's fast path, which needs per-`t` `seq`
+//! order and falls back to a comparison sort without it.
 //!
 //! # Ladder spill and migration invariants
 //!
@@ -163,7 +174,8 @@ pub(crate) struct CalendarQueue {
     overflow: BinaryHeap<CalEntry>,
     /// Total pending events.
     len: usize,
-    /// Monotone push counter; the tiebreak half of every event's key.
+    /// Monotone reservation counter; the tiebreak half of every event's
+    /// key.
     pub(crate) seq: u64,
     /// High-water mark of [`CalendarQueue::len`] — a memory-footprint
     /// proxy that run manifests report.
@@ -174,7 +186,8 @@ pub(crate) struct CalendarQueue {
     pub(crate) ladder_spills: u64,
     /// Sub-bucket sorts that fell back from the counting scatter to a
     /// comparison sort (per-`t` seq monotonicity broken by a ladder
-    /// migration); also a pure function of the push/pop sequence.
+    /// migration or a late push under a reserved key); also a pure
+    /// function of the push/pop sequence.
     pub(crate) scatter_fallbacks: u64,
 }
 
@@ -269,9 +282,28 @@ impl CalendarQueue {
             .chain(self.overflow.iter())
     }
 
+    /// Schedules `ev` at `t` under a fresh key: the next `seq`.
     pub(crate) fn push(&mut self, t: Ns, ev: Ev) {
+        let seq = self.reserve_seq();
+        self.push_at(t, seq, ev);
+    }
+
+    /// Takes the next `seq` without scheduling anything. The engine
+    /// reserves a key for every event the eager schedule would have
+    /// pushed — even one it may never need — so the `seq`s of everything
+    /// pushed afterwards are the same either way.
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
         self.seq += 1;
-        let seq = self.seq;
+        self.seq
+    }
+
+    /// Schedules `ev` under a key reserved earlier by
+    /// [`CalendarQueue::reserve_seq`]. It pops exactly where a push made
+    /// at reservation time would have: before every same-`t` entry with a
+    /// larger `seq`, however much later those were pushed. The key must
+    /// still be ahead of the last popped one.
+    pub(crate) fn push_at(&mut self, t: Ns, seq: u64, ev: Ev) {
+        debug_assert!(seq != 0 && seq <= self.seq, "push_at needs a reserved seq");
         self.len += 1;
         self.peak = self.peak.max(self.len);
         self.insert(CalEntry { t, seq, ev });
@@ -373,7 +405,8 @@ impl CalendarQueue {
     /// Locates the next event, activating its bucket if needed: whether
     /// it sits at the back of the sorted sub-bucket (`true`) or on top of
     /// the side heap (`false`), and its timestamp. Keys are unique (`seq`
-    /// is a fresh counter per push), so the `<=` tie bias is immaterial.
+    /// is a fresh counter per reservation, and a reserved key is pushed at
+    /// most once), so the `<=` tie bias is immaterial.
     #[inline]
     fn front(&mut self) -> Option<(bool, Ns)> {
         if self.cur.is_empty() && self.incoming.is_empty() {
@@ -437,8 +470,9 @@ impl CalendarQueue {
     /// ascending `seq` order per `t` (direct pushes are globally
     /// `seq`-monotone, and bucket distribution preserves slot order, which
     /// is push order). Group by `t` descending, reverse each group, done —
-    /// one move per entry. Ladder migrations can break per-`t` monotonicity
-    /// (a timer pushed long ago has a small `seq`), so the counting pass
+    /// one move per entry. Ladder migrations and late pushes under
+    /// reserved keys ([`CalendarQueue::push_at`]) break per-`t`
+    /// monotonicity (such an entry has a small `seq`), so the counting pass
     /// verifies it and falls back to a comparison sort when violated.
     fn sort_cur_descending(&mut self) {
         const NVALS: usize = 1 << SUB_SHIFT;
@@ -752,6 +786,156 @@ mod tests {
         assert!(q.ladder_spills > 0, "the scenario must exercise the ladder");
         assert_eq!(r.ladder_spills, q.ladder_spills);
         assert_eq!(r.scatter_fallbacks, q.scatter_fallbacks);
+    }
+
+    fn drain_ids(q: &mut CalendarQueue) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| id_of(&e.ev))
+            .collect()
+    }
+
+    #[test]
+    fn late_push_in_a_ring_slot_pops_before_newer_ties() {
+        let mut q = CalendarQueue::new();
+        let old = q.reserve_seq();
+        // Enough same-`t` entries for the counting scatter, which the
+        // late push's small seq must knock onto the comparison sort.
+        for i in 1..=12 {
+            q.push(5_000, Ev::FlowStart(i));
+        }
+        q.push_at(5_000, old, Ev::FlowStart(0));
+        assert_eq!(drain_ids(&mut q), (0..=12).collect::<Vec<_>>());
+        assert_eq!(q.scatter_fallbacks, 1);
+    }
+
+    #[test]
+    fn late_push_into_the_active_sub_bucket_beats_the_sorted_run() {
+        let mut q = CalendarQueue::new();
+        let old = q.reserve_seq();
+        for i in 1..=3 {
+            q.push(100, Ev::FlowStart(i));
+        }
+        // Popping 1 activates (sorts) the sub-bucket holding 2 and 3;
+        // both later pushes at t=100 take the side heap.
+        assert_eq!(id_of(&q.pop().unwrap().ev), 1);
+        q.push(100, Ev::FlowStart(4));
+        q.push_at(100, old, Ev::FlowStart(0));
+        assert!(q.incoming.len() == 2 && q.cur.len() == 2);
+        assert_eq!(drain_ids(&mut q), vec![0, 2, 3, 4]);
+    }
+
+    #[test]
+    fn late_push_on_the_ladder_pops_before_newer_ties() {
+        let mut q = CalendarQueue::new();
+        let old = q.reserve_seq();
+        q.push(10, Ev::FlowStart(9));
+        q.push(5_000_000, Ev::FlowStart(1));
+        q.push(5_000_000, Ev::FlowStart(2));
+        q.push_at(5_000_000, old, Ev::FlowStart(0));
+        assert_eq!(q.overflow.len(), 3, "beyond the ring: all on the ladder");
+        assert_eq!(drain_ids(&mut q), vec![9, 0, 1, 2]);
+        assert_eq!(q.ladder_spills, 3);
+    }
+
+    #[test]
+    fn late_push_after_from_items_restore_pops_before_newer_ties() {
+        // Reserve keys, snapshot with entries pushed after them, restore,
+        // and only then push under the reserved keys: the restored queue
+        // must agree with the original pop for pop.
+        let mut q = CalendarQueue::new();
+        let near = q.reserve_seq();
+        let far = q.reserve_seq();
+        for i in 1..=4 {
+            q.push(3_000, Ev::FlowStart(i));
+            q.push(7_000_000, Ev::FlowStart(10 + i));
+        }
+        let items: Vec<CalEntry> = q.iter().copied().collect();
+        let mut r =
+            CalendarQueue::from_items(q.seq, q.peak, items, q.cursor(), q.num_slots()).unwrap();
+        for c in [&mut q, &mut r] {
+            c.push_at(3_000, near, Ev::FlowStart(0));
+            c.push_at(7_000_000, far, Ev::FlowStart(10));
+        }
+        let want = vec![0, 1, 2, 3, 4, 10, 11, 12, 13, 14];
+        assert_eq!(drain_ids(&mut q), want);
+        assert_eq!(drain_ids(&mut r), want);
+    }
+
+    /// Randomized: eager pushes mixed with reservations that are pushed
+    /// late (or never), against a heap that received every event at
+    /// reservation time. The calendar must pop the same sequence.
+    #[test]
+    fn late_pushes_match_eager_heap_order() {
+        let mut rng = Rng::seed_from_u64(0x1A2E_5EED);
+        for round in 0..20 {
+            let mut cal = CalendarQueue::new();
+            let mut model: BinaryHeap<CalEntry> = BinaryHeap::new();
+            // Reserved but not yet pushed: (t, seq, id).
+            let mut held: Vec<(Ns, u64, u32)> = Vec::new();
+            let mut last = (0, 0);
+            let mut next_id = 0u32;
+            for _ in 0..3_000 {
+                let roll = rng.gen_range(0u32..10);
+                if roll < 5 {
+                    let dt = match rng.gen_range(0u64..4) {
+                        0 => 0,
+                        1 => rng.gen_range(0u64..2_000),
+                        2 => rng.gen_range(0u64..1_000_000),
+                        _ => rng.gen_range(1_000_000u64..20_000_000),
+                    };
+                    let seq = cal.reserve_seq();
+                    let e = CalEntry {
+                        t: last.0 + dt,
+                        seq,
+                        ev: Ev::FlowStart(next_id),
+                    };
+                    next_id += 1;
+                    model.push(e);
+                    if rng.gen_range(0u32..3) == 0 {
+                        held.push((e.t, seq, id_of(&e.ev)));
+                    } else {
+                        cal.push_at(e.t, seq, e.ev);
+                    }
+                } else if roll < 7 && !held.is_empty() {
+                    // Push a held reservation late, as the engine does
+                    // when a packet queues behind a transmitter.
+                    let (t, seq, id) = held.swap_remove(rng.gen_range(0..held.len()));
+                    cal.push_at(t, seq, Ev::FlowStart(id));
+                } else {
+                    // The engine pushes a reservation before its key is
+                    // reached or never; the model pops held events as
+                    // no-ops the calendar never saw.
+                    let want = loop {
+                        match model.pop() {
+                            Some(e) if held.iter().any(|h| h.1 == e.seq) => {
+                                held.retain(|h| h.1 != e.seq);
+                                last = (e.t, e.seq);
+                            }
+                            other => break other,
+                        }
+                    };
+                    let got = cal.pop();
+                    assert_eq!(
+                        got.map(|e| (e.t, e.seq)),
+                        want.map(|e| (e.t, e.seq)),
+                        "round {round}: pop diverged"
+                    );
+                    if let Some(e) = want {
+                        last = (e.t, e.seq);
+                    }
+                }
+            }
+            for (t, seq, id) in held.drain(..) {
+                cal.push_at(t, seq, Ev::FlowStart(id));
+            }
+            loop {
+                let (want, got) = (model.pop(), cal.pop());
+                assert_eq!(got.map(|e| (e.t, e.seq)), want.map(|e| (e.t, e.seq)));
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

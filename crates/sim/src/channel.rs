@@ -22,10 +22,14 @@ use crate::types::{Ns, Packet};
 /// Result of offering a packet to a channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Offer {
-    /// Channel idle: caller must schedule TxFree(now + ser) and
-    /// Deliver(now + ser + prop).
+    /// Channel idle: caller must reserve the transmission's TxFree key
+    /// (`now + ser`, next `seq`), record it with
+    /// [`Channels::begin_tx`], and schedule Deliver(now + ser + prop).
+    /// The TxFree itself is pushed only once a packet queues behind it.
     StartTx,
-    /// Queued behind the current transmission.
+    /// Queued behind the current transmission (caller pushes the TxFree
+    /// under its reserved key if [`Channels::arm_tx_free`] says it is
+    /// still virtual).
     Queued,
     /// The offered packet was dropped by the queue discipline (and its
     /// arena slot freed).
@@ -34,8 +38,19 @@ pub enum Offer {
 
 /// The mutable half of one channel.
 pub(crate) struct ChanDyn {
-    /// A packet is currently being serialized.
+    /// A transmission started whose TxFree has not run yet. With nothing
+    /// queued behind it that TxFree stays virtual (never pushed): the
+    /// channel is then really busy only until the engine's clock passes
+    /// `(free_at, free_seq)`, which [`Channels::offer`] checks.
     pub(crate) busy: bool,
+    /// Key `(t, seq)` reserved for the current transmission's TxFree —
+    /// where the eager engine would have pushed it.
+    pub(crate) free_at: Ns,
+    pub(crate) free_seq: u64,
+    /// The TxFree is in the calendar under that key. Armed whenever
+    /// packets are queued (see [`Channels::tx_done`] for the one way the
+    /// queue can empty under an armed TxFree).
+    pub(crate) armed: bool,
     /// Fault state: a hard-failed channel delivers nothing. The fault layer
     /// flips this (never the channel layer itself) and the engine drops
     /// packets at the offer and delivery points, so queued packets drain
@@ -117,6 +132,9 @@ impl Channels {
             .push((self.ack_bytes as f64 / rate_bpns).ceil() as Ns);
         self.state.push(ChanDyn {
             busy: false,
+            free_at: 0,
+            free_seq: 0,
+            armed: false,
             up: true,
             loss_prob: 0.0,
             qlen: 0,
@@ -172,6 +190,13 @@ impl Channels {
         self.d(ch).busy
     }
 
+    /// The current transmission's TxFree: its reserved key and whether it
+    /// is in the calendar (checkpointing).
+    pub(crate) fn tx_free_key(&self, ch: u32) -> (Ns, u64, bool) {
+        let d = self.d(ch);
+        (d.free_at, d.free_seq, d.armed)
+    }
+
     pub(crate) fn drops(&self, ch: u32) -> u64 {
         self.d(ch).drops
     }
@@ -222,20 +247,27 @@ impl Channels {
         }
     }
 
-    /// Offers packet `id` to channel `ch`. On [`Offer::StartTx`] the
-    /// caller owns the in-flight transmission (the id stays live); on
-    /// [`Offer::Queued`] the discipline holds it (possibly evicting less
-    /// urgent packets — those count into `drops` and are freed); on
-    /// [`Offer::Dropped`] the id has been freed. The returned
-    /// [`EnqueueOutcome`] carries the mark flag and eviction victims for
-    /// the observability layer.
+    /// Offers packet `id` to channel `ch` while the engine processes the
+    /// event with key `now`. On [`Offer::StartTx`] the caller owns the
+    /// in-flight transmission (the id stays live); on [`Offer::Queued`]
+    /// the discipline holds it (possibly evicting less urgent packets —
+    /// those count into `drops` and are freed); on [`Offer::Dropped`] the
+    /// id has been freed. The returned [`EnqueueOutcome`] carries the mark
+    /// flag and eviction victims for the observability layer.
+    ///
+    /// A virtual TxFree whose key lies before `now` has already happened
+    /// in the eager schedule, so the channel counts as idle.
     pub(crate) fn offer(
         &mut self,
         ch: u32,
         id: PktId,
         pool: &mut PacketArena,
+        now: (Ns, u64),
     ) -> (Offer, EnqueueOutcome) {
         let d = self.d_mut(ch);
+        if d.busy && !d.armed && (d.free_at, d.free_seq) < now {
+            d.busy = false;
+        }
         if !d.busy {
             d.busy = true;
             let out = EnqueueOutcome {
@@ -259,12 +291,42 @@ impl Channels {
         }
     }
 
-    /// Called when channel `ch`'s in-flight transmission completes;
-    /// returns the next packet to transmit, if any (caller schedules its
-    /// TxFree/Deliver).
-    pub(crate) fn tx_done(&mut self, ch: u32) -> Option<PktId> {
+    /// Records the TxFree key `(free_at, free_seq)` reserved for the
+    /// transmission just started on `ch`. Returns whether packets are
+    /// queued behind it, in which case the caller pushes the TxFree now;
+    /// otherwise it stays virtual.
+    pub(crate) fn begin_tx(&mut self, ch: u32, free_at: Ns, free_seq: u64) -> bool {
         let d = self.d_mut(ch);
         debug_assert!(d.busy);
+        d.free_at = free_at;
+        d.free_seq = free_seq;
+        d.armed = d.qlen > 0;
+        d.armed
+    }
+
+    /// Called after a packet queued on `ch`: if the transmitter's TxFree
+    /// is still virtual, marks it armed and returns its reserved key for
+    /// the caller to push.
+    pub(crate) fn arm_tx_free(&mut self, ch: u32) -> Option<(Ns, u64)> {
+        let d = self.d_mut(ch);
+        debug_assert!(d.busy);
+        if d.armed {
+            return None;
+        }
+        d.armed = true;
+        Some((d.free_at, d.free_seq))
+    }
+
+    /// Called when channel `ch`'s armed TxFree fires: dequeues the next
+    /// packet to transmit (the caller starts it). A TxFree is armed only
+    /// behind a queued packet, so one is there — unless a discipline's
+    /// enqueue evicted the whole queue and still refused the newcomer
+    /// (the built-in ones cannot: an empty queue admits any packet up to
+    /// the MTU); the channel then goes idle, as in the eager schedule.
+    pub(crate) fn tx_done(&mut self, ch: u32) -> Option<PktId> {
+        let d = self.d_mut(ch);
+        debug_assert!(d.busy && d.armed);
+        d.armed = false;
         if d.qlen == 0 {
             d.busy = false;
             return None;
@@ -339,6 +401,29 @@ mod tests {
         })
     }
 
+    /// Offers at the start of time, arming the TxFree when the packet
+    /// queues, as the engine does.
+    fn offer(c: &mut Channels, id: PktId, a: &mut PacketArena) -> (Offer, EnqueueOutcome) {
+        let (o, out) = c.offer(0, id, a, (0, 0));
+        match o {
+            Offer::StartTx => assert!(!c.begin_tx(0, 1_200, 1)),
+            Offer::Queued => {
+                c.arm_tx_free(0);
+            }
+            Offer::Dropped => {}
+        }
+        (o, out)
+    }
+
+    /// Fires the armed TxFree and starts the dequeued packet.
+    fn tx_done(c: &mut Channels) -> Option<PktId> {
+        let id = c.tx_done(0);
+        if id.is_some() {
+            c.begin_tx(0, 2_400, 2);
+        }
+        id
+    }
+
     fn chan() -> Channels {
         // 10 Gbps, 100ns prop, 10-packet queue, ECN at 3 packets.
         let mut c = Channels::new(1500, 40);
@@ -356,7 +441,7 @@ mod tests {
         let mut a = PacketArena::new();
         let mut c = chan();
         let p = pkt(&mut a, 1500);
-        let (o, _) = c.offer(0, p, &mut a);
+        let (o, _) = offer(&mut c, p, &mut a);
         assert_eq!(o, Offer::StartTx);
         assert!(c.busy(0));
         assert_eq!(a.live_count(), 1, "StartTx leaves the id live");
@@ -367,34 +452,58 @@ mod tests {
         let mut a = PacketArena::new();
         let mut c = chan();
         let head = pkt(&mut a, 1500);
-        c.offer(0, head, &mut a);
+        offer(&mut c, head, &mut a);
         let q1 = pkt(&mut a, 100);
         a.get_mut(q1).seq = 1;
         let q2 = pkt(&mut a, 100);
         a.get_mut(q2).seq = 2;
-        assert_eq!(c.offer(0, q1, &mut a).0, Offer::Queued);
-        assert_eq!(c.offer(0, q2, &mut a).0, Offer::Queued);
+        assert_eq!(offer(&mut c, q1, &mut a).0, Offer::Queued);
+        assert_eq!(offer(&mut c, q2, &mut a).0, Offer::Queued);
         assert_eq!(c.queue_len(0), 2);
-        let n1 = c.tx_done(0).unwrap();
+        let n1 = tx_done(&mut c).unwrap();
         assert_eq!(a.get(n1).seq, 1);
-        let n2 = c.tx_done(0).unwrap();
+        let n2 = tx_done(&mut c).unwrap();
         assert_eq!(a.get(n2).seq, 2);
-        assert!(c.tx_done(0).is_none());
-        assert!(!c.busy(0));
+        // Nothing queued behind the last packet: its TxFree stays virtual.
+        assert_eq!(c.tx_free_key(0), (2_400, 2, false));
+        assert!(c.busy(0));
+    }
+
+    #[test]
+    fn virtual_tx_free_ends_the_transmission_at_its_key() {
+        let mut a = PacketArena::new();
+        let mut c = chan();
+        let head = pkt(&mut a, 1500);
+        assert_eq!(c.offer(0, head, &mut a, (0, 0)).0, Offer::StartTx);
+        assert!(
+            !c.begin_tx(0, 1_200, 7),
+            "nothing queued: TxFree stays virtual"
+        );
+        // Same `t`, smaller seq: the eager TxFree has not popped yet.
+        let p = pkt(&mut a, 100);
+        assert_eq!(c.offer(0, p, &mut a, (1_200, 6)).0, Offer::Queued);
+        assert_eq!(c.arm_tx_free(0), Some((1_200, 7)), "first packet arms it");
+        assert_eq!(c.arm_tx_free(0), None, "armed once");
+        let next = c.tx_done(0).unwrap();
+        assert!(!c.begin_tx(0, 1_300, 9), "queue drained behind it");
+        a.free(next);
+        // Past the key: the virtual TxFree already freed the channel.
+        let p = pkt(&mut a, 100);
+        assert_eq!(c.offer(0, p, &mut a, (1_300, 10)).0, Offer::StartTx);
     }
 
     #[test]
     fn tail_drop_when_full_frees_the_id() {
         let mut a = PacketArena::new();
         let mut c = chan();
-        c.offer(0, pkt(&mut a, 1500), &mut a); // in flight
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
         for _ in 0..10 {
             let p = pkt(&mut a, 1500);
-            assert_eq!(c.offer(0, p, &mut a).0, Offer::Queued);
+            assert_eq!(offer(&mut c, p, &mut a).0, Offer::Queued);
         }
         let live = a.live_count();
         let p = pkt(&mut a, 1500);
-        assert_eq!(c.offer(0, p, &mut a).0, Offer::Dropped);
+        assert_eq!(offer(&mut c, p, &mut a).0, Offer::Dropped);
         assert_eq!(c.drops(0), 1);
         assert_eq!(a.live_count(), live, "dropped packet must be freed");
     }
@@ -403,18 +512,18 @@ mod tests {
     fn ecn_marks_above_threshold() {
         let mut a = PacketArena::new();
         let mut c = chan();
-        c.offer(0, pkt(&mut a, 1500), &mut a); // in flight, queue empty
-        c.offer(0, pkt(&mut a, 1500), &mut a); // queue -> 1500
-        c.offer(0, pkt(&mut a, 1500), &mut a); // queue -> 3000
-        c.offer(0, pkt(&mut a, 1500), &mut a); // queue -> 4500 (at 3000 < 4500 thresh)
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight, queue empty
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // queue -> 1500
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // queue -> 3000
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // queue -> 4500 (at 3000 < 4500 thresh)
         assert_eq!(c.marks(0), 0);
-        c.offer(0, pkt(&mut a, 1500), &mut a); // enqueued seeing 4500 >= 4500 → marked
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // enqueued seeing 4500 >= 4500 → marked
         assert_eq!(c.marks(0), 1);
         // Drain: the marked packet is the last one.
-        c.tx_done(0);
-        c.tx_done(0);
-        c.tx_done(0);
-        let marked = c.tx_done(0).unwrap();
+        tx_done(&mut c);
+        tx_done(&mut c);
+        tx_done(&mut c);
+        let marked = tx_done(&mut c).unwrap();
         assert!(a.get(marked).ecn_ce);
     }
 
@@ -422,16 +531,16 @@ mod tests {
     fn acks_never_marked() {
         let mut a = PacketArena::new();
         let mut c = chan();
-        c.offer(0, pkt(&mut a, 1500), &mut a); // in flight
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
         for _ in 0..3 {
-            c.offer(0, pkt(&mut a, 1500), &mut a); // queue reaches the 4500 B threshold
+            offer(&mut c, pkt(&mut a, 1500), &mut a); // queue reaches the 4500 B threshold
         }
         assert_eq!(c.marks(0), 0);
         let ack = pkt(&mut a, 40);
         a.get_mut(ack).is_ack = true;
-        c.offer(0, ack, &mut a); // sees queue ≥ threshold but is an ACK
+        offer(&mut c, ack, &mut a); // sees queue ≥ threshold but is an ACK
         assert_eq!(c.marks(0), 0);
-        c.offer(0, pkt(&mut a, 1500), &mut a); // a data packet here *is* marked
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // a data packet here *is* marked
         assert_eq!(c.marks(0), 1);
     }
 
@@ -450,16 +559,16 @@ mod tests {
         let mut a = PacketArena::new();
         let mut c = Channels::new(1500, 40);
         c.push(1, 10.0, 100, Box::new(PFabricQueue::new(2 * 1500)));
-        c.offer(0, pkt(&mut a, 1500), &mut a); // in flight
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
         let low = pkt(&mut a, 1500);
         a.get_mut(low).prio = 9;
-        c.offer(0, low, &mut a);
-        c.offer(0, pkt(&mut a, 1500), &mut a);
+        offer(&mut c, low, &mut a);
+        offer(&mut c, pkt(&mut a, 1500), &mut a);
         let urgent = pkt(&mut a, 1500);
         a.get_mut(urgent).prio = 1;
         a.get_mut(urgent).seq = 7;
         let live = a.live_count();
-        let (o, out) = c.offer(0, urgent, &mut a);
+        let (o, out) = offer(&mut c, urgent, &mut a);
         assert_eq!(o, Offer::Queued, "urgent packet must win");
         assert_eq!(c.drops(0), 1, "the prio-9 victim is a congestion drop");
         assert_eq!(c.evictions(0), 1, "and is attributed to eviction");

@@ -35,6 +35,7 @@
 //! [`QueueDiscipline::snapshot_queue`](crate::switch::QueueDiscipline).
 
 use crate::calendar::{CalEntry, CalendarQueue};
+use crate::counters::EventCounts;
 use crate::engine::{CtrlEntry, CtrlEv, Ev, Simulator, SCHEDULE_VERSION};
 use crate::fault::{survivor_topology_from, FaultEvent, FaultKind, RemappedSelector};
 use crate::host::{Flow, FlowRx};
@@ -48,13 +49,12 @@ use dcn_topology::Topology;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"DCNCKPT1";
-/// v4: one calendar section (push counter, peak, spill/fallback counters,
-/// arena high-water, ring size, pending events) in place of v3's eight
-/// per-shard sections and its epoch/merge-tie/cross-shard counters; the
-/// rest — split sender/receiver flow halves, channel state with the
-/// counter-based gray-loss draws, fault controller, control-plane
-/// schedule, observability cursors — is unchanged.
-pub const VERSION: u32 = 4;
+/// v5: lazy events under reserved keys — each channel carries its
+/// transmission's TxFree key and whether that event is in the calendar,
+/// each flow its RTO deadline and live-event keys (replacing v4's timer
+/// epoch, which `Rto` events no longer carry), and the calendar section
+/// the per-kind event counts. Everything else is as in v4.
+pub const VERSION: u32 = 5;
 /// magic + version + topo fp + cfg fp + now + events_processed.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
@@ -305,10 +305,9 @@ fn enc_ev(e: &mut Enc, ev: &Ev, pkts: &PacketArena) {
             e.u8(2);
             enc_packet(e, pkts.get(*id));
         }
-        Ev::Rto(f, epoch) => {
+        Ev::Rto(f) => {
             e.u8(3);
             e.u32(*f);
-            e.u32(*epoch);
         }
     }
 }
@@ -318,7 +317,7 @@ fn dec_ev(d: &mut Dec, pkts: &mut PacketArena) -> Result<Ev, String> {
         0 => Ev::FlowStart(d.u32()?),
         1 => Ev::TxFree(d.u32()?),
         2 => Ev::Deliver(pkts.alloc(dec_packet(d)?)),
-        3 => Ev::Rto(d.u32()?, d.u32()?),
+        3 => Ev::Rto(d.u32()?),
         t => return Err(format!("checkpoint corrupt: unknown event tag {t}")),
     })
 }
@@ -373,7 +372,10 @@ fn enc_flow(e: &mut Enc, f: &Flow) {
     e.u32(f.recover);
     e.f64(f.srtt);
     e.u32(f.rto_backoff);
-    e.u32(f.rto_epoch);
+    e.u64(f.rto_deadline.0);
+    e.u64(f.rto_deadline.1);
+    e.u64(f.rto_live.0);
+    e.u64(f.rto_live.1);
     e.u64(f.last_send_ns);
     e.u64(f.flowlet_count);
     match &f.cur_path {
@@ -414,7 +416,8 @@ fn dec_flow(d: &mut Dec) -> Result<Flow, String> {
         recover: d.u32()?,
         srtt: d.f64()?,
         rto_backoff: d.u32()?,
-        rto_epoch: d.u32()?,
+        rto_deadline: (d.u64()?, d.u64()?),
+        rto_live: (d.u64()?, d.u64()?),
         last_send_ns: d.u64()?,
         flowlet_count: d.u64()?,
         cur_path: if d.bool()? {
@@ -766,6 +769,10 @@ impl Simulator {
         e.u64(q.ladder_spills);
         e.u64(q.scatter_fallbacks);
         e.u64(self.pkts.high_water() as u64);
+        let n = &self.event_counts;
+        for c in [n.flow_start, n.tx_free, n.deliver, n.rto_fired, n.rto_stale] {
+            e.u64(c);
+        }
         e.u64(q.num_slots() as u64);
         e.u64(cur_abs);
         e.u32(sub_cur);
@@ -791,6 +798,10 @@ impl Simulator {
         for i in 0..chs.len() {
             let ch = i as u32;
             e.bool(chs.busy(ch));
+            let (free_at, free_seq, armed) = chs.tx_free_key(ch);
+            e.u64(free_at);
+            e.u64(free_seq);
+            e.bool(armed);
             e.u64(chs.drops(ch));
             e.u64(chs.marks(ch));
             e.bool(chs.up(ch));
@@ -924,6 +935,13 @@ impl Simulator {
         let ladder_spills = d.u64()?;
         let scatter_fallbacks = d.u64()?;
         let arena_hwm = d.u64()? as usize;
+        let event_counts = EventCounts {
+            flow_start: d.u64()?,
+            tx_free: d.u64()?,
+            deliver: d.u64()?,
+            rto_fired: d.u64()?,
+            rto_stale: d.u64()?,
+        };
         let num_slots = d.u64()? as usize;
         let cursor = (d.u64()?, d.u32()?);
         let n_items = d.len()?;
@@ -948,6 +966,9 @@ impl Simulator {
 
         struct ChanState {
             busy: bool,
+            free_at: Ns,
+            free_seq: u64,
+            armed: bool,
             drops: u64,
             marks: u64,
             up: bool,
@@ -961,6 +982,7 @@ impl Simulator {
         let mut chans = Vec::with_capacity(n_channels);
         for _ in 0..n_channels {
             let busy = d.bool()?;
+            let (free_at, free_seq, armed) = (d.u64()?, d.u64()?, d.bool()?);
             let drops = d.u64()?;
             let marks = d.u64()?;
             let up = d.bool()?;
@@ -975,6 +997,9 @@ impl Simulator {
             }
             chans.push(ChanState {
                 busy,
+                free_at,
+                free_seq,
+                armed,
                 drops,
                 marks,
                 up,
@@ -1060,6 +1085,7 @@ impl Simulator {
         let mut sim = Simulator::new(topo, selector, cfg);
         sim.now = meta.now;
         sim.events_processed = meta.events_processed;
+        sim.event_counts = event_counts;
         sim.window = window;
         sim.window_remaining = window_remaining;
         sim.pkts_sent = pkts_sent;
@@ -1087,6 +1113,9 @@ impl Simulator {
         for (i, st) in chans.into_iter().enumerate() {
             let dch = sim.fabric.channels.dyn_mut(i as u32);
             dch.busy = st.busy;
+            dch.free_at = st.free_at;
+            dch.free_seq = st.free_seq;
+            dch.armed = st.armed;
             dch.drops = st.drops;
             dch.marks = st.marks;
             dch.up = st.up;
@@ -1212,7 +1241,7 @@ mod tests {
         sim.run_until(2 * MS);
         let ckpt = sim.checkpoint().unwrap();
         let meta = ckpt.meta();
-        assert_eq!(meta.version, 4);
+        assert_eq!(meta.version, 5);
         assert_eq!(meta.topo_fingerprint, t.fingerprint());
         assert_eq!(
             meta.cfg_fingerprint,
@@ -1340,6 +1369,67 @@ mod tests {
         assert_eq!(straight.events_processed(), resumed.events_processed());
         assert_eq!(straight.records(), resumed.records());
         assert_eq!(straight.engine_counters(), resumed.engine_counters());
+    }
+
+    /// A pause point where some channel's TxFree is virtual (reserved,
+    /// never pushed, still ahead of the clock) and some flow's live RTO
+    /// event sits short of a later deadline: both must survive the image,
+    /// and the resumed run must match the straight one byte for byte —
+    /// flow records, the JSONL trace, and every engine counter.
+    #[test]
+    fn resume_with_virtual_tx_free_and_deferred_rto_is_byte_identical() {
+        let t = FatTree::full(4).build();
+        let dir = std::env::temp_dir();
+        let path = |leg: &str| {
+            dir.join(format!("ckpt_lazy_{}_{leg}.jsonl", std::process::id()))
+                .to_string_lossy()
+                .into_owned()
+        };
+        let traced = |leg: &str| {
+            let mut sim = faulty_sim(&t);
+            sim.set_tracer(Box::new(JsonlTracer::create(&path(leg)).unwrap()));
+            sim
+        };
+        let mut straight = traced("straight");
+        let want = straight.run(10 * SEC);
+
+        let mut sim = traced("resumed");
+        let mut pause = 0;
+        let (ch, fid) = loop {
+            pause += 50_000;
+            assert!(!sim.run_until(pause), "no pause point with both states");
+            let now = (sim.now, u64::MAX);
+            let chs = &sim.fabric.channels;
+            let virt = (0..chs.len() as u32).find(|&c| {
+                let (at, seq, armed) = chs.tx_free_key(c);
+                chs.busy(c) && !armed && (at, seq) > now
+            });
+            let deferred = sim
+                .flows
+                .iter()
+                .position(|f| f.rto_live.1 != 0 && f.rto_live < f.rto_deadline);
+            if let (Some(c), Some(f)) = (virt, deferred) {
+                break (c, f);
+            }
+        };
+        let ckpt = sim.checkpoint().expect("checkpoint");
+        drop(sim);
+        let suite = RoutingSuite::new(&t);
+        let mut resumed =
+            Simulator::restore(&t, Box::new(suite.ecmp()), SimConfig::default(), &ckpt)
+                .expect("restore");
+        let (at, seq, armed) = resumed.fabric.channels.tx_free_key(ch);
+        assert!(resumed.fabric.channels.busy(ch) && !armed && (at, seq) > (pause, 0));
+        let f = &resumed.flows[fid];
+        assert!(f.rto_live.1 != 0 && f.rto_live < f.rto_deadline);
+
+        let got = resumed.run(10 * SEC);
+        assert_eq!(got, want);
+        assert_eq!(resumed.events_processed(), straight.events_processed());
+        assert_eq!(resumed.engine_counters(), straight.engine_counters());
+        let (a, b) = (path("straight"), path("resumed"));
+        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        let _ = (std::fs::remove_file(a), std::fs::remove_file(b));
     }
 
     #[test]

@@ -16,13 +16,43 @@
 //!
 //! One sequential loop drains the calendar: each popped event runs to
 //! completion on `&mut Simulator`, and same-timestamp events run in the
-//! order they were scheduled (one global push-order `seq`). Control-plane
-//! events (faults, reconvergence) sit on a separate sorted schedule and
-//! run before data events at the same `t`; telemetry samples fire when
-//! the clock reaches a cadence boundary. Every side effect — counters,
-//! goodput bins, trace events — is written as the event runs. The event
-//! order is versioned by [`SCHEDULE_VERSION`], which result caches and
-//! checkpoints fold into their keys.
+//! order they were scheduled (one global `seq`, taken in schedule order).
+//! Control-plane events (faults, reconvergence) sit on a separate sorted
+//! schedule and run before data events at the same `t`; telemetry samples
+//! fire when the clock reaches a cadence boundary. Every side effect —
+//! counters, goodput bins, trace events — is written as the event runs.
+//! The event order is versioned by [`SCHEDULE_VERSION`], which result
+//! caches and checkpoints fold into their keys.
+//!
+//! # Lazy events under reserved keys
+//!
+//! Two event kinds mostly do nothing: a `TxFree` with an empty queue
+//! behind it, and an `Rto` that a later ACK re-armed. The engine still
+//! *reserves* the `(t, seq)` key each would have been pushed under
+//! ([`CalendarQueue::reserve_seq`]), so every other event keeps its
+//! `seq`, but pushes only the ones that will do work
+//! ([`CalendarQueue::push_at`]):
+//!
+//! - **TxFree** — [`Simulator::start_tx`] records the reserved key on the
+//!   channel and pushes the event only if packets are queued; the first
+//!   packet to queue behind a virtual TxFree pushes it. An offer to a
+//!   busy channel whose virtual TxFree key lies before the key of the
+//!   event being processed (`now_seq`; control events count as seq 0,
+//!   so they run before the data events at their `t`) finds the channel
+//!   idle, exactly as the eager schedule would have left it.
+//! - **Rto** — each arm reserves a key and records it as the flow's
+//!   deadline. A flow keeps one live `Rto` event, pushed only when the
+//!   new deadline is earlier than the live one; when the live event pops
+//!   short of the deadline it moves there. Only the event at the deadline
+//!   key fires.
+//!
+//! Pop order, and with it flow records and traces, is the eager
+//! schedule's. What changes is the number of events processed
+//! (`events_processed`, the telemetry `events`/`heap` fields, and the
+//! engine counters); telemetry boundaries that only a no-op event used
+//! to cross (idle stretches) get no sample; and a run that ends at
+//! `max_time` with work outstanding stops its clock at the last event
+//! that did work.
 //!
 //! In-flight packets live in a [`PacketArena`] slab and travel through
 //! events and queues as dense [`PktId`]s — the per-packet path does no
@@ -42,7 +72,7 @@
 
 use crate::calendar::CalendarQueue;
 use crate::channel::Offer;
-use crate::counters::EngineCounters;
+use crate::counters::{EngineCounters, EventCounts};
 use crate::fault::{component_labels, gray_drop, FaultController, FaultPlan, RemappedSelector};
 use crate::host::{transport_for, ChannelPath, Flow, FlowRx, Transport};
 use crate::slab::{PacketArena, PktId};
@@ -68,8 +98,11 @@ const HEADER_BYTES: u32 = 40;
 ///
 /// History: 1 — the 8-shard conservative parallel engine (per-shard
 /// `seq`, barrier-merge ties); 2 — one sequential calendar with a global
-/// push-order `seq`.
-pub const SCHEDULE_VERSION: u32 = 2;
+/// push-order `seq`; 3 — no-op `TxFree` and stale `Rto` events are never
+/// pushed, their keys reserved instead: manifest event counters (and the
+/// telemetry samples that only those events triggered) change, flow
+/// records and traces do not.
+pub const SCHEDULE_VERSION: u32 = 3;
 
 /// Data-plane events.
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +110,7 @@ pub(crate) enum Ev {
     FlowStart(u32),
     TxFree(u32),
     Deliver(PktId),
-    Rto(u32, u32),
+    Rto(u32),
 }
 
 /// Control-plane events: they mutate global state (channel up/down, the
@@ -123,9 +156,14 @@ pub struct Simulator {
     pub(crate) pkts: PacketArena,
     /// Simulated time of the event being (or last) processed.
     pub(crate) now: Ns,
+    /// Its `seq` (0 for control events): with `now`, the key a virtual
+    /// TxFree is compared against.
+    pub(crate) now_seq: u64,
     pub(crate) window: (Ns, Ns),
     pub(crate) window_remaining: usize,
     pub(crate) events_processed: u64,
+    /// Processed data-plane events by kind.
+    pub(crate) event_counts: EventCounts,
     /// The full (pre-fault) topology, kept to derive survivor views.
     pub(crate) topo: Topology,
     pub(crate) faults: FaultController,
@@ -209,9 +247,11 @@ impl Simulator {
             queue: CalendarQueue::new(),
             pkts: PacketArena::new(),
             now: 0,
+            now_seq: 0,
             window: (0, Ns::MAX),
             window_remaining: 0,
             events_processed: 0,
+            event_counts: EventCounts::default(),
             topo: topo.clone(),
             faults: FaultController::new(topo.num_links(), topo.num_nodes()),
             ctrl: Vec::new(),
@@ -392,12 +432,23 @@ impl Simulator {
                 .min(max_time.min(t_stop).saturating_add(1));
             while let Some(e) = self.queue.pop_before(horizon) {
                 self.now = e.t;
+                self.now_seq = e.seq;
                 self.events_processed += 1;
+                let n = &mut self.event_counts;
                 match e.ev {
-                    Ev::FlowStart(f) => self.on_flow_start(f),
-                    Ev::TxFree(ch) => self.on_tx_free(ch),
-                    Ev::Deliver(id) => self.on_deliver(id),
-                    Ev::Rto(f, epoch) => self.on_rto(f, epoch),
+                    Ev::FlowStart(f) => {
+                        n.flow_start += 1;
+                        self.on_flow_start(f)
+                    }
+                    Ev::TxFree(ch) => {
+                        n.tx_free += 1;
+                        self.on_tx_free(ch)
+                    }
+                    Ev::Deliver(id) => {
+                        n.deliver += 1;
+                        self.on_deliver(id)
+                    }
+                    Ev::Rto(f) => self.on_rto(f),
                 }
                 if self.done() {
                     return true;
@@ -578,6 +629,7 @@ impl Simulator {
             scatter_fallbacks: self.queue.scatter_fallbacks,
             arena_live: self.pkts.live_count() as u64,
             arena_high_water: self.pkts.high_water() as u64,
+            events: self.event_counts,
         }
     }
 
@@ -593,6 +645,7 @@ impl Simulator {
         if e.t > self.now {
             self.now = e.t;
         }
+        self.now_seq = 0;
         self.events_processed += 1;
         match e.ev {
             CtrlEv::Fault(i) => self.on_fault(i),
@@ -737,6 +790,9 @@ impl Simulator {
         }
     }
 
+    /// Puts packet `id` on channel `ch_id`'s wire: reserves the
+    /// transmission's TxFree key (pushed now only if packets wait behind
+    /// it) and schedules the far-end Deliver.
     fn start_tx(&mut self, ch_id: u32, id: PktId) {
         let (flow, seq, is_ack, bytes) = {
             let p = self.pkts.get(id);
@@ -756,8 +812,12 @@ impl Simulator {
         if let Some(tel) = self.telemetry.as_mut() {
             tel.on_tx(ch_id, bytes);
         }
-        self.queue.push(self.now + ser, Ev::TxFree(ch_id));
-        self.queue.push(self.now + ser + prop, Ev::Deliver(id));
+        let free_at = self.now + ser;
+        let free_seq = self.queue.reserve_seq();
+        if self.fabric.channels.begin_tx(ch_id, free_at, free_seq) {
+            self.queue.push_at(free_at, free_seq, Ev::TxFree(ch_id));
+        }
+        self.queue.push(free_at + prop, Ev::Deliver(id));
     }
 
     fn send_on(&mut self, ch_id: u32, id: PktId) {
@@ -788,7 +848,12 @@ impl Simulator {
             self.note_fault_hit(flow);
             return;
         }
-        let (offer, out) = chans.offer(ch_id, id, &mut self.pkts);
+        let (offer, out) = chans.offer(ch_id, id, &mut self.pkts, (self.now, self.now_seq));
+        if offer == Offer::Queued {
+            if let Some((t, seq)) = chans.arm_tx_free(ch_id) {
+                self.queue.push_at(t, seq, Ev::TxFree(ch_id));
+            }
+        }
         if self.trace_on {
             match offer {
                 Offer::Queued => {
@@ -1004,19 +1069,42 @@ impl Simulator {
         }
     }
 
+    /// Arms the flow's retransmission timer: reserves the deadline's key,
+    /// and pushes an `Rto` only if the deadline is earlier than the live
+    /// one (the live one moves on to later deadlines when it pops).
     fn arm_rto(&mut self, fid: u32) {
         let f = &mut self.flows[fid as usize];
-        f.rto_epoch = f.rto_epoch.wrapping_add(1);
         let rto = ((2.0 * f.srtt) as Ns).max(self.cfg.min_rto_ns) * f.rto_backoff as Ns;
-        let epoch = f.rto_epoch;
-        self.queue.push(self.now + rto, Ev::Rto(fid, epoch));
+        let deadline = (self.now + rto, self.queue.reserve_seq());
+        f.rto_deadline = deadline;
+        if f.rto_live.1 == 0 || deadline < f.rto_live {
+            f.rto_live = deadline;
+            self.queue.push_at(deadline.0, deadline.1, Ev::Rto(fid));
+        }
     }
 
-    fn on_rto(&mut self, fid: u32, epoch: u32) {
+    fn on_rto(&mut self, fid: u32) {
+        let key = (self.now, self.now_seq);
         let f = &mut self.flows[fid as usize];
-        if f.rto_epoch != epoch || f.acked >= f.total_pkts || f.failed {
+        let n = &mut self.event_counts;
+        if key != f.rto_live {
+            // Superseded by an earlier deadline pushed after it.
+            n.rto_stale += 1;
             return;
         }
+        f.rto_live = (0, 0);
+        if f.acked >= f.total_pkts || f.failed {
+            n.rto_stale += 1; // the flow is over; its timer goes with it
+            return;
+        }
+        if key != f.rto_deadline {
+            // Re-armed since this event was pushed: wait for the deadline.
+            n.rto_stale += 1;
+            f.rto_live = f.rto_deadline;
+            self.queue.push_at(f.rto_live.0, f.rto_live.1, Ev::Rto(fid));
+            return;
+        }
+        n.rto_fired += 1;
         // The transport decides the window reaction...
         self.transport.on_timeout(f, &self.cfg);
         // ...the engine does the transport-independent go-back-N: rewind,
@@ -1705,6 +1793,80 @@ mod tests {
             1,
             "ACKs must reset the backoff"
         );
+    }
+
+    /// Every processed TxFree starts the next transmission: the TxFree
+    /// count equals the packets that left a queue (queued, minus evicted,
+    /// minus still waiting), through tail drops, pFabric evictions, and
+    /// dead and gray links. The per-kind counts add up to the events
+    /// processed, and fired RTOs match the traced ones.
+    #[test]
+    fn no_processed_tx_free_finds_an_empty_queue() {
+        use crate::trace::CountingTracer;
+        let t = FatTree::full(4).build();
+        let racks = [4u32, 5, 8, 9];
+        let incast: Vec<FlowEvent> = (0..8)
+            .map(|i| flow(0.0, (racks[i % 4], (i / 4) as u32), (0, 0), 300_000))
+            .chain([flow(0.0001, (0, 1), (12, 1), 2_000_000)])
+            .collect();
+        let shallow = SimConfig {
+            queue_pkts: 10,
+            ecn_k_pkts: 4,
+            ..Default::default()
+        };
+        let l = t.neighbors(0)[0].1;
+        let faults = FaultPlan::new()
+            .with_seed(3)
+            .link_down(MS, l)
+            .link_up(5 * MS, l)
+            .link_gray(0, t.neighbors(12)[0].1, 0.02);
+        let cases = [
+            (shallow, None),
+            (
+                SimConfig {
+                    queue_pkts: 10,
+                    ..SimConfig::default().with_newreno()
+                },
+                None,
+            ),
+            (
+                SimConfig {
+                    queue_pkts: 6,
+                    ..SimConfig::default().with_pfabric()
+                },
+                None,
+            ),
+            (shallow, Some(faults)),
+        ];
+        for (i, (cfg, plan)) in cases.into_iter().enumerate() {
+            let suite = RoutingSuite::new(&t);
+            let mut sim = Simulator::new(&t, Box::new(suite.ecmp()), cfg);
+            sim.set_tracer(Box::new(CountingTracer::new()));
+            sim.inject(&incast);
+            if let Some(p) = &plan {
+                sim.set_fault_plan(p);
+            }
+            let rec = sim.run(60 * SEC);
+            assert!(rec.iter().all(|r| r.fct_ns.is_some()), "case {i}");
+            let c = sim.trace_counters().unwrap();
+            let queued: u64 = c.per_channel.iter().map(|ch| ch.enqueues).sum();
+            let evicted: u64 = c.per_channel.iter().map(|ch| ch.drops_eviction).sum();
+            let chans = &sim.fabric.channels;
+            let waiting: u64 = (0..chans.len() as u32)
+                .map(|ch| chans.queue_len(ch) as u64)
+                .sum();
+            let n = sim.engine_counters().events;
+            assert!(n.tx_free > 0 && n.rto_fired > 0, "case {i}: {n:?}");
+            assert_eq!(n.tx_free, queued - evicted - waiting, "case {i}");
+            assert_eq!(n.rto_fired, c.rtos, "case {i}");
+            assert_eq!(n.flow_start, incast.len() as u64, "case {i}");
+            let by_kind = n.flow_start + n.tx_free + n.deliver + n.rto_fired + n.rto_stale;
+            assert_eq!(
+                by_kind + sim.ctrl_pos as u64,
+                sim.events_processed(),
+                "case {i}"
+            );
+        }
     }
 
     #[test]

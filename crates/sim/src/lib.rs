@@ -72,7 +72,7 @@ pub mod trace;
 pub mod types;
 
 pub use checkpoint::{config_fingerprint, install_io_hook, Checkpoint, CheckpointMeta};
-pub use counters::EngineCounters;
+pub use counters::{EngineCounters, EventCounts};
 pub use engine::{Simulator, SCHEDULE_VERSION};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RemappedSelector};
 pub use host::{AckActions, Dctcp, Flow, NewReno, PFabric, Transport};

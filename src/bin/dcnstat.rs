@@ -738,34 +738,62 @@ mod tests {
         assert!(s.contains("cache: 4 entries  4096 bytes"), "{s}");
     }
 
+    fn tiny_manifest() -> Json {
+        let topo = FatTree::full(4).build();
+        let pattern = AllToAll::new(&topo, topo.tors_with_servers());
+        let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 200.0, 0.01, 7);
+        let spec = ManifestSpec::new("dcnstat-test", 7);
+        let cfg = SimConfig::default();
+        let (_, _, manifest) = run_fct_experiment_instrumented(
+            &topo,
+            Routing::Ecmp,
+            cfg,
+            &flows,
+            (0, 2 * MS),
+            40 * MS,
+            None,
+            None,
+            None,
+            Some(&spec),
+        );
+        manifest.unwrap().json().clone()
+    }
+
     /// Two same-seed runs must diff clean: everything simulated (the
     /// deterministic engine counter block included) replays exactly, and
     /// the wall-clock leaves sit under `WALL_CLOCK_FIELDS`.
     #[test]
     fn same_seed_manifests_diff_clean() {
-        let manifest = || {
-            let topo = FatTree::full(4).build();
-            let pattern = AllToAll::new(&topo, topo.tors_with_servers());
-            let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 200.0, 0.01, 7);
-            let spec = ManifestSpec::new("dcnstat-test", 7);
-            let cfg = SimConfig::default();
-            let (_, _, manifest) = run_fct_experiment_instrumented(
-                &topo,
-                Routing::Ecmp,
-                cfg,
-                &flows,
-                (0, 2 * MS),
-                40 * MS,
-                None,
-                None,
-                None,
-                Some(&spec),
-            );
-            manifest.unwrap().json().clone()
-        };
-        let (a, b) = (manifest(), manifest());
+        let (a, b) = (tiny_manifest(), tiny_manifest());
         let mut drift = Vec::new();
         diff_json(&a, &b, "", &mut drift);
         assert!(drift.is_empty(), "same-seed drift: {drift:?}");
+    }
+
+    /// The per-kind event counts are simulated fields: a changed count
+    /// shows up under its dotted path.
+    #[test]
+    fn diff_shows_event_kind_counts() {
+        let a = tiny_manifest();
+        let kinds = a
+            .get("engine")
+            .and_then(|e| e.get("events_by_kind"))
+            .expect("engine.events_by_kind");
+        let tx_free = kinds.get("tx_free").and_then(|v| v.as_u64()).unwrap();
+        assert!(tx_free > 0);
+        let text = a.to_string();
+        let from = format!("\"tx_free\": {tx_free}");
+        assert!(text.contains(&from), "{text}");
+        let b =
+            Json::parse(&text.replace(&from, &format!("\"tx_free\": {}", tx_free + 1))).unwrap();
+        let mut drift = Vec::new();
+        diff_json(&a, &b, "", &mut drift);
+        assert_eq!(
+            drift,
+            vec![format!(
+                "engine.events_by_kind.tx_free: {tx_free} vs {}",
+                tx_free + 1
+            )]
+        );
     }
 }

@@ -1,0 +1,154 @@
+//! Pins the packet engine's simulated outcome at fat-tree k=8 and
+//! paper-scale Xpander sizes: a digest of every [`FlowRecord`], the
+//! packet counters, and the full JSONL event trace of fixed runs must
+//! equal the committed constants.
+//!
+//! The golden traces in `tests/golden/` cover a tiny k=4 incast; these
+//! pins hold engine changes that claim "same schedule" (lazy event
+//! pushes, queue layout, arena changes) to that claim on workloads where
+//! dozens of flows contend, timers re-arm on every ACK, and queues
+//! build on every layer (each run takes a few seconds in a debug build). The constants were recorded with the eager
+//! engine of `SCHEDULE_VERSION` 2; a deliberate change of simulated
+//! behavior must re-record them and say why.
+
+use beyond_fattrees::prelude::*;
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
+        for &x in b {
+            self.0 ^= x as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn opt(&mut self, v: Option<u64>) {
+        self.u64(v.map_or(u64::MAX, |x| x));
+    }
+}
+
+/// (records digest, trace digest, packets sent, drops, ECN marks).
+type Pin = (u64, u64, u64, u64, u64);
+
+fn pinned_run(mut sim: Simulator, flows: &[FlowEvent], window_end: u64) -> Pin {
+    sim.set_window(0, window_end);
+    sim.inject(flows);
+    let buf = SharedBuf::new();
+    sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
+    let records = sim.run(SEC);
+    let window: Vec<&FlowRecord> = records.iter().filter(|r| r.start_ns < window_end).collect();
+    assert!(
+        window.iter().all(|r| r.fct_ns.is_some()),
+        "every window flow must finish, so the run ends on an event both engines share"
+    );
+    let mut d = Digest::new();
+    for r in &records {
+        d.u64(r.start_ns);
+        d.u64(r.size_bytes);
+        d.opt(r.fct_ns);
+        d.u64(r.failed as u64);
+        d.opt(r.recovery_ns);
+    }
+    let mut tr = Digest::new();
+    tr.bytes(&buf.contents());
+    (
+        d.0,
+        tr.0,
+        sim.conservation().sent,
+        sim.total_drops(),
+        sim.total_marks(),
+    )
+}
+
+fn all_to_all(topo: &Topology, lambda: f64, span_s: f64, seed: u64) -> Vec<FlowEvent> {
+    let pattern = AllToAll::new(topo, topo.tors_with_servers());
+    generate_flows(&pattern, &PFabricWebSearch::new(), lambda, span_s, seed)
+}
+
+#[test]
+fn fat_tree_k8_dctcp_is_pinned() {
+    let t = FatTree::full(8).build();
+    let flows = all_to_all(&t, 20_000.0, 0.0006, 8);
+    let sim = Simulator::new(&t, Routing::Ecmp.selector(&t), SimConfig::default());
+    let got = pinned_run(sim, &flows, 600 * US);
+    assert_eq!(
+        got,
+        (12659804863182638944, 2090419150199822584, 62470, 0, 7509)
+    );
+}
+
+#[test]
+fn xpander_paper_sec6_hyb_is_pinned() {
+    let t = Xpander::paper_sec6(1).build();
+    let flows = all_to_all(&t, 60_000.0, 0.0003, 6);
+    let sim = Simulator::new(&t, Routing::PAPER_HYB.selector(&t), SimConfig::default());
+    let got = pinned_run(sim, &flows, 300 * US);
+    assert_eq!(
+        got,
+        (5588707365633921768, 9906622658920965485, 59038, 0, 7102)
+    );
+}
+
+/// Timer-heavy: NewReno through shallow queues while a link flaps and
+/// another drops 2% of packets, so RTOs fire, back off, and are re-armed
+/// past deadlines that have not yet expired.
+#[test]
+fn fat_tree_k4_newreno_under_faults_is_pinned() {
+    let t = FatTree::full(4).build();
+    let flows = all_to_all(&t, 8_000.0, 0.0015, 4);
+    let cfg = SimConfig {
+        queue_pkts: 12,
+        ecn_k_pkts: 6,
+        ..SimConfig::default().with_newreno()
+    };
+    let mut sim = Simulator::new(&t, Routing::Ecmp.selector(&t), cfg);
+    let (a, b) = (t.neighbors(0)[0].1, t.neighbors(12)[1].1);
+    sim.set_fault_plan(
+        &FaultPlan::new()
+            .with_seed(5)
+            .link_down(500 * US, a)
+            .link_up(3 * MS, a)
+            .link_gray(0, b, 0.02),
+    );
+    let got = pinned_run(sim, &flows, 1500 * US);
+    assert_eq!(
+        got,
+        (
+            12316815973220081964,
+            12835328359392641306,
+            63580,
+            702,
+            33702
+        )
+    );
+}
+
+/// pFabric: strict-priority queues that evict queued packets.
+#[test]
+fn fat_tree_k4_pfabric_is_pinned() {
+    let t = FatTree::full(4).build();
+    let flows = all_to_all(&t, 12_000.0, 0.0015, 9);
+    let sim = Simulator::new(
+        &t,
+        Routing::Ecmp.selector(&t),
+        SimConfig {
+            queue_pkts: 8,
+            ..SimConfig::default().with_pfabric()
+        },
+    );
+    let got = pinned_run(sim, &flows, 1500 * US);
+    assert_eq!(
+        got,
+        (14066653106893725137, 10445657435737948190, 75286, 102, 0)
+    );
+}
