@@ -1,6 +1,7 @@
 //! Fluid-flow solver costs — Garg–Könemann accuracy/runtime trade (the
-//! ε ablation of DESIGN.md §6), Dinic, the tiny simplex, and the
-//! flow-level simulator on Fig 15's Xpander.
+//! ε ablation of DESIGN.md §6), the fixed-phase GK instance perfbench
+//! solves, Dinic, the tiny simplex, and the flow-level simulator on Fig
+//! 15's Xpander.
 
 use dcn_bench::bench_case;
 use dcn_flowsim::{FlowSim, FlowSimConfig};
@@ -41,6 +42,32 @@ fn main() {
             )
         });
     }
+
+    // The instance perfbench's `fluid` workload solves: the §6 Xpander
+    // under longest matching (x = 0.5), ε 0.2, a fixed 24 phases.
+    let sec6 = Xpander::paper_sec6(1).build();
+    let sec6_racks = sec6.tors_with_servers();
+    let sec6_commodities: Vec<Commodity> = longest_matching(&sec6, &sec6_racks, 0.5, 1)
+        .into_iter()
+        .map(|(a, b)| Commodity {
+            src: a,
+            dst: b,
+            demand: sec6.servers_at(a) as f64,
+        })
+        .collect();
+    let sec6_net = FlowNetwork::from_topology(&sec6);
+    bench_case("gk/xpander216_longest_24ph", 5, || {
+        max_concurrent_flow(
+            &sec6_net,
+            &sec6_commodities,
+            GkOptions {
+                epsilon: 0.2,
+                target: None,
+                gap: 0.0,
+                max_phases: 24,
+            },
+        )
+    });
 
     let ft = FatTree::full(8).build();
     bench_case("dinic/fat_tree_k8_cross_pod", 20, || {

@@ -355,6 +355,14 @@ cargo build --release --quiet -p dcn-bench --bin fig15_large_scale
 ./target/release/fig15_large_scale --scale small --seed 1 2> /dev/null \
   | cmp - tests/golden/fig15_small.txt
 
+echo "==> fluid golden (fig5a_slimfly --scale tiny, byte-identical stdout)"
+# Pins the Garg–Könemann solver's end-to-end output (Fig 5a's SlimFly and
+# Jellyfish throughput brackets). Re-bless only for a deliberate change of
+# the solver's paths or arithmetic, and say why in the change.
+cargo build --release --quiet -p dcn-bench --bin fig5a_slimfly
+./target/release/fig5a_slimfly --scale tiny --seed 1 2> /dev/null \
+  | cmp - tests/golden/fig5a_tiny.txt
+
 echo "==> cargo build --examples"
 cargo build --release --workspace --examples
 
