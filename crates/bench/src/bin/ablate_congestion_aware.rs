@@ -4,59 +4,44 @@
 //! paths, scored on live global queue state — an upper bound no real
 //! scheme can reach) on the Permute workload that stresses routing most.
 
-use dcn_bench::{packet_setup, parse_cli, rate_sweep, Series};
+use std::rc::Rc;
+
+use dcn_bench::{avg_fct, long_tput, parse_cli, rate_sweep, sweep, Line, Panel};
 use dcn_core::{paper_networks, Routing};
-use dcn_sim::{compute_metrics, SimConfig, Simulator};
-use dcn_workloads::{active_racks_for_servers, generate_flows, PFabricWebSearch, Permutation};
+use dcn_workloads::{active_racks_for_servers, PFabricWebSearch, Permutation};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
     let xp = &pair.xpander;
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
     let total = pair.fat_tree.num_servers() as u32;
     let n_active = (total as f64 * 0.31).round() as u32;
     let rates = rate_sweep(117.0 * total as f64, 5);
 
     let racks = active_racks_for_servers(xp, &xp.tors_with_servers(), n_active, true, cli.seed);
-
-    let mut s = Series::new(
-        "ablate_congestion_aware",
+    let pat = Rc::new(Permutation::new(xp, racks, cli.seed));
+    sweep(
+        &cli,
+        &PFabricWebSearch::new(),
         "flow_starts_per_s",
-        &[
-            "hyb_avg_fct_ms",
-            "oracle_ksp8_avg_fct_ms",
-            "hyb_long_tput",
-            "oracle_long_tput",
-        ],
-    );
-    for &rate in &rates {
-        eprintln!("λ = {rate}");
-        let pat = Permutation::new(xp, racks.clone(), cli.seed);
-        let flows = generate_flows(&pat, &sizes, rate, setup.horizon_s, cli.seed);
-
-        let run = |oracle: bool| {
-            let mut sim = Simulator::new(xp, Routing::PAPER_HYB.selector(xp), SimConfig::default());
-            if oracle {
-                sim.enable_oracle_routing(xp, 8);
-            }
-            sim.set_window(setup.window.0, setup.window.1);
-            sim.inject(&flows);
-            let rec = sim.run(setup.max_time);
-            compute_metrics(&rec, setup.window.0, setup.window.1)
-        };
-        let hyb = run(false);
-        let oracle = run(true);
-        s.push(
-            rate,
+        &rates,
+        |rate| {
             vec![
-                hyb.avg_fct_ms,
-                oracle.avg_fct_ms,
-                hyb.avg_long_tput_gbps,
-                oracle.avg_long_tput_gbps,
+                Line::new("hyb", xp, Routing::PAPER_HYB, &pat, rate),
+                Line {
+                    oracle_ksp: Some(8),
+                    ..Line::new("oracle_ksp8", xp, Routing::PAPER_HYB, &pat, rate)
+                },
+            ]
+        },
+        &[Panel::new(
+            "ablate_congestion_aware",
+            &[
+                ("hyb_avg_fct_ms", "hyb", avg_fct),
+                ("oracle_ksp8_avg_fct_ms", "oracle_ksp8", avg_fct),
+                ("hyb_long_tput", "hyb", long_tput),
+                ("oracle_long_tput", "oracle_ksp8", long_tput),
             ],
-        );
-    }
-    s.finish(&cli);
+        )],
+    );
 }

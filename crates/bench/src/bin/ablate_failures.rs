@@ -11,125 +11,125 @@
 //!   later; routing reconverges after a delay and senders reroute on RTO.
 //!   Emits the fault-drop and recovery-latency columns alongside FCT.
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, Series};
-use dcn_core::{paper_networks, run_fct_experiment_with_faults, Routing};
-use dcn_sim::{FaultPlan, SimConfig};
-use dcn_workloads::{generate_flows, AllToAll, PFabricWebSearch};
+use std::rc::Rc;
+
+use dcn_bench::{avg_fct, packet_setup, parse_cli, sweep, Cli, Line, Panel};
+use dcn_core::{paper_networks, NetworkPair, Routing, RunOutput};
+use dcn_sim::FaultPlan;
+use dcn_workloads::{AllToAll, PFabricWebSearch};
+
+const FRACTIONS: [f64; 5] = [0.0, 0.05, 0.1, 0.15, 0.2];
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&["dynamic"]);
+    let pair = paper_networks(cli.scale, cli.seed);
     if cli.has_flag("dynamic") {
-        dynamic_mode();
+        dynamic_mode(&cli, &pair);
     } else {
-        static_mode();
+        static_mode(&cli, &pair);
     }
 }
 
 /// Steady-state damage: fail a fraction of links up front, route around.
-fn static_mode() {
-    let cli = parse_cli();
-    let pair = paper_networks(cli.scale, cli.seed);
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
+fn static_mode(cli: &Cli, pair: &NetworkPair) {
     let lambda_ft = 100.0 * pair.fat_tree.num_servers() as f64;
     let lambda_xp = 100.0 * pair.xpander.num_servers() as f64;
-
-    let mut s = Series::new(
-        "ablate_failures",
+    let degraded: Vec<_> = FRACTIONS
+        .iter()
+        .map(|&frac| {
+            let ft = pair.fat_tree.with_random_failures(frac, cli.seed);
+            let xp = pair.xpander.with_random_failures(frac, cli.seed);
+            let ft_pat = Rc::new(AllToAll::new(&ft, ft.tors_with_servers()));
+            let xp_pat = Rc::new(AllToAll::new(&xp, xp.tors_with_servers()));
+            (frac, ft, ft_pat, xp, xp_pat)
+        })
+        .collect();
+    sweep(
+        cli,
+        &PFabricWebSearch::new(),
         "failed_link_fraction",
-        &["fat_tree_avg_fct_ms", "xpander_hyb_avg_fct_ms"],
+        &FRACTIONS,
+        |frac| {
+            let (_, ft, ft_pat, xp, xp_pat) = degraded
+                .iter()
+                .find(|d| d.0 == frac)
+                .expect("one degraded pair per fraction");
+            vec![
+                Line::new("fat_tree", ft, Routing::Ecmp, ft_pat, lambda_ft),
+                Line::new("xpander_hyb", xp, Routing::PAPER_HYB, xp_pat, lambda_xp),
+            ]
+        },
+        &[Panel::new(
+            "ablate_failures",
+            &[
+                ("fat_tree_avg_fct_ms", "fat_tree", avg_fct),
+                ("xpander_hyb_avg_fct_ms", "xpander_hyb", avg_fct),
+            ],
+        )],
     );
-    for &frac in &[0.0, 0.05, 0.1, 0.15, 0.2] {
-        eprintln!("failures = {frac}");
-        let ft = pair.fat_tree.with_random_failures(frac, cli.seed);
-        let xp = pair.xpander.with_random_failures(frac, cli.seed);
-        let ft_pat = AllToAll::new(&ft, ft.tors_with_servers());
-        let xp_pat = AllToAll::new(&xp, xp.tors_with_servers());
-        let f = fct_point(
-            &ft,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft_pat,
-            &sizes,
-            lambda_ft,
-            setup,
-            cli.seed,
-        );
-        let x = fct_point(
-            &xp,
-            Routing::PAPER_HYB,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            lambda_xp,
-            setup,
-            cli.seed,
-        );
-        s.push(frac, vec![f.avg_fct_ms, x.avg_fct_ms]);
-    }
-    s.finish(&cli);
 }
 
 /// Fail-then-recover: the fraction of links goes down a quarter into the
 /// measurement window and comes back at the midpoint, so the run covers
 /// outage, reconvergence, and recovery on the *same* flows.
-fn dynamic_mode() {
-    let cli = parse_cli();
-    let pair = paper_networks(cli.scale, cli.seed);
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
-    let (w0, w1) = setup.window;
+fn dynamic_mode(cli: &Cli, pair: &NetworkPair) {
+    let (w0, w1) = packet_setup(cli.scale).window;
     let span = w1 - w0;
     let down_at = w0 + span / 4;
     let up_at = w0 + span / 2;
 
-    let mut s = Series::new(
-        "ablate_failures_dynamic",
+    let networks = [
+        ("fat_tree", &pair.fat_tree, Routing::Ecmp),
+        ("xpander_hyb", &pair.xpander, Routing::PAPER_HYB),
+    ];
+    let patterns = networks.map(|(_, t, _)| Rc::new(AllToAll::new(t, t.tors_with_servers())));
+    sweep(
+        cli,
+        &PFabricWebSearch::new(),
         "failed_link_fraction",
-        &[
-            "fat_tree_avg_fct_ms",
-            "fat_tree_fault_drops",
-            "fat_tree_failed_flows",
-            "fat_tree_avg_recovery_ms",
-            "xpander_hyb_avg_fct_ms",
-            "xpander_hyb_fault_drops",
-            "xpander_hyb_failed_flows",
-            "xpander_hyb_avg_recovery_ms",
-        ],
+        &FRACTIONS,
+        |frac| {
+            networks
+                .iter()
+                .zip(&patterns)
+                .map(|(&(name, t, routing), pat)| {
+                    let count = (frac * t.num_links() as f64).round() as usize;
+                    let plan = if count == 0 {
+                        FaultPlan::new()
+                    } else {
+                        FaultPlan::random_link_outages(t, count, down_at, Some(up_at), cli.seed)
+                    };
+                    Line {
+                        faults: Some(plan),
+                        ..Line::new(name, t, routing, pat, 100.0 * t.num_servers() as f64)
+                    }
+                })
+                .collect()
+        },
+        &[Panel::new(
+            "ablate_failures_dynamic",
+            &[
+                ("fat_tree_avg_fct_ms", "fat_tree", avg_fct),
+                ("fat_tree_fault_drops", "fat_tree", fault_drops),
+                ("fat_tree_failed_flows", "fat_tree", failed_flows),
+                ("fat_tree_avg_recovery_ms", "fat_tree", avg_recovery),
+                ("xpander_hyb_avg_fct_ms", "xpander_hyb", avg_fct),
+                ("xpander_hyb_fault_drops", "xpander_hyb", fault_drops),
+                ("xpander_hyb_failed_flows", "xpander_hyb", failed_flows),
+                ("xpander_hyb_avg_recovery_ms", "xpander_hyb", avg_recovery),
+            ],
+        )],
     );
-    for &frac in &[0.0, 0.05, 0.1, 0.15, 0.2] {
-        eprintln!("dynamic failures = {frac}");
-        let mut row = Vec::with_capacity(8);
-        for (t, routing) in [
-            (&pair.fat_tree, Routing::Ecmp),
-            (&pair.xpander, Routing::PAPER_HYB),
-        ] {
-            let count = (frac * t.num_links() as f64).round() as usize;
-            let plan = if count == 0 {
-                FaultPlan::new()
-            } else {
-                FaultPlan::random_link_outages(t, count, down_at, Some(up_at), cli.seed)
-            };
-            let lambda = 100.0 * t.num_servers() as f64;
-            let pattern = AllToAll::new(t, t.tors_with_servers());
-            let flows = generate_flows(&pattern, &sizes, lambda, setup.horizon_s, cli.seed);
-            let (m, c) = run_fct_experiment_with_faults(
-                t,
-                routing,
-                SimConfig::default(),
-                &flows,
-                setup.window,
-                setup.max_time,
-                Some(&plan),
-            );
-            row.extend([
-                m.avg_fct_ms,
-                c.fault_drops as f64,
-                m.failed as f64,
-                m.avg_recovery_ms,
-            ]);
-        }
-        s.push(frac, row);
-    }
-    s.finish(&cli);
+}
+
+fn fault_drops(o: &RunOutput) -> f64 {
+    o.counters.fault_drops as f64
+}
+
+fn failed_flows(o: &RunOutput) -> f64 {
+    o.metrics.failed as f64
+}
+
+fn avg_recovery(o: &RunOutput) -> f64 {
+    o.metrics.avg_recovery_ms
 }

@@ -2,54 +2,45 @@
 //! re-routes nearly per packet (reordering risk under VLB/HYB); a huge
 //! gap pins each flow to one path (per-flow routing).
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, Series};
+use std::rc::Rc;
+
+use dcn_bench::{avg_fct, long_tput, p99_short, parse_cli, sweep, Line, Panel};
 use dcn_core::{paper_networks, Routing};
 use dcn_sim::{SimConfig, US};
 use dcn_workloads::{active_racks_for_servers, PFabricWebSearch, Permutation};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
+    let xp = &pair.xpander;
     let total = pair.fat_tree.num_servers() as u32;
     let n_active = (total as f64 * 0.31).round() as u32;
     let lambda = 117.0 * total as f64 * 0.5;
 
-    let racks = active_racks_for_servers(
-        &pair.xpander,
-        &pair.xpander.tors_with_servers(),
-        n_active,
-        true,
-        cli.seed,
-    );
-
-    let mut s = Series::new(
-        "ablate_flowlet",
+    let racks = active_racks_for_servers(xp, &xp.tors_with_servers(), n_active, true, cli.seed);
+    let pat = Rc::new(Permutation::new(xp, racks, cli.seed));
+    sweep(
+        &cli,
+        &PFabricWebSearch::new(),
         "flowlet_gap_us",
-        &["avg_fct_ms", "p99_short_fct_ms", "long_tput_gbps"],
+        &[1.0, 10.0, 50.0, 500.0, 10_000_000.0],
+        |gap_us| {
+            let cfg = SimConfig {
+                flowlet_gap_ns: gap_us as u64 * US,
+                ..Default::default()
+            };
+            vec![Line {
+                cfg,
+                ..Line::new("xpander_hyb", xp, Routing::PAPER_HYB, &pat, lambda)
+            }]
+        },
+        &[Panel::new(
+            "ablate_flowlet",
+            &[
+                ("avg_fct_ms", "xpander_hyb", avg_fct),
+                ("p99_short_fct_ms", "xpander_hyb", p99_short),
+                ("long_tput_gbps", "xpander_hyb", long_tput),
+            ],
+        )],
     );
-    for &gap_us in &[1u64, 10, 50, 500, 10_000_000] {
-        eprintln!("gap = {gap_us} µs");
-        let cfg = SimConfig {
-            flowlet_gap_ns: gap_us * US,
-            ..Default::default()
-        };
-        let pat = Permutation::new(&pair.xpander, racks.clone(), cli.seed);
-        let m = fct_point(
-            &pair.xpander,
-            Routing::PAPER_HYB,
-            cfg,
-            &pat,
-            &sizes,
-            lambda,
-            setup,
-            cli.seed,
-        );
-        s.push(
-            gap_us as f64,
-            vec![m.avg_fct_ms, m.p99_short_fct_ms, m.avg_long_tput_gbps],
-        );
-    }
-    s.finish(&cli);
 }

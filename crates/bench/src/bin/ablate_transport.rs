@@ -3,59 +3,47 @@
 //! with HYB — checks that the paper's routing result does not secretly
 //! depend on DCTCP's ECN reaction or on FIFO queueing.
 
-use dcn_bench::{fct_point_traced, packet_setup, parse_cli, Series};
+use std::rc::Rc;
+
+use dcn_bench::{avg_fct, long_tput, p99_short, parse_cli, sweep, Line, Panel};
 use dcn_core::{paper_networks, Routing};
 use dcn_sim::SimConfig;
 use dcn_workloads::{active_racks_for_servers, AllToAll, PFabricWebSearch};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
+    let xp = &pair.xpander;
     let total = pair.fat_tree.num_servers() as u32;
     let n_active = (total as f64 * 0.5).round() as u32;
     let lambda = 130.0 * n_active as f64;
 
-    let racks = active_racks_for_servers(
-        &pair.xpander,
-        &pair.xpander.tors_with_servers(),
-        n_active,
-        true,
-        cli.seed,
-    );
-
-    let mut s = Series::new(
-        "ablate_transport",
-        "transport_index",
-        &["avg_fct_ms", "p99_short_fct_ms", "long_tput_gbps"],
-    );
+    let racks = active_racks_for_servers(xp, &xp.tors_with_servers(), n_active, true, cli.seed);
+    let pat = Rc::new(AllToAll::new(xp, racks));
+    let transports = [
+        SimConfig::default(),
+        SimConfig::default().with_newreno(),
+        SimConfig::default().with_pfabric(),
+    ];
     println!("# transport order: [dctcp, newreno, pfabric]");
-    for (i, (name, cfg)) in [
-        ("dctcp", SimConfig::default()),
-        ("newreno", SimConfig::default().with_newreno()),
-        ("pfabric", SimConfig::default().with_pfabric()),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        eprintln!("transport {i} ({name})");
-        let pat = AllToAll::new(&pair.xpander, racks.clone());
-        let m = fct_point_traced(
-            &pair.xpander,
-            Routing::PAPER_HYB,
-            cfg,
-            &pat,
-            &sizes,
-            lambda,
-            setup,
-            cli.seed,
-            cli.trace_path(name).as_deref(),
-        );
-        s.push(
-            i as f64,
-            vec![m.avg_fct_ms, m.p99_short_fct_ms, m.avg_long_tput_gbps],
-        );
-    }
-    s.finish(&cli);
+    sweep(
+        &cli,
+        &PFabricWebSearch::new(),
+        "transport_index",
+        &[0.0, 1.0, 2.0],
+        |i| {
+            vec![Line {
+                cfg: transports[i as usize],
+                ..Line::new("xpander_hyb", xp, Routing::PAPER_HYB, &pat, lambda)
+            }]
+        },
+        &[Panel::new(
+            "ablate_transport",
+            &[
+                ("avg_fct_ms", "xpander_hyb", avg_fct),
+                ("p99_short_fct_ms", "xpander_hyb", p99_short),
+                ("long_tput_gbps", "xpander_hyb", long_tput),
+            ],
+        )],
+    );
 }

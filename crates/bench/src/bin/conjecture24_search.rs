@@ -28,7 +28,7 @@ fn lp_throughput(net: &FlowNetwork, tm: &fluid::FluidTm) -> f64 {
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let (n_graphs, n_tms, n_perms) = match cli.scale {
         dcn_core::Scale::Tiny => (2, 2, 4),
         dcn_core::Scale::Small => (4, 3, 8),

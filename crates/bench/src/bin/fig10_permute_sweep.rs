@@ -4,106 +4,43 @@
 //! ECMP on the expander; HYB recovers the fat-tree's performance for
 //! skewed (small-x) matrices.
 
-use dcn_bench::{fct_point, fraction_sweep, packet_setup, parse_cli, Series};
+use std::rc::Rc;
+
+use dcn_bench::{avg_fct, fraction_sweep, long_tput, p99_short, parse_cli, sweep, Line, Panel};
 use dcn_core::{paper_networks, Routing};
-use dcn_sim::SimConfig;
 use dcn_workloads::{active_racks_for_servers, PFabricWebSearch, Permutation};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
-    let total_servers = pair.fat_tree.num_servers() as u32;
+    let (ft, xp) = (&pair.fat_tree, &pair.xpander);
+    let total_servers = ft.num_servers() as f64;
 
-    let mut a = Series::new(
-        "fig10a_permute_avg_fct",
+    let lines = ["fat_tree", "xpander_ecmp", "xpander_hyb"];
+    sweep(
+        &cli,
+        &PFabricWebSearch::new(),
         "fraction_active",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-    let mut b = Series::new(
-        "fig10b_permute_p99_short_fct",
-        "fraction_active",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-    let mut c = Series::new(
-        "fig10c_permute_long_tput",
-        "fraction_active",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-
-    for x in fraction_sweep(10) {
-        let n_active = ((total_servers as f64) * x).round().max(8.0) as u32;
-        let lambda = 167.0 * n_active as f64;
-        eprintln!("x = {x:.1}: {n_active} active servers, λ = {lambda}");
-
-        let ft_racks = active_racks_for_servers(
-            &pair.fat_tree,
-            &pair.fat_tree.tors_with_servers(),
-            n_active,
-            false,
-            cli.seed,
-        );
-        let xp_racks = active_racks_for_servers(
-            &pair.xpander,
-            &pair.xpander.tors_with_servers(),
-            n_active,
-            true,
-            cli.seed,
-        );
-        let ft_pat = Permutation::new(&pair.fat_tree, ft_racks, cli.seed);
-        let xp_pat = Permutation::new(&pair.xpander, xp_racks, cli.seed);
-
-        let ft = fct_point(
-            &pair.fat_tree,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft_pat,
-            &sizes,
-            lambda,
-            setup,
-            cli.seed,
-        );
-        let ecmp = fct_point(
-            &pair.xpander,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            lambda,
-            setup,
-            cli.seed,
-        );
-        let hyb = fct_point(
-            &pair.xpander,
-            Routing::PAPER_HYB,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            lambda,
-            setup,
-            cli.seed,
-        );
-
-        a.push(x, vec![ft.avg_fct_ms, ecmp.avg_fct_ms, hyb.avg_fct_ms]);
-        b.push(
-            x,
+        &fraction_sweep(10),
+        |x| {
+            let n_active = (total_servers * x).round().max(8.0) as u32;
+            let lambda = 167.0 * n_active as f64;
+            let ft_racks =
+                active_racks_for_servers(ft, &ft.tors_with_servers(), n_active, false, cli.seed);
+            let xp_racks =
+                active_racks_for_servers(xp, &xp.tors_with_servers(), n_active, true, cli.seed);
+            let ft_pat = Rc::new(Permutation::new(ft, ft_racks, cli.seed));
+            let xp_pat = Rc::new(Permutation::new(xp, xp_racks, cli.seed));
             vec![
-                ft.p99_short_fct_ms,
-                ecmp.p99_short_fct_ms,
-                hyb.p99_short_fct_ms,
-            ],
-        );
-        c.push(
-            x,
-            vec![
-                ft.avg_long_tput_gbps,
-                ecmp.avg_long_tput_gbps,
-                hyb.avg_long_tput_gbps,
-            ],
-        );
-    }
-    a.finish(&cli);
-    b.finish(&cli);
-    c.finish(&cli);
+                Line::new("fat_tree", ft, Routing::Ecmp, &ft_pat, lambda),
+                Line::new("xpander_ecmp", xp, Routing::Ecmp, &xp_pat, lambda),
+                Line::new("xpander_hyb", xp, Routing::PAPER_HYB, &xp_pat, lambda),
+            ]
+        },
+        &[
+            Panel::per_line("fig10a_permute_avg_fct", avg_fct, &lines),
+            Panel::per_line("fig10b_permute_p99_short_fct", p99_short, &lines),
+            Panel::per_line("fig10c_permute_long_tput", long_tput, &lines),
+        ],
+    );
 }

@@ -3,135 +3,52 @@
 //! tracks the full-bandwidth fat-tree; the cheap fat-tree deteriorates
 //! much earlier.
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, rate_sweep, Series};
+use std::rc::Rc;
+
+use dcn_bench::{avg_fct, long_tput, p99_short, parse_cli, rate_sweep, sweep, Line, Panel};
 use dcn_core::{paper_networks, Routing};
-use dcn_sim::SimConfig;
 use dcn_topology::fattree::FatTree;
+use dcn_topology::Topology;
 use dcn_workloads::{active_racks_for_servers, PFabricWebSearch, Permutation};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
-    let ft77_cfg = FatTree::at_cost_fraction(pair.ft_config.k, 0.78);
-    let ft77 = ft77_cfg.build();
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
+    let (ft, xp) = (&pair.fat_tree, &pair.xpander);
+    let ft77 = FatTree::at_cost_fraction(pair.ft_config.k, 0.78).build();
 
-    let total_servers = pair.fat_tree.num_servers() as u32;
+    let total_servers = ft.num_servers() as u32;
     let n_active = (total_servers as f64 * 0.31).round() as u32;
     // Paper: λ up to 120K over 1024 servers ≈ 117/server/s (all servers).
     let rates = rate_sweep(117.0 * total_servers as f64, 6);
 
-    let ft_racks = active_racks_for_servers(
-        &pair.fat_tree,
-        &pair.fat_tree.tors_with_servers(),
-        n_active,
-        false,
-        cli.seed,
-    );
-    let xp_racks = active_racks_for_servers(
-        &pair.xpander,
-        &pair.xpander.tors_with_servers(),
-        n_active,
-        true,
-        cli.seed,
-    );
     // The 77% fat-tree has the same ToR layout indices for its first racks.
-    let ft77_racks =
-        active_racks_for_servers(&ft77, &ft77.tors_with_servers(), n_active, false, cli.seed);
+    let permute = |t: &Topology, bias: bool| {
+        let racks = active_racks_for_servers(t, &t.tors_with_servers(), n_active, bias, cli.seed);
+        Rc::new(Permutation::new(t, racks, cli.seed))
+    };
+    let ft_pat = permute(ft, false);
+    let xp_pat = permute(xp, true);
+    let ft77_pat = permute(&ft77, false);
 
-    let mut a = Series::new(
-        "fig11a_permute_load_avg_fct",
+    let lines = ["fat_tree", "xpander_ecmp", "xpander_hyb", "fat_tree_77pct"];
+    sweep(
+        &cli,
+        &PFabricWebSearch::new(),
         "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb", "fat_tree_77pct"],
-    );
-    let mut b = Series::new(
-        "fig11b_permute_load_p99_short_fct",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb", "fat_tree_77pct"],
-    );
-    let mut c = Series::new(
-        "fig11c_permute_load_long_tput",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb", "fat_tree_77pct"],
-    );
-
-    for &rate in &rates {
-        eprintln!("λ = {rate}");
-        let ft_pat = Permutation::new(&pair.fat_tree, ft_racks.clone(), cli.seed);
-        let xp_pat = Permutation::new(&pair.xpander, xp_racks.clone(), cli.seed);
-        let ft77_pat = Permutation::new(&ft77, ft77_racks.clone(), cli.seed);
-
-        let ft = fct_point(
-            &pair.fat_tree,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let ecmp = fct_point(
-            &pair.xpander,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let hyb = fct_point(
-            &pair.xpander,
-            Routing::PAPER_HYB,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let cheap = fct_point(
-            &ft77,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft77_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-
-        a.push(
-            rate,
+        &rates,
+        |rate| {
             vec![
-                ft.avg_fct_ms,
-                ecmp.avg_fct_ms,
-                hyb.avg_fct_ms,
-                cheap.avg_fct_ms,
-            ],
-        );
-        b.push(
-            rate,
-            vec![
-                ft.p99_short_fct_ms,
-                ecmp.p99_short_fct_ms,
-                hyb.p99_short_fct_ms,
-                cheap.p99_short_fct_ms,
-            ],
-        );
-        c.push(
-            rate,
-            vec![
-                ft.avg_long_tput_gbps,
-                ecmp.avg_long_tput_gbps,
-                hyb.avg_long_tput_gbps,
-                cheap.avg_long_tput_gbps,
-            ],
-        );
-    }
-    a.finish(&cli);
-    b.finish(&cli);
-    c.finish(&cli);
+                Line::new("fat_tree", ft, Routing::Ecmp, &ft_pat, rate),
+                Line::new("xpander_ecmp", xp, Routing::Ecmp, &xp_pat, rate),
+                Line::new("xpander_hyb", xp, Routing::PAPER_HYB, &xp_pat, rate),
+                Line::new("fat_tree_77pct", &ft77, Routing::Ecmp, &ft77_pat, rate),
+            ]
+        },
+        &[
+            Panel::per_line("fig11a_permute_load_avg_fct", avg_fct, &lines),
+            Panel::per_line("fig11b_permute_load_p99_short_fct", p99_short, &lines),
+            Panel::per_line("fig11c_permute_load_long_tput", long_tput, &lines),
+        ],
+    );
 }

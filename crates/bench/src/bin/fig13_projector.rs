@@ -9,18 +9,20 @@
 //! bottlenecks ignored (ProjecToR's method); (c) average FCT with real
 //! 10 Gbps server links.
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, rate_sweep, Series};
+use std::rc::Rc;
+
+use dcn_bench::{avg_fct, p99_short, parse_cli, rate_sweep, sweep, Line, Panel};
 use dcn_core::{paper_networks, Routing, Scale};
 use dcn_sim::SimConfig;
 use dcn_topology::xpander::Xpander;
 use dcn_workloads::{PFabricWebSearch, PairSkew};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
     // The flat Xpander of §6.6: same ToR count as the fat-tree's edge
     // layer, double-ish network ports, no other switches.
-    let xp = match cli.scale {
+    let xp = &match cli.scale {
         Scale::Tiny => Xpander::for_switches(3, 8, 2, cli.seed),
         Scale::Small => Xpander::for_switches(7, 32, 4, cli.seed),
         Scale::Paper => Xpander::paper_projector(cli.seed),
@@ -29,9 +31,6 @@ fn main() {
     let ft = &pair.fat_tree;
     assert_eq!(xp.num_servers(), ft.num_servers());
 
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
-    let servers = ft.num_servers() as f64;
     // Paper: 2K–14K flow starts/s over 1024 servers. At small scale the
     // same per-server rate leaves every ToR idle (fewer servers behind
     // each hot rack), so sweep ~3x further to reach the contrast regime.
@@ -40,78 +39,63 @@ fn main() {
     } else {
         150.0
     };
-    let rates = rate_sweep(per_server * servers, 6);
+    let rates = rate_sweep(per_server * ft.num_servers() as f64, 6);
 
-    let mut a = Series::new(
-        "fig13a_projector_avg_fct_unconstrained",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-    let mut b = Series::new(
-        "fig13b_projector_p99_short_unconstrained",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-    let mut c = Series::new(
-        "fig13c_projector_avg_fct_constrained",
-        "flow_starts_per_s",
-        &["fat_tree", "xpander_ecmp", "xpander_hyb"],
-    );
-
+    let ft_pat = Rc::new(PairSkew::projector_trace(
+        ft,
+        ft.tors_with_servers(),
+        cli.seed,
+    ));
+    let xp_pat = Rc::new(PairSkew::projector_trace(
+        xp,
+        xp.tors_with_servers(),
+        cli.seed,
+    ));
     let unconstrained = SimConfig::default().unconstrained_servers();
-    let constrained = SimConfig::default();
-    for &rate in &rates {
-        eprintln!("λ = {rate}");
-        let ft_pat = PairSkew::projector_trace(ft, ft.tors_with_servers(), cli.seed);
-        let xp_pat = PairSkew::projector_trace(&xp, xp.tors_with_servers(), cli.seed);
-
-        let run = |cfg: SimConfig| {
-            let f = fct_point(
-                ft,
-                Routing::Ecmp,
-                cfg,
-                &ft_pat,
-                &sizes,
-                rate,
-                setup,
-                cli.seed,
-            );
-            let e = fct_point(
-                &xp,
-                Routing::Ecmp,
-                cfg,
-                &xp_pat,
-                &sizes,
-                rate,
-                setup,
-                cli.seed,
-            );
-            let h = fct_point(
-                &xp,
-                Routing::PAPER_HYB,
-                cfg,
-                &xp_pat,
-                &sizes,
-                rate,
-                setup,
-                cli.seed,
-            );
-            (f, e, h)
-        };
-        let (fu, eu, hu) = run(unconstrained);
-        a.push(rate, vec![fu.avg_fct_ms, eu.avg_fct_ms, hu.avg_fct_ms]);
-        b.push(
-            rate,
+    let unconstrained_lines = ["fat_tree", "xpander_ecmp", "xpander_hyb"];
+    sweep(
+        &cli,
+        &PFabricWebSearch::new(),
+        "flow_starts_per_s",
+        &rates,
+        |rate| {
             vec![
-                fu.p99_short_fct_ms,
-                eu.p99_short_fct_ms,
-                hu.p99_short_fct_ms,
-            ],
-        );
-        let (fc, ec, hc) = run(constrained);
-        c.push(rate, vec![fc.avg_fct_ms, ec.avg_fct_ms, hc.avg_fct_ms]);
-    }
-    a.finish(&cli);
-    b.finish(&cli);
-    c.finish(&cli);
+                Line {
+                    cfg: unconstrained,
+                    ..Line::new("fat_tree", ft, Routing::Ecmp, &ft_pat, rate)
+                },
+                Line {
+                    cfg: unconstrained,
+                    ..Line::new("xpander_ecmp", xp, Routing::Ecmp, &xp_pat, rate)
+                },
+                Line {
+                    cfg: unconstrained,
+                    ..Line::new("xpander_hyb", xp, Routing::PAPER_HYB, &xp_pat, rate)
+                },
+                Line::new("ft_constrained", ft, Routing::Ecmp, &ft_pat, rate),
+                Line::new("xp_ecmp_constrained", xp, Routing::Ecmp, &xp_pat, rate),
+                Line::new("xp_hyb_constrained", xp, Routing::PAPER_HYB, &xp_pat, rate),
+            ]
+        },
+        &[
+            Panel::per_line(
+                "fig13a_projector_avg_fct_unconstrained",
+                avg_fct,
+                &unconstrained_lines,
+            ),
+            Panel::per_line(
+                "fig13b_projector_p99_short_unconstrained",
+                p99_short,
+                &unconstrained_lines,
+            ),
+            Panel::new(
+                "fig13c_projector_avg_fct_constrained",
+                &[
+                    ("fat_tree", "ft_constrained", avg_fct),
+                    ("xpander_ecmp", "xp_ecmp_constrained", avg_fct),
+                    ("xpander_hyb", "xp_hyb_constrained", avg_fct),
+                ],
+            ),
+        ],
+    );
 }

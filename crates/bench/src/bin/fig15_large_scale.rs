@@ -29,7 +29,7 @@ fn flow_point(
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let (ft_cfg, xp_cfg) = match cli.scale {
         Scale::Tiny => (FatTree::full(8), Xpander::for_switches(5, 36, 4, cli.seed)),
         Scale::Small => (FatTree::full(12), Xpander::for_switches(6, 77, 6, cli.seed)),

@@ -10,7 +10,7 @@ use dcn_bench::{parse_cli, Series};
 use dcn_core::theory::{observation1_fraction, observation1_throughput};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let mut s = Series::new(
         "fig1_observation1",
         "core_fraction",

@@ -5,7 +5,7 @@ use dcn_bench::{fraction_sweep, parse_cli, Series};
 use dcn_core::{fat_tree_throughput, tp_throughput};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     // The illustrative α = 0.5 oversubscription and a k = 16 fat-tree's
     // β = 2/k bottleneck fraction.
     let alpha = 0.5;

@@ -8,7 +8,7 @@ use dcn_topology::metrics::{cable_stats, path_stats, xpander_floor_plan};
 use dcn_topology::xpander::{second_eigenvalue, Xpander};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let xp = Xpander::paper_fig3(cli.seed);
     let t = xp.build();
     let meta_nodes = (xp.net_degree + 1) as usize;

@@ -11,7 +11,7 @@ use dcn_maxflow::dinic::topology_max_flow;
 use dcn_topology::toy::ToyFig4;
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let net = ToyFig4::build();
     let t = &net.topology;
 

@@ -13,7 +13,7 @@ use dcn_topology::jellyfish::Jellyfish;
 use dcn_topology::slimfly::SlimFly;
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let (sf, points) = match cli.scale {
         Scale::Tiny | Scale::Small => (SlimFly::new(5, 7), 10),
         Scale::Paper => (SlimFly::paper_fig5a(), 10),

@@ -9,7 +9,7 @@ use dcn_topology::jellyfish::Jellyfish;
 use dcn_topology::longhop::Longhop;
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let lh = match cli.scale {
         Scale::Tiny | Scale::Small => Longhop::folded_hypercube(5, 5),
         Scale::Paper => Longhop::paper_fig5b(),

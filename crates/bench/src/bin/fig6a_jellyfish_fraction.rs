@@ -8,7 +8,7 @@ use dcn_topology::fattree::FatTree;
 use dcn_topology::jellyfish::Jellyfish;
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let k = match cli.scale {
         Scale::Tiny => 4,
         Scale::Small => 8,

@@ -10,7 +10,7 @@ use dcn_topology::fattree::FatTree;
 use dcn_topology::jellyfish::Jellyfish;
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let ks: &[u32] = match cli.scale {
         Scale::Tiny => &[6, 8],
         Scale::Small => &[6, 8, 12],

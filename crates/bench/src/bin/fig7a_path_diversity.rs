@@ -8,7 +8,7 @@ use dcn_core::{paper_networks, Scale};
 use dcn_routing::{k_shortest_paths, EcmpTable};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(
         if cli.scale == Scale::Paper {
             Scale::Paper

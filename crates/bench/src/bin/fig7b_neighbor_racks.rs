@@ -3,9 +3,10 @@
 //! direct link and its FCT blows up with load; VLB spreads over the whole
 //! fabric and keeps up with the full-bandwidth fat-tree.
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, rate_sweep, Series};
+use std::rc::Rc;
+
+use dcn_bench::{avg_fct, parse_cli, rate_sweep, sweep, Line, Panel};
 use dcn_core::{paper_networks, Routing};
-use dcn_sim::SimConfig;
 use dcn_topology::Topology;
 use dcn_workloads::{ExplicitServers, PFabricWebSearch};
 
@@ -16,20 +17,19 @@ fn adjacent_racks(t: &Topology) -> Vec<u32> {
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
+    let (ft, xp) = (&pair.fat_tree, &pair.xpander);
 
     // The same number of active servers on both networks (the paper uses
     // 10 over two racks; here the most both racks can host).
-    let xp_racks = adjacent_racks(&pair.xpander);
+    let xp_racks = adjacent_racks(xp);
     let ft_edges = pair.ft_config.edge_switches();
     let ft_racks = vec![ft_edges[0][0], ft_edges[0][1]];
     let per_rack = xp_racks
         .iter()
-        .map(|&r| pair.xpander.servers_at(r))
-        .chain(ft_racks.iter().map(|&r| pair.fat_tree.servers_at(r)))
+        .map(|&r| xp.servers_at(r))
+        .chain(ft_racks.iter().map(|&r| ft.servers_at(r)))
         .min()
         .unwrap();
     let active_servers = 2 * per_rack;
@@ -41,50 +41,27 @@ fn main() {
     let rate_per_server = 300.0 * (5.0 / per_rack as f64).max(1.0);
     let rates = rate_sweep(rate_per_server * active_servers as f64, 6);
 
-    let mut s = Series::new(
-        "fig7b_neighbor_racks",
+    let ft_pat = Rc::new(ExplicitServers::first_on_racks(ft, &ft_racks, per_rack));
+    let xp_pat = Rc::new(ExplicitServers::first_on_racks(xp, &xp_racks, per_rack));
+    sweep(
+        &cli,
+        &PFabricWebSearch::new(),
         "flow_starts_per_s",
-        &[
-            "fat_tree_avg_fct_ms",
-            "xpander_ecmp_avg_fct_ms",
-            "xpander_vlb_avg_fct_ms",
-        ],
+        &rates,
+        |rate| {
+            vec![
+                Line::new("ft", ft, Routing::Ecmp, &ft_pat, rate),
+                Line::new("xp_ecmp", xp, Routing::Ecmp, &xp_pat, rate),
+                Line::new("xp_vlb", xp, Routing::Vlb, &xp_pat, rate),
+            ]
+        },
+        &[Panel::new(
+            "fig7b_neighbor_racks",
+            &[
+                ("fat_tree_avg_fct_ms", "ft", avg_fct),
+                ("xpander_ecmp_avg_fct_ms", "xp_ecmp", avg_fct),
+                ("xpander_vlb_avg_fct_ms", "xp_vlb", avg_fct),
+            ],
+        )],
     );
-    for &rate in &rates {
-        eprintln!("λ = {rate}");
-        let ft_pat = ExplicitServers::first_on_racks(&pair.fat_tree, &ft_racks, per_rack);
-        let ft = fct_point(
-            &pair.fat_tree,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let xp_pat = ExplicitServers::first_on_racks(&pair.xpander, &xp_racks, per_rack);
-        let ecmp = fct_point(
-            &pair.xpander,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let vlb = fct_point(
-            &pair.xpander,
-            Routing::Vlb,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        s.push(rate, vec![ft.avg_fct_ms, ecmp.avg_fct_ms, vlb.avg_fct_ms]);
-    }
-    s.finish(&cli);
 }

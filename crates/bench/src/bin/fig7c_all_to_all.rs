@@ -2,65 +2,41 @@
 //! now hurts — its average FCT deteriorates with load while ECMP matches
 //! the full-bandwidth fat-tree.
 
-use dcn_bench::{fct_point, packet_setup, parse_cli, rate_sweep, Series};
+use std::rc::Rc;
+
+use dcn_bench::{avg_fct, parse_cli, rate_sweep, sweep, Line, Panel};
 use dcn_core::{paper_networks, Routing};
-use dcn_sim::SimConfig;
 use dcn_workloads::{AllToAll, PFabricWebSearch};
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pair = paper_networks(cli.scale, cli.seed);
-    let sizes = PFabricWebSearch::new();
-    let setup = packet_setup(cli.scale);
+    let (ft, xp) = (&pair.fat_tree, &pair.xpander);
 
     // Paper sweeps to 300K flow-starts/s over 1024 servers (~293/server/s).
-    let servers = pair.fat_tree.num_servers() as f64;
-    let rates = rate_sweep(290.0 * servers, 6);
+    let rates = rate_sweep(290.0 * ft.num_servers() as f64, 6);
 
-    let mut s = Series::new(
-        "fig7c_all_to_all",
+    let ft_pat = Rc::new(AllToAll::new(ft, ft.tors_with_servers()));
+    let xp_pat = Rc::new(AllToAll::new(xp, xp.tors_with_servers()));
+    sweep(
+        &cli,
+        &PFabricWebSearch::new(),
         "flow_starts_per_s",
-        &[
-            "fat_tree_avg_fct_ms",
-            "xpander_ecmp_avg_fct_ms",
-            "xpander_vlb_avg_fct_ms",
-        ],
+        &rates,
+        |rate| {
+            vec![
+                Line::new("ft", ft, Routing::Ecmp, &ft_pat, rate),
+                Line::new("xp_ecmp", xp, Routing::Ecmp, &xp_pat, rate),
+                Line::new("xp_vlb", xp, Routing::Vlb, &xp_pat, rate),
+            ]
+        },
+        &[Panel::new(
+            "fig7c_all_to_all",
+            &[
+                ("fat_tree_avg_fct_ms", "ft", avg_fct),
+                ("xpander_ecmp_avg_fct_ms", "xp_ecmp", avg_fct),
+                ("xpander_vlb_avg_fct_ms", "xp_vlb", avg_fct),
+            ],
+        )],
     );
-    for &rate in &rates {
-        eprintln!("λ = {rate}");
-        let ft_pat = AllToAll::new(&pair.fat_tree, pair.fat_tree.tors_with_servers());
-        let ft = fct_point(
-            &pair.fat_tree,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &ft_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let xp_pat = AllToAll::new(&pair.xpander, pair.xpander.tors_with_servers());
-        let ecmp = fct_point(
-            &pair.xpander,
-            Routing::Ecmp,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        let vlb = fct_point(
-            &pair.xpander,
-            Routing::Vlb,
-            SimConfig::default(),
-            &xp_pat,
-            &sizes,
-            rate,
-            setup,
-            cli.seed,
-        );
-        s.push(rate, vec![ft.avg_fct_ms, ecmp.avg_fct_ms, vlb.avg_fct_ms]);
-    }
-    s.finish(&cli);
 }

@@ -16,7 +16,7 @@ fn empirical_cdf(d: &dyn FlowSizeDist, at: &[u64], n: usize, seed: u64) -> Vec<f
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     let pf = PFabricWebSearch::new();
     let ph = ParetoHull::new();
     // Log-spaced sizes from 1 KB to 1 GB (the figure's x-range).

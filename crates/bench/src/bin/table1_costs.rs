@@ -6,7 +6,7 @@ use dcn_core::cost::{delta_lowest, table1};
 use dcn_json::Json;
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&[]);
     println!("# table1_costs");
     println!("design\tcomponent\tlow_usd\thigh_usd");
     for port in table1() {

@@ -92,7 +92,7 @@ fn rate(reps: u32, seed: u64, telemetry: bool, mk: impl Fn() -> Option<Box<dyn T
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = parse_cli(&["check", "bless"]);
     let dir = cli.out_dir.clone().unwrap_or_else(|| "results".to_string());
     let path = format!("{dir}/{BASELINE}");
 

@@ -6,17 +6,31 @@
 //! series as TSV on stdout and
 //! also writes `results/<name>.json` when `--out <dir>` is given.
 //!
-//! Common flags: `--scale tiny|small|paper` (default `small`) selects the
-//! experiment size (DESIGN.md §4, substitution 4), `--seed N` the RNG
-//! seed, `--trace <path>` streams structured simulator events as JSONL,
-//! `--telemetry <path>` samples time-series fabric state, and
-//! `--manifest <path>` writes a run manifest (binaries that run several
-//! experiments suffix each path per run).
+//! Common flags ([`parse_cli`]): `--scale tiny|small|paper` (default
+//! `small`) selects the experiment size (DESIGN.md §4, substitution 4),
+//! `--seed N` the RNG seed, `--trace <path>` streams structured simulator
+//! events as JSONL, `--telemetry <path>` samples time-series fabric state,
+//! and `--manifest <path>` writes a run manifest. A binary names any extra
+//! switches it takes; an unknown flag is an error.
+//!
+//! The packet figures and ablations are each one [`sweep`]: named
+//! [`Line`]s (topology, routing, simulator config, traffic pattern, λ) run
+//! at every x through [`fct_point`], and [`Panel`]s that read a metric per
+//! line into the printed [`Series`]. Every point runs one [`dcn_core::Run`]
+//! and gets its own trace/telemetry/manifest: `--manifest man.json` on a
+//! sweep writes `man.<line>_x<NN>.json` per line and x index `NN` (see
+//! [`Cli::trace_path`] for the derivation).
 
 pub mod perf;
 pub mod supervise;
 
+use std::rc::Rc;
+
+use dcn_core::{Routing, Run, RunOutput, Sinks};
 use dcn_json::Json;
+use dcn_sim::{FaultPlan, SimConfig};
+use dcn_topology::Topology;
+use dcn_workloads::{generate_flows, FlowSizeDist, TrafficPattern};
 
 /// Parsed common CLI options.
 #[derive(Clone, Debug)]
@@ -34,8 +48,8 @@ pub struct Cli {
     /// `--manifest <path>`: run-manifest JSON destination, per-run derived
     /// like `--trace`.
     pub manifest: Option<String>,
-    /// Boolean switches beyond the shared set (e.g. `--dynamic` for the
-    /// failure ablation); binaries check them with [`Cli::has_flag`].
+    /// The binary's own boolean switches that were passed (e.g.
+    /// `--dynamic` for the failure ablation); see [`Cli::has_flag`].
     pub flags: Vec<String>,
 }
 
@@ -78,6 +92,16 @@ impl Cli {
     pub fn manifest_path(&self, run: &str) -> Option<String> {
         self.manifest.as_deref().map(|b| derive_run_path(b, run))
     }
+
+    /// All three sinks for one named run, telemetry at the default cadence.
+    pub fn sinks(&self, run: &str) -> Sinks {
+        Sinks {
+            trace: self.trace_path(run),
+            telemetry: self.telemetry_path(run),
+            manifest: self.manifest_path(run),
+            ..Sinks::default()
+        }
+    }
 }
 
 /// Inserts a run label before the final extension: `events.jsonl` +
@@ -89,48 +113,56 @@ fn derive_run_path(base: &str, run: &str) -> String {
     }
 }
 
-/// Parses `--scale`, `--seed`, `--out` from `std::env::args`. Other
-/// `--flag` switches are collected into [`Cli::flags`] for the binary to
-/// interpret; anything else is an error.
-pub fn parse_cli() -> Cli {
-    let mut cli = Cli::default();
+/// Parses the shared flags (`--scale`, `--seed`, `--out`, `--trace`,
+/// `--telemetry`, `--manifest`) plus the binary's own boolean `switches`
+/// (e.g. `&["dynamic"]`; read back with [`Cli::has_flag`]) from
+/// `std::env::args`. A flag missing its value, an unknown flag, or a stray
+/// positional argument is a one-line `<binary>: error: ...` and exit 2.
+pub fn parse_cli(switches: &[&str]) -> Cli {
     let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    parse_args(&args[1..], switches).unwrap_or_else(|e| {
+        let bin = args
+            .first()
+            .map_or("dcn-bench", |a| a.rsplit('/').next().unwrap_or(a.as_str()));
+        eprintln!("{bin}: error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// [`parse_cli`] over an explicit argument list (program name excluded).
+fn parse_args(args: &[String], switches: &[&str]) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} takes a value"))
+        };
+        match arg.as_str() {
             "--scale" => {
-                i += 1;
-                cli.scale = dcn_core::Scale::parse(&args[i])
-                    .unwrap_or_else(|| panic!("unknown scale '{}'", args[i]));
+                let v = value()?;
+                cli.scale = dcn_core::Scale::parse(&v)
+                    .ok_or_else(|| format!("unknown scale '{v}' (tiny|small|paper)"))?;
             }
             "--seed" => {
-                i += 1;
-                cli.seed = args[i].parse().expect("--seed takes an integer");
+                let v = value()?;
+                cli.seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed takes an integer, got '{v}'"))?;
             }
-            "--out" => {
-                i += 1;
-                cli.out_dir = Some(args[i].clone());
-            }
-            "--trace" => {
-                i += 1;
-                cli.trace = Some(args[i].clone());
-            }
-            "--telemetry" => {
-                i += 1;
-                cli.telemetry = Some(args[i].clone());
-            }
-            "--manifest" => {
-                i += 1;
-                cli.manifest = Some(args[i].clone());
-            }
-            other if other.starts_with("--") => {
-                cli.flags.push(other.trim_start_matches("--").to_string());
-            }
-            other => panic!("unexpected argument '{other}' (flags start with --)"),
+            "--out" => cli.out_dir = Some(value()?),
+            "--trace" => cli.trace = Some(value()?),
+            "--telemetry" => cli.telemetry = Some(value()?),
+            "--manifest" => cli.manifest = Some(value()?),
+            other => match other.strip_prefix("--") {
+                Some(name) if switches.contains(&name) => cli.flags.push(name.to_string()),
+                Some(_) => return Err(format!("unknown flag '{other}'")),
+                None => return Err(format!("unexpected argument '{other}'")),
+            },
         }
-        i += 1;
     }
-    cli
+    Ok(cli)
 }
 
 /// A figure's data: named columns over a shared x-axis.
@@ -309,6 +341,96 @@ mod tests {
         let r = rate_sweep(1000.0, 4);
         assert_eq!(r, vec![250.0, 500.0, 750.0, 1000.0]);
     }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_args_reads_shared_flags_and_declared_switches() {
+        let cli = parse_args(
+            &args(&[
+                "--scale",
+                "tiny",
+                "--seed",
+                "7",
+                "--manifest",
+                "m.json",
+                "--dynamic",
+            ]),
+            &["dynamic"],
+        )
+        .unwrap();
+        assert_eq!(cli.scale, dcn_core::Scale::Tiny);
+        assert_eq!(cli.seed, 7);
+        assert_eq!(cli.manifest.as_deref(), Some("m.json"));
+        assert!(cli.has_flag("dynamic"));
+    }
+
+    #[test]
+    fn parse_args_rejects_a_flag_missing_its_value() {
+        let err = parse_args(&args(&["--scale", "tiny", "--seed"]), &[]).unwrap_err();
+        assert_eq!(err, "--seed takes a value");
+        let err = parse_args(&args(&["--seed", "x"]), &[]).unwrap_err();
+        assert!(err.contains("--seed takes an integer"), "{err}");
+    }
+
+    #[test]
+    fn parse_args_rejects_unknown_and_undeclared_flags() {
+        let err = parse_args(&args(&["--manfest", "m.json"]), &[]).unwrap_err();
+        assert_eq!(err, "unknown flag '--manfest'");
+        // A switch one binary declares is unknown to another.
+        let err = parse_args(&args(&["--dynamic"]), &["check"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--dynamic'");
+        let err = parse_args(&args(&["stray"]), &[]).unwrap_err();
+        assert_eq!(err, "unexpected argument 'stray'");
+    }
+
+    /// Runs a two-point sweep on the tiny fat-tree with `--manifest`
+    /// under `dir`; returns the manifest files it wrote, sorted.
+    fn tiny_sweep_manifests(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        std::fs::create_dir_all(dir).unwrap();
+        let cli = Cli {
+            scale: dcn_core::Scale::Tiny,
+            manifest: Some(dir.join("man.json").to_string_lossy().into_owned()),
+            ..Cli::default()
+        };
+        let ft = dcn_topology::fattree::FatTree::full(4).build();
+        let pat = Rc::new(dcn_workloads::AllToAll::new(&ft, ft.tors_with_servers()));
+        sweep(
+            &cli,
+            &dcn_workloads::PFabricWebSearch::new(),
+            "flow_starts_per_s",
+            &[200.0, 400.0],
+            |rate| vec![Line::new("ft", &ft, Routing::Ecmp, &pat, rate)],
+            &[Panel::per_line("tiny_sweep", avg_fct, &["ft"])],
+        );
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn sweep_writes_one_manifest_per_point_that_reruns_diff_clean() {
+        let root = std::env::temp_dir().join(format!("dcn-bench-sweep-{}", std::process::id()));
+        let first = tiny_sweep_manifests(&root.join("a"));
+        let rerun = tiny_sweep_manifests(&root.join("b"));
+        let names: Vec<_> = first.iter().map(|p| p.file_name().unwrap()).collect();
+        assert_eq!(names, ["man.ft_x00.json", "man.ft_x01.json"]);
+        assert_eq!(rerun.len(), 2);
+        let read = |p: &std::path::Path| {
+            dcn_json::Json::parse(&std::fs::read_to_string(p).unwrap()).unwrap()
+        };
+        for (a, b) in first.iter().zip(&rerun) {
+            let mut drift = Vec::new();
+            dcn_core::diff_json(&read(a), &read(b), "", &mut drift);
+            assert!(drift.is_empty(), "{}: {drift:?}", a.display());
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }
 
 /// Per-scale Garg–Könemann options: tight on small instances, bracketed
@@ -404,125 +526,182 @@ pub fn packet_setup(scale: dcn_core::Scale) -> PacketSetup {
     }
 }
 
-/// One packet-level FCT data point: generate the workload, run, aggregate.
-#[allow(clippy::too_many_arguments)]
-pub fn fct_point(
-    topology: &dcn_topology::Topology,
-    routing: dcn_core::Routing,
-    cfg: dcn_sim::SimConfig,
-    pattern: &dyn dcn_workloads::TrafficPattern,
-    sizes: &dyn dcn_workloads::FlowSizeDist,
-    lambda: f64,
-    setup: PacketSetup,
-    seed: u64,
-) -> dcn_sim::Metrics {
-    fct_point_traced(
-        topology, routing, cfg, pattern, sizes, lambda, setup, seed, None,
-    )
+/// One curve of a packet figure at one x: the network, routing, simulator
+/// constants, traffic pattern, and aggregate arrival rate to simulate.
+pub struct Line<'a> {
+    /// Short label (`"fat_tree"`, `"xpander_hyb"`): panel columns name the
+    /// line they read by it, and it stems the point's
+    /// trace/telemetry/manifest paths.
+    pub name: &'a str,
+    pub topology: &'a Topology,
+    pub routing: Routing,
+    pub cfg: SimConfig,
+    pub pattern: Rc<dyn TrafficPattern>,
+    /// Aggregate flow starts per second.
+    pub lambda: f64,
+    /// Link faults injected before the run.
+    pub faults: Option<FaultPlan>,
+    /// Switch the built simulator to oracle routing over the k shortest
+    /// paths (§7.1's adaptive-routing upper bound).
+    pub oracle_ksp: Option<usize>,
 }
 
-/// [`fct_point`] with an optional JSONL trace destination: when `Some`,
-/// every simulator event of the run streams to that file (created or
-/// truncated). Binaries wire this to `--trace` via [`Cli::trace_path`].
-#[allow(clippy::too_many_arguments)]
-pub fn fct_point_traced(
-    topology: &dcn_topology::Topology,
-    routing: dcn_core::Routing,
-    cfg: dcn_sim::SimConfig,
-    pattern: &dyn dcn_workloads::TrafficPattern,
-    sizes: &dyn dcn_workloads::FlowSizeDist,
-    lambda: f64,
-    setup: PacketSetup,
-    seed: u64,
-    trace: Option<&str>,
-) -> dcn_sim::Metrics {
-    let flows = dcn_workloads::generate_flows(pattern, sizes, lambda, setup.horizon_s, seed);
-    let tracer: Option<Box<dyn dcn_sim::Tracer>> = trace.map(|p| {
-        eprintln!("tracing events to {p}");
-        Box::new(dcn_sim::JsonlTracer::create(p).unwrap_or_else(|e| panic!("open trace {p}: {e}")))
-            as Box<dyn dcn_sim::Tracer>
-    });
-    let (m, _) = dcn_core::run_fct_experiment_traced(
-        topology,
-        routing,
-        cfg,
-        &flows,
-        setup.window,
-        setup.max_time,
-        None,
-        tracer,
+impl<'a> Line<'a> {
+    /// A line with the default [`SimConfig`], no faults, no oracle.
+    pub fn new<P: TrafficPattern + 'static>(
+        name: &'a str,
+        topology: &'a Topology,
+        routing: Routing,
+        pattern: &Rc<P>,
+        lambda: f64,
+    ) -> Self {
+        Line {
+            name,
+            topology,
+            routing,
+            cfg: SimConfig::default(),
+            pattern: Rc::clone(pattern) as Rc<dyn TrafficPattern>,
+            lambda,
+            faults: None,
+            oracle_ksp: None,
+        }
+    }
+}
+
+/// One packet-level FCT data point at `--scale`'s [`packet_setup`]:
+/// generate `line`'s workload (seeded by `--seed`), run it with the
+/// `--trace`/`--telemetry`/`--manifest` sinks derived for `label`, write
+/// its manifest, and warn on stderr if window flows were left unfinished
+/// at `max_time`. Panics if a sink cannot be opened or written.
+pub fn fct_point(cli: &Cli, label: &str, line: &Line, sizes: &dyn FlowSizeDist) -> RunOutput {
+    let setup = packet_setup(cli.scale);
+    let flows = generate_flows(
+        &*line.pattern,
+        sizes,
+        line.lambda,
+        setup.horizon_s,
+        cli.seed,
     );
+    let mut run = Run {
+        faults: line.faults.as_ref(),
+        ..Run::new(
+            line.topology,
+            line.routing,
+            line.cfg,
+            &flows,
+            setup.window,
+            setup.max_time,
+        )
+    };
+    let sinks = cli.sinks(label);
+    sinks
+        .attach(&mut run, label, cli.seed)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut sim = run.build();
+    if let Some(k) = line.oracle_ksp {
+        sim.enable_oracle_routing(line.topology, k);
+    }
+    let out = run.execute_on(sim);
+    sinks.write_manifest(&out).unwrap_or_else(|e| panic!("{e}"));
+    let m = &out.metrics;
     if m.completed < m.flows {
         eprintln!(
-            "warning: {}/{} window flows unfinished at max_time ({} {:?} λ={lambda})",
+            "warning: {}/{} window flows unfinished at max_time ({} {:?} λ={})",
             m.flows - m.completed,
             m.flows,
-            topology.name(),
-            routing
+            line.topology.name(),
+            line.routing,
+            line.lambda
         );
     }
-    m
+    out
 }
 
-/// [`fct_point`] with the full observability wiring: per-run `--trace`,
-/// `--telemetry`, and `--manifest` destinations derived from `cli` under
-/// the `run` label. Identical to [`fct_point`] when none of the three
-/// flags are set.
-#[allow(clippy::too_many_arguments)]
-pub fn fct_point_run(
+/// Reads one column value off a finished point.
+pub type Metric = fn(&RunOutput) -> f64;
+
+/// Average FCT over the window's flows (ms).
+pub fn avg_fct(o: &RunOutput) -> f64 {
+    o.metrics.avg_fct_ms
+}
+
+/// 99th-percentile FCT of short flows (ms).
+pub fn p99_short(o: &RunOutput) -> f64 {
+    o.metrics.p99_short_fct_ms
+}
+
+/// Average throughput of long flows (Gbps).
+pub fn long_tput(o: &RunOutput) -> f64 {
+    o.metrics.avg_long_tput_gbps
+}
+
+/// One output block of a sweep: a [`Series`] whose columns each read a
+/// [`Metric`] off one named line's point.
+pub struct Panel<'p> {
+    pub figure: &'p str,
+    /// `(column header, line name, metric)` per column.
+    pub columns: Vec<(&'p str, &'p str, Metric)>,
+}
+
+impl<'p> Panel<'p> {
+    pub fn new(figure: &'p str, columns: &[(&'p str, &'p str, Metric)]) -> Self {
+        Panel {
+            figure,
+            columns: columns.to_vec(),
+        }
+    }
+
+    /// One column per line, headed by the line's name, all reading
+    /// `metric`.
+    pub fn per_line(figure: &'p str, metric: Metric, lines: &[&'p str]) -> Self {
+        Panel {
+            figure,
+            columns: lines.iter().map(|&l| (l, l, metric)).collect(),
+        }
+    }
+}
+
+/// The packet-figure grid: for each x, runs every line `lines(x)` returns
+/// through [`fct_point`] (run label `<line>_x<NN>`, `NN` the x index), then
+/// prints every panel (and writes its JSON under `--out`), in order.
+pub fn sweep<'a>(
     cli: &Cli,
-    run: &str,
-    topology: &dcn_topology::Topology,
-    routing: dcn_core::Routing,
-    cfg: dcn_sim::SimConfig,
-    pattern: &dyn dcn_workloads::TrafficPattern,
-    sizes: &dyn dcn_workloads::FlowSizeDist,
-    lambda: f64,
-    setup: PacketSetup,
-) -> dcn_sim::Metrics {
-    let flows = dcn_workloads::generate_flows(pattern, sizes, lambda, setup.horizon_s, cli.seed);
-    let trace_path = cli.trace_path(run);
-    let tracer: Option<Box<dyn dcn_sim::Tracer>> = trace_path.as_deref().map(|p| {
-        eprintln!("tracing events to {p}");
-        Box::new(dcn_sim::JsonlTracer::create(p).unwrap_or_else(|e| panic!("open trace {p}: {e}")))
-            as Box<dyn dcn_sim::Tracer>
-    });
-    let telemetry = cli.telemetry_path(run).map(|p| {
-        eprintln!("sampling telemetry to {p}");
-        dcn_sim::Telemetry::to_file(&p, dcn_sim::DEFAULT_SAMPLE_EVERY_NS)
-            .unwrap_or_else(|e| panic!("open telemetry {p}: {e}"))
-    });
-    let manifest_path = cli.manifest_path(run);
-    let spec = manifest_path.as_ref().map(|_| {
-        let mut s = dcn_core::ManifestSpec::new(run, cli.seed);
-        s.trace_path = trace_path.clone();
-        s
-    });
-    let (m, _, manifest) = dcn_core::run_fct_experiment_instrumented(
-        topology,
-        routing,
-        cfg,
-        &flows,
-        setup.window,
-        setup.max_time,
-        None,
-        tracer,
-        telemetry,
-        spec.as_ref(),
-    );
-    if let (Some(p), Some(man)) = (manifest_path, manifest) {
-        man.write(&p)
-            .unwrap_or_else(|e| panic!("write manifest {p}: {e}"));
-        eprintln!("wrote {p}");
+    sizes: &dyn FlowSizeDist,
+    x_label: &str,
+    xs: &[f64],
+    lines: impl Fn(f64) -> Vec<Line<'a>>,
+    panels: &[Panel],
+) {
+    let mut series: Vec<Series> = panels
+        .iter()
+        .map(|p| {
+            let headers: Vec<&str> = p.columns.iter().map(|c| c.0).collect();
+            Series::new(p.figure, x_label, &headers)
+        })
+        .collect();
+    for (i, &x) in xs.iter().enumerate() {
+        eprintln!("{x_label} = {x}");
+        let lines = lines(x);
+        let points: Vec<RunOutput> = lines
+            .iter()
+            .map(|l| fct_point(cli, &format!("{}_x{i:02}", l.name), l, sizes))
+            .collect();
+        for (p, s) in panels.iter().zip(&mut series) {
+            let row = p
+                .columns
+                .iter()
+                .map(|&(_, name, metric)| {
+                    let at = lines
+                        .iter()
+                        .position(|l| l.name == name)
+                        .unwrap_or_else(|| panic!("{}: no line named '{name}'", p.figure));
+                    metric(&points[at])
+                })
+                .collect();
+            s.push(x, row);
+        }
     }
-    if m.completed < m.flows {
-        eprintln!(
-            "warning: {}/{} window flows unfinished at max_time ({} {:?} λ={lambda})",
-            m.flows - m.completed,
-            m.flows,
-            topology.name(),
-            routing
-        );
+    for s in &series {
+        s.finish(cli);
     }
-    m
 }

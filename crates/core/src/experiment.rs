@@ -1,12 +1,12 @@
 //! Shared experiment plumbing for the per-figure harness binaries: the
-//! equal-cost network pairs of §6.4, routing-scheme selection, and a
-//! one-call FCT experiment runner.
+//! equal-cost network pairs of §6.4, routing-scheme selection, and the
+//! one packet-level FCT experiment description, [`Run`].
 
 use crate::manifest::{ManifestInputs, ManifestSpec, RunManifest};
 use dcn_routing::{KspSelector, PathSelector, RoutingSuite, PAPER_Q_BYTES};
 use dcn_sim::{
-    compute_metrics_with_dists, FaultPlan, Metrics, Ns, SimConfig, Simulator, Telemetry, Tracer,
-    SEC,
+    compute_metrics_with_dists, FaultPlan, JsonlTracer, Metrics, Ns, SimConfig, Simulator,
+    Telemetry, Tracer, DEFAULT_SAMPLE_EVERY_NS, SEC,
 };
 use dcn_topology::fattree::FatTree;
 use dcn_topology::xpander::Xpander;
@@ -128,125 +128,191 @@ impl SimCounters {
     }
 }
 
-/// Runs one packet-level FCT experiment: injects `flows`, measures over
-/// `window`, runs until every window flow completes (`max_time` caps
-/// runaway experiments, matching the paper's "run until all flows in the
-/// interval finish").
-pub fn run_fct_experiment(
-    topology: &Topology,
-    routing: Routing,
-    cfg: SimConfig,
-    flows: &[FlowEvent],
-    window: (Ns, Ns),
-    max_time: Ns,
-) -> (Metrics, SimCounters) {
-    run_fct_experiment_with_faults(topology, routing, cfg, flows, window, max_time, None)
+/// Where a run's observability artifacts go: the JSONL event trace, the
+/// telemetry time series (sampled every `telemetry_every_ns`), and the
+/// run manifest. `None` leaves that sink off.
+#[derive(Clone, Debug)]
+pub struct Sinks {
+    pub trace: Option<String>,
+    pub telemetry: Option<String>,
+    pub telemetry_every_ns: Ns,
+    pub manifest: Option<String>,
 }
 
-/// [`run_fct_experiment`] with an optional fault plan injected before the
-/// run — the robustness experiments' entry point. With faults the
-/// completion guarantee weakens to "every window flow is completed or
-/// failed" (disconnected pairs are failed, not hung).
-pub fn run_fct_experiment_with_faults(
-    topology: &Topology,
-    routing: Routing,
-    cfg: SimConfig,
-    flows: &[FlowEvent],
-    window: (Ns, Ns),
-    max_time: Ns,
-    faults: Option<&FaultPlan>,
-) -> (Metrics, SimCounters) {
-    run_fct_experiment_traced(
-        topology, routing, cfg, flows, window, max_time, faults, None,
-    )
+impl Default for Sinks {
+    fn default() -> Self {
+        Sinks {
+            trace: None,
+            telemetry: None,
+            telemetry_every_ns: DEFAULT_SAMPLE_EVERY_NS,
+            manifest: None,
+        }
+    }
 }
 
-/// [`run_fct_experiment_with_faults`] with an optional [`Tracer`] attached
-/// to the simulator for the duration of the run — the observability
-/// entry point used by `--trace` on the harness binaries and by the
-/// trace-regression and conservation tests. `None` keeps the default
-/// [`dcn_sim::NopTracer`] (zero overhead, byte-identical outputs).
-#[allow(clippy::too_many_arguments)]
-pub fn run_fct_experiment_traced(
-    topology: &Topology,
-    routing: Routing,
-    cfg: SimConfig,
-    flows: &[FlowEvent],
-    window: (Ns, Ns),
-    max_time: Ns,
-    faults: Option<&FaultPlan>,
-    tracer: Option<Box<dyn Tracer>>,
-) -> (Metrics, SimCounters) {
-    let (metrics, counters, _) = run_fct_experiment_instrumented(
-        topology, routing, cfg, flows, window, max_time, faults, tracer, None, None,
-    );
-    (metrics, counters)
+impl Sinks {
+    /// Opens the trace and telemetry files onto `run` and, when a manifest
+    /// path is set, asks the run for a manifest recorded under `tool` and
+    /// `seed`. The one place a sink path becomes a sink: errors name the
+    /// sink and path (`open trace <path>: <cause>`).
+    pub fn attach(&self, run: &mut Run, tool: &str, seed: u64) -> Result<(), String> {
+        if let Some(p) = &self.trace {
+            eprintln!("tracing events to {p}");
+            let tracer = JsonlTracer::create(p).map_err(|e| format!("open trace {p}: {e}"))?;
+            run.tracer = Some(Box::new(tracer));
+        }
+        if let Some(p) = &self.telemetry {
+            eprintln!("telemetry to {p} every {} ns", self.telemetry_every_ns);
+            let tel = Telemetry::to_file(p, self.telemetry_every_ns)
+                .map_err(|e| format!("open telemetry {p}: {e}"))?;
+            run.telemetry = Some(tel);
+        }
+        if self.manifest.is_some() {
+            let mut spec = ManifestSpec::new(tool, seed);
+            spec.trace_path = self.trace.clone();
+            run.manifest = Some(spec);
+        }
+        Ok(())
+    }
+
+    /// Writes the manifest of a run this attached to (a no-op without a
+    /// manifest path).
+    pub fn write_manifest(&self, out: &RunOutput) -> Result<(), String> {
+        if let (Some(p), Some(man)) = (&self.manifest, &out.manifest) {
+            man.write(p)
+                .map_err(|e| format!("write manifest {p}: {e}"))?;
+            eprintln!("wrote {p}");
+        }
+        Ok(())
+    }
 }
 
-/// The fully instrumented experiment entry point every other `run_fct_*`
-/// variant delegates to: optional [`Tracer`], optional time-series
-/// [`Telemetry`], and an optional [`ManifestSpec`] that makes the run
-/// return a provenance-complete [`RunManifest`] (the caller decides where
-/// to write it).
-#[allow(clippy::too_many_arguments)]
-pub fn run_fct_experiment_instrumented(
-    topology: &Topology,
-    routing: Routing,
-    cfg: SimConfig,
-    flows: &[FlowEvent],
-    window: (Ns, Ns),
-    max_time: Ns,
-    faults: Option<&FaultPlan>,
-    tracer: Option<Box<dyn Tracer>>,
-    telemetry: Option<Telemetry>,
-    manifest: Option<&ManifestSpec>,
-) -> (Metrics, SimCounters, Option<RunManifest>) {
-    let mut sim = Simulator::new(topology, routing.selector(topology), cfg);
-    sim.set_window(window.0, window.1);
-    sim.inject(flows);
-    if let Some(plan) = faults {
-        sim.set_fault_plan(plan);
-    }
-    if let Some(tr) = tracer {
-        sim.set_tracer(tr);
-    }
-    if let Some(tel) = telemetry {
-        sim.set_telemetry(tel);
-    }
-    let start = std::time::Instant::now();
-    let records = sim.run(max_time);
-    let wall = start.elapsed();
-    let (metrics, dists) = compute_metrics_with_dists(&records, window.0, window.1);
-    let metrics = metrics.with_transport(sim.transport_name());
-    let counters = SimCounters {
-        congestion_drops: sim.total_congestion_drops(),
-        fault_drops: sim.total_fault_drops(),
-        ecn_marks: sim.total_marks(),
-        events: sim.events_processed(),
-    };
-    let engine = sim.engine_counters();
-    let manifest = manifest.map(|spec| {
-        RunManifest::build(&ManifestInputs {
-            spec,
+/// One packet-level FCT experiment: inject `flows`, measure over
+/// `window`, and run until every window flow completes (or fails, under
+/// faults) — `max_time` caps runaway runs, matching the paper's "run until
+/// all flows in the interval finish". The optional fault plan, tracer,
+/// telemetry sampler, and manifest request ride along; [`Run::new`] leaves
+/// them all off (the default [`dcn_sim::NopTracer`] costs nothing and
+/// keeps outputs byte-identical).
+///
+/// [`Run::execute`] builds and runs in one call. Callers that need the
+/// [`Simulator`] itself — to drive it in checkpointed chunks, switch on
+/// oracle routing, or inspect it after the run — call [`Run::build`] and
+/// then either drive it themselves or hand it to [`Run::execute_on`].
+pub struct Run<'a> {
+    pub topology: &'a Topology,
+    pub routing: Routing,
+    pub cfg: SimConfig,
+    pub flows: &'a [FlowEvent],
+    pub window: (Ns, Ns),
+    pub max_time: Ns,
+    pub faults: Option<&'a FaultPlan>,
+    pub tracer: Option<Box<dyn Tracer>>,
+    pub telemetry: Option<Telemetry>,
+    /// When set, the run returns a provenance-complete [`RunManifest`].
+    pub manifest: Option<ManifestSpec>,
+}
+
+/// What [`Run::execute`] returns.
+pub struct RunOutput {
+    pub metrics: Metrics,
+    pub counters: SimCounters,
+    pub manifest: Option<RunManifest>,
+}
+
+impl<'a> Run<'a> {
+    pub fn new(
+        topology: &'a Topology,
+        routing: Routing,
+        cfg: SimConfig,
+        flows: &'a [FlowEvent],
+        window: (Ns, Ns),
+        max_time: Ns,
+    ) -> Self {
+        Run {
             topology,
-            routing_label: routing.label(),
-            cfg: &cfg,
+            routing,
+            cfg,
+            flows,
             window,
-            faults,
-            injected: flows.len(),
-            metrics: &metrics,
-            dists: &dists,
-            counters: &counters,
-            engine: &engine,
-            conservation: sim.conservation(),
-            peak_heap: sim.heap_peak(),
-            wall,
-            telemetry: sim
-                .telemetry()
-                .map(|t| (t.samples(), t.every_ns(), t.path().map(str::to_string))),
-        })
-    });
-    (metrics, counters, manifest)
+            max_time,
+            faults: None,
+            tracer: None,
+            telemetry: None,
+            manifest: None,
+        }
+    }
+
+    /// The build step: a simulator with the window set, the flows and
+    /// fault plan injected, and the tracer and telemetry sampler moved in.
+    pub fn build(&mut self) -> Simulator {
+        let mut sim = Simulator::new(
+            self.topology,
+            self.routing.selector(self.topology),
+            self.cfg,
+        );
+        sim.set_window(self.window.0, self.window.1);
+        sim.inject(self.flows);
+        if let Some(plan) = self.faults {
+            sim.set_fault_plan(plan);
+        }
+        if let Some(tr) = self.tracer.take() {
+            sim.set_tracer(tr);
+        }
+        if let Some(tel) = self.telemetry.take() {
+            sim.set_telemetry(tel);
+        }
+        sim
+    }
+
+    /// Builds and runs.
+    pub fn execute(mut self) -> RunOutput {
+        let sim = self.build();
+        self.execute_on(sim)
+    }
+
+    /// The execute step: runs `sim` (from [`Run::build`]) to completion and
+    /// aggregates its metrics, counters, and, when requested, manifest.
+    pub fn execute_on(self, mut sim: Simulator) -> RunOutput {
+        let start = std::time::Instant::now();
+        let records = sim.run(self.max_time);
+        let wall = start.elapsed();
+        let (metrics, dists) = compute_metrics_with_dists(&records, self.window.0, self.window.1);
+        let metrics = metrics.with_transport(sim.transport_name());
+        let counters = SimCounters {
+            congestion_drops: sim.total_congestion_drops(),
+            fault_drops: sim.total_fault_drops(),
+            ecn_marks: sim.total_marks(),
+            events: sim.events_processed(),
+        };
+        let engine = sim.engine_counters();
+        let manifest = self.manifest.as_ref().map(|spec| {
+            RunManifest::build(&ManifestInputs {
+                spec,
+                topology: self.topology,
+                routing_label: self.routing.label(),
+                cfg: &self.cfg,
+                window: self.window,
+                faults: self.faults,
+                injected: self.flows.len(),
+                metrics: &metrics,
+                dists: &dists,
+                counters: &counters,
+                engine: &engine,
+                conservation: sim.conservation(),
+                peak_heap: sim.heap_peak(),
+                wall,
+                telemetry: sim
+                    .telemetry()
+                    .map(|t| (t.samples(), t.every_ns(), t.path().map(str::to_string))),
+            })
+        });
+        RunOutput {
+            metrics,
+            counters,
+            manifest,
+        }
+    }
 }
 
 /// Default measurement window per scale, mirroring the paper's
@@ -297,14 +363,16 @@ mod tests {
         let pattern = AllToAll::new(&p.fat_tree, p.fat_tree.tors_with_servers());
         let flows = generate_flows(&pattern, &FixedSize(20_000), 2000.0, 0.02, 3);
         let window = (5 * MS, 15 * MS);
-        let (m, c) = run_fct_experiment(
+        let out = Run::new(
             &p.fat_tree,
             Routing::Ecmp,
             SimConfig::default(),
             &flows,
             window,
             10 * SEC,
-        );
+        )
+        .execute();
+        let (m, c) = (out.metrics, out.counters);
         assert!(m.flows > 0);
         assert_eq!(m.completed, m.flows, "all window flows must finish");
         assert!(m.avg_fct_ms > 0.0);
@@ -316,14 +384,16 @@ mod tests {
         let p = paper_networks(Scale::Tiny, 1);
         let pattern = AllToAll::new(&p.xpander, p.xpander.tors_with_servers());
         let flows = generate_flows(&pattern, &FixedSize(200_000), 1000.0, 0.02, 3);
-        let (m, _) = run_fct_experiment(
+        let m = Run::new(
             &p.xpander,
             Routing::PAPER_HYB,
             SimConfig::default(),
             &flows,
             (0, 20 * MS),
             10 * SEC,
-        );
+        )
+        .execute()
+        .metrics;
         assert_eq!(m.completed, m.flows);
         assert!(m.avg_long_tput_gbps > 0.0);
     }
@@ -334,14 +404,16 @@ mod tests {
         let pattern = AllToAll::new(&p.xpander, p.xpander.tors_with_servers());
         let flows = generate_flows(&pattern, &FixedSize(150_000), 800.0, 0.01, 5);
         for routing in [Routing::AdaptiveHyb(5), Routing::Ksp(4)] {
-            let (m, _) = run_fct_experiment(
+            let m = Run::new(
                 &p.xpander,
                 routing,
                 SimConfig::default(),
                 &flows,
                 (0, 10_000_000),
                 10 * SEC,
-            );
+            )
+            .execute()
+            .metrics;
             assert_eq!(m.completed, m.flows, "{routing:?}");
         }
     }
@@ -352,15 +424,19 @@ mod tests {
         let pattern = AllToAll::new(&p.xpander, p.xpander.tors_with_servers());
         let flows = generate_flows(&pattern, &FixedSize(100_000), 1500.0, 0.02, 7);
         let plan = FaultPlan::random_link_outages(&p.xpander, 3, 2 * MS, Some(10 * MS), 5);
-        let (m, c) = run_fct_experiment_with_faults(
-            &p.xpander,
-            Routing::PAPER_HYB,
-            SimConfig::default(),
-            &flows,
-            (0, 15 * MS),
-            60 * SEC,
-            Some(&plan),
-        );
+        let out = Run {
+            faults: Some(&plan),
+            ..Run::new(
+                &p.xpander,
+                Routing::PAPER_HYB,
+                SimConfig::default(),
+                &flows,
+                (0, 15 * MS),
+                60 * SEC,
+            )
+        }
+        .execute();
+        let (m, c) = (out.metrics, out.counters);
         assert!(m.flows > 0);
         assert_eq!(m.completed + m.failed, m.flows, "flow in limbo");
         assert_eq!(c.drops(), c.congestion_drops + c.fault_drops);

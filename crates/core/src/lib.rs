@@ -10,8 +10,8 @@
 //!   models (§4) compared against static networks in §5;
 //! - [`cost`] — the Table 1 port-cost model, δ = 1.5, and equal-cost
 //!   network configuration;
-//! - [`experiment`] — the §6.4 equal-cost network pairs and one-call FCT
-//!   experiment runner used by every figure harness.
+//! - [`experiment`] — the §6.4 equal-cost network pairs and [`Run`], the
+//!   one packet-level FCT experiment every harness, CLI, and test drives.
 //!
 //! ```
 //! use dcn_core::flex::tp_throughput;
@@ -33,10 +33,8 @@ pub mod theory;
 pub use cost::{delta_lowest, equal_cost_xpander, table1};
 pub use dynamicnet::{RestrictedDynamic, UnrestrictedDynamic};
 pub use experiment::{
-    default_window, paper_networks, run_fct_experiment, run_fct_experiment_instrumented,
-    run_fct_experiment_traced, run_fct_experiment_with_faults, NetworkPair, Routing, Scale,
-    SimCounters,
+    default_window, paper_networks, NetworkPair, Routing, Run, RunOutput, Scale, SimCounters, Sinks,
 };
 pub use flex::{fat_tree_throughput, tp_throughput, FlexCurve};
 pub use fsio::{fsync_parent_dir, write_atomic};
-pub use manifest::{ManifestSpec, RunManifest, WALL_CLOCK_FIELDS};
+pub use manifest::{diff_json, ManifestSpec, RunManifest, WALL_CLOCK_FIELDS};

@@ -57,7 +57,7 @@ impl ManifestSpec {
 }
 
 /// Everything [`RunManifest::build`] folds into the manifest; assembled by
-/// `run_fct_experiment_instrumented`.
+/// [`crate::Run::execute_on`].
 pub struct ManifestInputs<'a> {
     pub spec: &'a ManifestSpec,
     pub topology: &'a Topology,
@@ -279,6 +279,56 @@ impl RunManifest {
     /// a crash mid-write never leaves a truncated manifest behind.
     pub fn write(&self, path: &str) -> io::Result<()> {
         crate::fsio::write_atomic(path, self.render().as_bytes())
+    }
+}
+
+/// Whether a manifest field describes how the run was *observed* rather
+/// than what it *simulated*: wall-clock measurements, caller-chosen
+/// output paths, and the telemetry side-channel block (present only when
+/// sampling was enabled).
+fn ignored_key(key: &str) -> bool {
+    WALL_CLOCK_FIELDS.contains(&key) || key == "path" || key == "telemetry"
+}
+
+/// Recursive field-by-field compare of two manifests (or any JSON
+/// documents), skipping the observation-only fields; pushes one
+/// `path: a vs b` line per drifted field under the `path` prefix. `dcnstat
+/// diff` is this with an empty prefix.
+pub fn diff_json(a: &Json, b: &Json, path: &str, out: &mut Vec<String>) {
+    let sub = |k: &str| {
+        if path.is_empty() {
+            k.to_string()
+        } else {
+            format!("{path}.{k}")
+        }
+    };
+    match (a, b) {
+        (Json::Obj(fa), Json::Obj(fb)) => {
+            for (k, va) in fa {
+                if ignored_key(k) {
+                    continue;
+                }
+                match fb.iter().find(|(kb, _)| kb == k) {
+                    Some((_, vb)) => diff_json(va, vb, &sub(k), out),
+                    None => out.push(format!("{}: {va} vs <absent>", sub(k))),
+                }
+            }
+            for (k, vb) in fb {
+                if !ignored_key(k) && !fa.iter().any(|(ka, _)| ka == k) {
+                    out.push(format!("{}: <absent> vs {vb}", sub(k)));
+                }
+            }
+        }
+        (Json::Arr(aa), Json::Arr(ab)) if aa.len() == ab.len() => {
+            for (i, (va, vb)) in aa.iter().zip(ab).enumerate() {
+                diff_json(va, vb, &format!("{path}[{i}]"), out);
+            }
+        }
+        _ => {
+            if a != b {
+                out.push(format!("{path}: {a} vs {b}"));
+            }
+        }
     }
 }
 

@@ -32,14 +32,16 @@ fn main() {
         // Skewed traffic: 77% of bytes between 4% of rack pairs.
         let pattern = Skew::projector_like(topo, topo.tors_with_servers(), 7);
         let flows = generate_flows(&pattern, &sizes, lambda, 0.05, 7);
-        let (m, c) = run_fct_experiment(
+        let out = Run::new(
             topo,
             routing,
             SimConfig::default(),
             &flows,
             window,
             10 * SEC,
-        );
+        )
+        .execute();
+        let (m, c) = (out.metrics, out.counters);
         println!(
             "{name}: {} flows | avg FCT {:.3} ms | p99 short FCT {:.3} ms | long-flow tput {:.2} Gbps | drops {}",
             m.flows, m.avg_fct_ms, m.p99_short_fct_ms, m.avg_long_tput_gbps, c.drops()

@@ -8,7 +8,7 @@ use beyond_fattrees::prelude::*;
 
 fn run(topo: &Topology, routing: Routing, pattern: &dyn TrafficPattern, lambda: f64) -> Metrics {
     let flows = generate_flows(pattern, &PFabricWebSearch::new(), lambda, 0.06, 3);
-    let (m, _) = run_fct_experiment(
+    let run = Run::new(
         topo,
         routing,
         SimConfig::default(),
@@ -16,7 +16,7 @@ fn run(topo: &Topology, routing: Routing, pattern: &dyn TrafficPattern, lambda: 
         (10 * MS, 50 * MS),
         20 * SEC,
     );
-    m
+    run.execute().metrics
 }
 
 fn main() {

@@ -96,6 +96,17 @@ echo "$err_out" | grep -q '^dcnsim: error:'
 if echo "$err_out" | grep -q 'panicked'; then
   echo "dcnsim panicked instead of failing cleanly"; exit 1
 fi
+# A sink that cannot be opened is the same one-line error, not a panic.
+set +e
+err_out="$(cargo run --release --bin dcnsim -- examples/configs/trace_tiny.json \
+  --trace /nonexistent/dir/t.jsonl 2>&1 >/dev/null)"
+err_rc=$?
+set -e
+test "$err_rc" -ne 0
+echo "$err_out" | grep -q '^dcnsim: error: open trace /nonexistent/dir/t.jsonl'
+if echo "$err_out" | grep -q 'panicked'; then
+  echo "dcnsim panicked on an unopenable trace sink"; exit 1
+fi
 
 echo "==> checkpoint equivalence gate (resume must be byte-exact)"
 cargo test --release -q --test checkpoint_resume
@@ -362,6 +373,23 @@ echo "==> fluid golden (fig5a_slimfly --scale tiny, byte-identical stdout)"
 cargo build --release --quiet -p dcn-bench --bin fig5a_slimfly
 ./target/release/fig5a_slimfly --scale tiny --seed 1 2> /dev/null \
   | cmp - tests/golden/fig5a_tiny.txt
+
+echo "==> packet-figure golden (15 packet binaries + ablate_failures --dynamic, tiny)"
+# Pins the stdout of every packet-level figure and ablation binary at
+# --scale tiny --seed 1 (~40 s on a 2-core box). Re-bless (run the loop
+# below with its output redirected to the golden file) only for a
+# deliberate change of the simulated results, and say why in the change.
+packet_bins="ablate_adaptive ablate_congestion_aware ablate_ecn ablate_failures
+  ablate_flowlet ablate_q ablate_transport fig7b_neighbor_racks fig7c_all_to_all
+  fig9_a2a_sweep fig10_permute_sweep fig11_permute_load fig12_pareto_hull
+  fig13_projector fig14_skew"
+cargo build --release --quiet -p dcn-bench --bins
+{
+  for b in $packet_bins; do
+    "./target/release/$b" --scale tiny --seed 1 2> /dev/null
+  done
+  ./target/release/ablate_failures --scale tiny --seed 1 --dynamic 2> /dev/null
+} | cmp - tests/golden/packet_figs_tiny.txt
 
 echo "==> cargo build --examples"
 cargo build --release --workspace --examples

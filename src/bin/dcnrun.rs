@@ -400,11 +400,12 @@ fn chaos_case(topo: &Topology, plan: &FaultPlan, cfg: SimConfig, seed: u64) -> V
     let run = catch_unwind(AssertUnwindSafe(|| {
         let pattern = AllToAll::new(topo, topo.tors_with_servers());
         let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 400.0, 0.0052, seed);
-        let mut sim = Simulator::new(topo, Routing::Ecmp.selector(topo), cfg);
-        sim.set_window(window.0, window.1);
-        sim.inject(&flows);
-        sim.set_fault_plan(plan);
-        sim.set_tracer(Box::new(CountingTracer::new()));
+        let mut sim = Run {
+            faults: Some(plan),
+            tracer: Some(Box::new(CountingTracer::new())),
+            ..Run::new(topo, Routing::Ecmp, cfg, &flows, window, max_time)
+        }
+        .build();
         let records = sim.run(max_time);
         let conservation = check_conservation(&sim).map(|_| ());
         let regressions = sim.trace_time_regressions().unwrap_or(0);

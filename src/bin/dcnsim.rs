@@ -98,42 +98,19 @@ fn main() {
     }
 
     // Observability destinations: flags win over the config's keys.
-    let trace_path = flag_value(&args, "--trace").or_else(|| exp.trace.clone());
-    let tracer: Option<Box<dyn Tracer>> = trace_path.as_deref().map(|p| {
-        eprintln!("tracing events to {p}");
-        Box::new(JsonlTracer::create(p).unwrap_or_else(|e| fail(&format!("open trace {p}: {e}"))))
-            as Box<dyn Tracer>
-    });
-    let telemetry_path = flag_value(&args, "--telemetry").or_else(|| exp.telemetry.clone());
-    let telemetry = telemetry_path.as_deref().map(|p| {
-        eprintln!("telemetry to {p} every {} ns", exp.telemetry_every_ns);
-        Telemetry::to_file(p, exp.telemetry_every_ns)
-            .unwrap_or_else(|e| fail(&format!("open telemetry {p}: {e}")))
-    });
-    let manifest_path = flag_value(&args, "--manifest").or_else(|| exp.manifest.clone());
-    let spec = manifest_path.as_ref().map(|_| {
-        let mut s = ManifestSpec::new("dcnsim", exp.seed);
-        s.trace_path = trace_path.clone();
-        s
-    });
-
-    let (m, counters, manifest) = run_fct_experiment_instrumented(
-        &exp.topo,
-        exp.routing,
-        exp.sim,
-        &exp.flows,
-        exp.window,
-        exp.max_time,
-        exp.faults.as_ref(),
-        tracer,
-        telemetry,
-        spec.as_ref(),
-    );
-    if let (Some(p), Some(man)) = (&manifest_path, &manifest) {
-        man.write(p)
-            .unwrap_or_else(|e| fail(&format!("write manifest {p}: {e}")));
-        eprintln!("wrote {p}");
-    }
+    let sinks = Sinks {
+        trace: flag_value(&args, "--trace").or_else(|| exp.sinks.trace.clone()),
+        telemetry: flag_value(&args, "--telemetry").or_else(|| exp.sinks.telemetry.clone()),
+        manifest: flag_value(&args, "--manifest").or_else(|| exp.sinks.manifest.clone()),
+        ..exp.sinks.clone()
+    };
+    let mut run = exp.run();
+    sinks
+        .attach(&mut run, "dcnsim", exp.seed)
+        .unwrap_or_else(|e| fail(&e));
+    let out = run.execute();
+    sinks.write_manifest(&out).unwrap_or_else(|e| fail(&e));
+    let (m, counters) = (out.metrics, out.counters);
 
     if json_out {
         let report = Json::obj(vec![

@@ -240,54 +240,6 @@ fn cmd_hist(path: &str, out: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Whether a manifest field describes how the run was *observed* rather
-/// than what it *simulated*: wall-clock measurements, caller-chosen
-/// output paths, and the telemetry side-channel block (present only when
-/// sampling was enabled).
-fn ignored_key(key: &str) -> bool {
-    WALL_CLOCK_FIELDS.contains(&key) || key == "path" || key == "telemetry"
-}
-
-/// Recursive field-by-field compare; pushes one `path: a vs b` line per
-/// drifted field.
-fn diff_json(a: &Json, b: &Json, path: &str, out: &mut Vec<String>) {
-    let sub = |k: &str| {
-        if path.is_empty() {
-            k.to_string()
-        } else {
-            format!("{path}.{k}")
-        }
-    };
-    match (a, b) {
-        (Json::Obj(fa), Json::Obj(fb)) => {
-            for (k, va) in fa {
-                if ignored_key(k) {
-                    continue;
-                }
-                match fb.iter().find(|(kb, _)| kb == k) {
-                    Some((_, vb)) => diff_json(va, vb, &sub(k), out),
-                    None => out.push(format!("{}: {va} vs <absent>", sub(k))),
-                }
-            }
-            for (k, vb) in fb {
-                if !ignored_key(k) && !fa.iter().any(|(ka, _)| ka == k) {
-                    out.push(format!("{}: <absent> vs {vb}", sub(k)));
-                }
-            }
-        }
-        (Json::Arr(aa), Json::Arr(ab)) if aa.len() == ab.len() => {
-            for (i, (va, vb)) in aa.iter().zip(ab).enumerate() {
-                diff_json(va, vb, &format!("{path}[{i}]"), out);
-            }
-        }
-        _ => {
-            if a != b {
-                out.push(format!("{path}: {a} vs {b}"));
-            }
-        }
-    }
-}
-
 /// `diff`: compare two run manifests; returns whether any field drifted.
 fn cmd_diff(a_path: &str, b_path: &str, out: &mut dyn Write) -> io::Result<bool> {
     let read = |p: &str| {
@@ -742,21 +694,18 @@ mod tests {
         let topo = FatTree::full(4).build();
         let pattern = AllToAll::new(&topo, topo.tors_with_servers());
         let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 200.0, 0.01, 7);
-        let spec = ManifestSpec::new("dcnstat-test", 7);
-        let cfg = SimConfig::default();
-        let (_, _, manifest) = run_fct_experiment_instrumented(
-            &topo,
-            Routing::Ecmp,
-            cfg,
-            &flows,
-            (0, 2 * MS),
-            40 * MS,
-            None,
-            None,
-            None,
-            Some(&spec),
-        );
-        manifest.unwrap().json().clone()
+        let run = Run {
+            manifest: Some(ManifestSpec::new("dcnstat-test", 7)),
+            ..Run::new(
+                &topo,
+                Routing::Ecmp,
+                SimConfig::default(),
+                &flows,
+                (0, 2 * MS),
+                40 * MS,
+            )
+        };
+        run.execute().manifest.unwrap().json().clone()
     }
 
     /// Two same-seed runs must diff clean: everything simulated (the

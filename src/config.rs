@@ -27,9 +27,9 @@
 use crate::prelude::*;
 use dcn_json::Json;
 
-/// A fully materialized experiment: everything
-/// [`run_fct_experiment_instrumented`] needs, plus the observability
-/// destinations the config (or CLI flags layered on top) requested.
+/// A fully materialized experiment: everything a [`Run`] needs, plus the
+/// observability destinations the config requested (CLI flags may
+/// override them).
 pub struct Experiment {
     pub seed: u64,
     pub topo: Topology,
@@ -42,13 +42,9 @@ pub struct Experiment {
     /// Hard simulation-time cap (ns) — also the fault-schedule horizon.
     pub max_time: u64,
     pub faults: Option<FaultPlan>,
-    /// `"trace"` destination from the config, if any.
-    pub trace: Option<String>,
-    /// `"telemetry"` destination from the config, if any.
-    pub telemetry: Option<String>,
-    pub telemetry_every_ns: u64,
-    /// `"manifest"` destination from the config, if any.
-    pub manifest: Option<String>,
+    /// The config's `"trace"`, `"telemetry"` (every
+    /// `"telemetry_every_us"`), and `"manifest"` destinations.
+    pub sinks: Sinks,
 }
 
 impl std::fmt::Debug for Experiment {
@@ -468,13 +464,30 @@ impl Experiment {
             window,
             max_time,
             faults,
-            trace: opt_str(cfg, "trace")?,
-            telemetry: opt_str(cfg, "telemetry")?,
-            telemetry_every_ns: opt_u64(cfg, "telemetry_every_us")?
-                .map(|us| us * US)
-                .unwrap_or(DEFAULT_SAMPLE_EVERY_NS),
-            manifest: opt_str(cfg, "manifest")?,
+            sinks: Sinks {
+                trace: opt_str(cfg, "trace")?,
+                telemetry: opt_str(cfg, "telemetry")?,
+                telemetry_every_ns: opt_u64(cfg, "telemetry_every_us")?
+                    .map(|us| us * US)
+                    .unwrap_or(DEFAULT_SAMPLE_EVERY_NS),
+                manifest: opt_str(cfg, "manifest")?,
+            },
         })
+    }
+
+    /// The packet run this config describes, with no sinks attached.
+    pub fn run(&self) -> Run<'_> {
+        Run {
+            faults: self.faults.as_ref(),
+            ..Run::new(
+                &self.topo,
+                self.routing,
+                self.sim,
+                &self.flows,
+                self.window,
+                self.max_time,
+            )
+        }
     }
 }
 

@@ -66,27 +66,18 @@ fn die_uncleanly() -> ! {
 }
 
 /// Builds a fresh (non-resumed) simulator for `exp`, with the config's
-/// observability destinations attached.
-fn fresh_simulator(exp: &Experiment) -> Result<Simulator, JobFailure> {
-    let mut s = Simulator::new(&exp.topo, exp.routing.selector(&exp.topo), exp.sim);
-    s.set_window(exp.window.0, exp.window.1);
-    s.inject(&exp.flows);
-    if let Some(plan) = &exp.faults {
-        s.set_fault_plan(plan);
-    }
-    if let Some(p) = &exp.trace {
-        match JsonlTracer::create(p) {
-            Ok(t) => s.set_tracer(Box::new(t)),
-            Err(e) => return Err(JobFailure::config(format!("open trace {p}: {e}"))),
-        }
-    }
-    if let Some(p) = &exp.telemetry {
-        match Telemetry::to_file(p, exp.telemetry_every_ns) {
-            Ok(t) => s.set_telemetry(t),
-            Err(e) => return Err(JobFailure::config(format!("open telemetry {p}: {e}"))),
-        }
-    }
-    Ok(s)
+/// trace and telemetry destinations attached (a worker writes no
+/// manifest).
+fn fresh_simulator(tool: &str, exp: &Experiment) -> Result<Simulator, JobFailure> {
+    let mut run = exp.run();
+    let sinks = Sinks {
+        manifest: None,
+        ..exp.sinks.clone()
+    };
+    sinks
+        .attach(&mut run, tool, exp.seed)
+        .map_err(JobFailure::config)?;
+    Ok(run.build())
 }
 
 /// A finished job: the result bytes plus whether durable persistence was
@@ -136,7 +127,7 @@ pub fn run_job(
         );
         s
     } else {
-        fresh_simulator(exp)?
+        fresh_simulator(tool, exp)?
     };
 
     // Drive in simulated-time chunks; between chunks, checkpoint on the

@@ -30,10 +30,11 @@
 //! let pair = paper_networks(Scale::Tiny, 42);
 //! let pattern = AllToAll::new(&pair.xpander, pair.xpander.tors_with_servers());
 //! let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 500.0, 0.01, 7);
-//! let (metrics, _) = run_fct_experiment(
+//! let run = Run::new(
 //!     &pair.xpander, Routing::PAPER_HYB, SimConfig::default(),
 //!     &flows, (0, 10_000_000), 10_000_000_000,
 //! );
+//! let metrics = run.execute().metrics;
 //! assert_eq!(metrics.completed, metrics.flows);
 //! ```
 
@@ -53,10 +54,9 @@ pub use dcn_workloads as workloads;
 /// Everything needed for typical experiments, in one import.
 pub mod prelude {
     pub use dcn_core::{
-        default_window, delta_lowest, equal_cost_xpander, fat_tree_throughput, paper_networks,
-        run_fct_experiment, run_fct_experiment_instrumented, run_fct_experiment_traced,
-        run_fct_experiment_with_faults, tp_throughput, FlexCurve, ManifestSpec, NetworkPair,
-        RestrictedDynamic, Routing, RunManifest, Scale, SimCounters, UnrestrictedDynamic,
+        default_window, delta_lowest, diff_json, equal_cost_xpander, fat_tree_throughput,
+        paper_networks, tp_throughput, FlexCurve, ManifestSpec, NetworkPair, RestrictedDynamic,
+        Routing, Run, RunManifest, RunOutput, Scale, SimCounters, Sinks, UnrestrictedDynamic,
         WALL_CLOCK_FIELDS,
     };
     pub use dcn_flowsim::{FlowSim, FlowSimConfig};

@@ -7,15 +7,16 @@ use beyond_fattrees::prelude::*;
 fn metrics(topo: &Topology, routing: Routing, lambda: f64, seed: u64) -> Metrics {
     let pattern = Skew::projector_like(topo, topo.tors_with_servers(), seed);
     let flows = generate_flows(&pattern, &PFabricWebSearch::new(), lambda, 0.03, seed);
-    let (m, _) = run_fct_experiment(
+    Run::new(
         topo,
         routing,
         SimConfig::default(),
         &flows,
         (5 * MS, 25 * MS),
         30 * SEC,
-    );
-    m
+    )
+    .execute()
+    .metrics
 }
 
 #[test]

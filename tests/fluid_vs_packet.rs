@@ -23,14 +23,16 @@ fn packet_goodput(t: &Topology, pairs: &[(u32, u32)], bytes: u64) -> f64 {
             bytes,
         });
     }
-    let (m, _) = run_fct_experiment(
+    let m = Run::new(
         t,
         Routing::Ecmp,
         SimConfig::default(),
         &flows,
         (0, MS),
         60 * SEC,
-    );
+    )
+    .execute()
+    .metrics;
     assert_eq!(m.completed, m.flows);
     m.avg_long_tput_gbps
 }

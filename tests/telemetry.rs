@@ -82,24 +82,24 @@ fn manifest_agrees_with_intrinsic_conservation() {
     let xp = Xpander::for_switches(5, 24, 2, seed).build();
     let pattern = Skew::new(&xp, xp.tors_with_servers(), 0.1, 0.7, seed);
     let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 2000.0, 0.01, seed);
-    let spec = ManifestSpec::new("telemetry-test", seed);
     let buf = SharedBuf::new();
-    let (_, _, man) = run_fct_experiment_instrumented(
-        &xp,
-        Routing::PAPER_HYB,
-        SimConfig::default(),
-        &flows,
-        (0, 10 * MS),
-        20 * SEC,
-        None,
-        Some(Box::new(CountingTracer::new())),
-        Some(Telemetry::new(
+    let run = Run {
+        tracer: Some(Box::new(CountingTracer::new())),
+        telemetry: Some(Telemetry::new(
             Box::new(buf.clone()),
             DEFAULT_SAMPLE_EVERY_NS,
         )),
-        Some(&spec),
-    );
-    let man = man.expect("manifest requested");
+        manifest: Some(ManifestSpec::new("telemetry-test", seed)),
+        ..Run::new(
+            &xp,
+            Routing::PAPER_HYB,
+            SimConfig::default(),
+            &flows,
+            (0, 10 * MS),
+            20 * SEC,
+        )
+    };
+    let man = run.execute().manifest.expect("manifest requested");
 
     // The manifest's conservation block is the engine's own accounting —
     // identical to what a direct simulator run reports for the same seed.
