@@ -1,11 +1,13 @@
 //! Routing hot paths — table construction, per-flowlet path selection,
-//! and the stable hash — on the §6 Xpander (216 switches) and on the
-//! 2048-switch Xpander of the 65,536-host scale proof.
+//! and the stable hash — on the §6 Xpander (216 switches), on the
+//! 2048-switch Xpander of the 65,536-host scale proof, and on the k=64
+//! fat-tree (5,120 switches) with the same 65,536 hosts.
 
 use dcn_bench::bench_case;
 use dcn_routing::ecmp::{hash3, EcmpTable};
 use dcn_routing::hyb::PathSelector;
 use dcn_routing::RoutingSuite;
+use dcn_topology::fattree::FatTree;
 use dcn_topology::xpander::Xpander;
 
 fn main() {
@@ -41,6 +43,10 @@ fn main() {
         key = key.wrapping_add(1);
         big_hyb.select(3, 2000, key, (key & 1) * 1_000_000)
     });
+
+    let ft64 = FatTree::full(64).build();
+    bench_case("ecmp/table_build_ft64", 3, || EcmpTable::new(&ft64));
+    drop(ft64);
 
     let mut x = 0u64;
     bench_case("hash3", 10_000_000, || {

@@ -63,10 +63,10 @@ pub fn unrestricted_dynamic_throughput(net_ports: f64, servers: f64, duty_cycle:
 /// at least `dist(src,dst)` units of directed capacity per unit of flow,
 /// so `t · Σ_f demand_f · dist_f ≤ 2 · Σ_links capacity`.
 pub fn capacity_path_bound(t: &dcn_topology::Topology, flows: &[(u32, u32, f64)]) -> f64 {
-    let apsp = t.apsp();
+    let dist = t.hop_distances();
     let mut weighted_dist = 0.0;
     for &(s, d, dem) in flows {
-        let hops = apsp[s as usize][d as usize];
+        let hops = dist.get(s, d);
         assert!(hops != u32::MAX, "flow {s}->{d} disconnected");
         weighted_dist += dem * hops as f64;
     }

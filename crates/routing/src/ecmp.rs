@@ -2,21 +2,22 @@
 //! deterministic per-hop hashing — the behavior of a commodity switch
 //! hashing a flow(let) onto one of its equal-cost ports.
 //!
-//! The table stores an n×n hop-distance matrix (4·n² bytes) and a flat
-//! copy of the adjacency; next hops are derived per walk. At node `u`
+//! The table stores the n×n hop-distance matrix of
+//! [`Topology::hop_distances`] (4·n² bytes) and a flat copy of the
+//! adjacency; next hops are derived per walk. At node `u`
 //! toward `dst` the equal-cost choices are `u`'s neighbours `v` with
 //! `dist(v, dst) + 1 == dist(u, dst)`, in adjacency order.
 
-use dcn_topology::{LinkId, NodeId, Topology};
+use dcn_topology::{HopDistances, LinkId, NodeId, Topology};
 
 /// ECMP routing state: hop distances from every node to every
 /// destination, plus the adjacency the next hops are derived from.
 /// Parallel links appear once each among the choices, so hashing over
 /// them load-balances parallel links too.
 pub struct EcmpTable {
-    n: usize,
-    /// Hop distance `dist[dst * n + node]`; `u32::MAX` = unreachable.
-    dist: Vec<u32>,
+    /// Hop distances; row `dst` holds every node's distance to `dst`
+    /// (the matrix is symmetric). `u32::MAX` = unreachable.
+    dist: HopDistances,
     /// CSR adjacency: `node`'s `(neighbour, link)` pairs are
     /// `adj[offsets[node]..offsets[node + 1]]`, in topology order.
     offsets: Vec<u32>,
@@ -24,8 +25,8 @@ pub struct EcmpTable {
 }
 
 impl EcmpTable {
-    /// Builds the table with one BFS per destination: O(V·E) time,
-    /// 4·V² bytes of distances.
+    /// Builds the table from the bit-parallel all-pairs kernel:
+    /// O(D·(V+2E)·V/64) time for diameter D, 4·V² bytes of distances.
     pub fn new(t: &Topology) -> Self {
         let n = t.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -35,14 +36,8 @@ impl EcmpTable {
             adj.extend_from_slice(t.neighbors(u));
             offsets.push(adj.len() as u32);
         }
-        let mut dist = vec![u32::MAX; n * n];
-        let mut queue = Vec::with_capacity(n);
-        for d in 0..n {
-            t.bfs_into(d as NodeId, &mut dist[d * n..(d + 1) * n], &mut queue);
-        }
         EcmpTable {
-            n,
-            dist,
+            dist: t.hop_distances(),
             offsets,
             adj,
         }
@@ -53,11 +48,6 @@ impl EcmpTable {
         &self.adj[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 
-    fn row(&self, dst: NodeId) -> &[u32] {
-        let d = dst as usize;
-        &self.dist[d * self.n..(d + 1) * self.n]
-    }
-
     /// All equal-cost `(next node, link)` choices at `node` toward `dst`,
     /// in adjacency order — empty when `node == dst` or `dst` is
     /// unreachable.
@@ -66,7 +56,7 @@ impl EcmpTable {
         node: NodeId,
         dst: NodeId,
     ) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
-        let row = self.row(dst);
+        let row = self.dist.row(dst);
         let du = row[node as usize];
         let nbrs = if du == 0 || du == u32::MAX {
             &[][..]
@@ -80,7 +70,7 @@ impl EcmpTable {
 
     /// Hop distance from `node` to `dst`.
     pub fn distance(&self, node: NodeId, dst: NodeId) -> u32 {
-        self.dist[dst as usize * self.n + node as usize]
+        self.dist.get(dst, node)
     }
 
     /// Walks the per-hop hash-selected shortest path from `src` to `dst`.
@@ -144,12 +134,12 @@ mod tests {
     fn paths_are_shortest() {
         let t = FatTree::full(4).build();
         let table = EcmpTable::new(&t);
-        let apsp = t.apsp();
+        let apsp = t.hop_distances();
         for src in [0u32, 1, 4] {
             for dst in [8u32, 12, 13] {
                 for key in 0..20u64 {
                     let p = table.path(src, dst, key);
-                    assert_eq!(p.len() as u32, apsp[src as usize][dst as usize]);
+                    assert_eq!(p.len() as u32, apsp.get(src, dst));
                     // Verify link continuity.
                     let mut u = src;
                     for &l in &p {

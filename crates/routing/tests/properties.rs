@@ -36,10 +36,10 @@ fn ecmp_paths_shortest() {
         let key = meta.gen_range(0u64..1000);
         let t = net(n, 4, seed);
         let table = EcmpTable::new(&t);
-        let apsp = t.apsp();
+        let apsp = t.hop_distances();
         let (src, dst) = (0u32, n - 1);
         let p = table.path(src, dst, key);
-        assert_eq!(p.len() as u32, apsp[src as usize][dst as usize]);
+        assert_eq!(p.len() as u32, apsp.get(src, dst));
         assert_eq!(walk(&t, src, &p), dst);
     }
 }
@@ -84,10 +84,10 @@ fn ksp_properties() {
         let seed = meta.gen_range(0u64..100);
         let k = meta.gen_range(2usize..6);
         let t = net(n, 4, seed);
-        let apsp = t.apsp();
+        let apsp = t.hop_distances();
         let paths = k_shortest_paths(&t, 0, n - 1, k);
         assert!(!paths.is_empty());
-        assert_eq!(paths[0].len() as u32 - 1, apsp[0][(n - 1) as usize]);
+        assert_eq!(paths[0].len() as u32 - 1, apsp.get(0, n - 1));
         let mut last = 0;
         for (i, p) in paths.iter().enumerate() {
             assert!(p.len() >= last);
@@ -170,7 +170,8 @@ fn rebuild_restores_paths_after_link_up() {
 
 /// Reference ECMP routing with explicit next-hop lists: for every
 /// (destination, node) the `(next node, link)` pairs on a shortest path,
-/// in adjacency order, derived from `Topology::apsp` and walked with the
+/// in adjacency order, derived from one `Topology::bfs_distances` per
+/// destination (independent of the all-pairs kernel) and walked with the
 /// same per-hop `hash3` pick. The distance-matrix table must reproduce it
 /// bit for bit.
 struct NextHopLists {
@@ -182,7 +183,7 @@ struct NextHopLists {
 
 impl NextHopLists {
     fn new(t: &Topology) -> Self {
-        let dist = t.apsp();
+        let dist: Vec<Vec<u32>> = t.nodes().map(|d| t.bfs_distances(d)).collect();
         let nexthops = dist
             .iter()
             .map(|dd| {

@@ -221,16 +221,7 @@ impl Topology {
     /// Unweighted BFS hop distances from `src` (`u32::MAX` = unreachable).
     pub fn bfs_distances(&self, src: NodeId) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.num_nodes()];
-        self.bfs_into(src, &mut dist, &mut Vec::new());
-        dist
-    }
-
-    /// [`Self::bfs_distances`] into caller-owned buffers: `dist` must hold
-    /// `u32::MAX` for every node on entry; `queue` is scratch space, so a
-    /// caller running many searches allocates it once.
-    pub fn bfs_into(&self, src: NodeId, dist: &mut [u32], queue: &mut Vec<NodeId>) {
-        queue.clear();
-        queue.push(src);
+        let mut queue = vec![src];
         dist[src as usize] = 0;
         let mut head = 0;
         while let Some(&u) = queue.get(head) {
@@ -243,14 +234,53 @@ impl Topology {
                 }
             }
         }
+        dist
     }
 
-    /// All-pairs shortest hop distances, O(V·E). Suitable for the ≤1000-node
-    /// topologies in the paper's experiments.
-    pub fn apsp(&self) -> Vec<Vec<u32>> {
-        (0..self.num_nodes() as NodeId)
-            .map(|s| self.bfs_distances(s))
-            .collect()
+    /// All-pairs shortest hop distances by level-synchronous bit-parallel
+    /// BFS. Row `v` of a bitset holds `R_k(v)`, the nodes within `k` hops
+    /// of `v`; `R_k(v) = R_{k-1}(v) ∪ ⋃_{u∈N(v)} R_{k-1}(u)`, and every bit
+    /// that is new at level `k` is a pair at distance `k`. Stops at the
+    /// first level that sets no bit. Cost O(D·(n+2E)·n/64) word operations
+    /// for diameter D; transient memory is two n×⌈n/64⌉ `u64` bitsets.
+    /// Links are undirected, so the result is symmetric.
+    pub fn hop_distances(&self) -> HopDistances {
+        let n = self.num_nodes();
+        let w = n.div_ceil(64);
+        let mut d = vec![u32::MAX; n * n];
+        let mut cur = vec![0u64; n * w];
+        let mut next = vec![0u64; n * w];
+        for v in 0..n {
+            cur[v * w + v / 64] = 1 << (v % 64);
+            d[v * n + v] = 0;
+        }
+        for k in 1.. {
+            let mut grew = false;
+            for v in 0..n {
+                let (row, old) = (&mut next[v * w..(v + 1) * w], &cur[v * w..(v + 1) * w]);
+                let dv = &mut d[v * n..(v + 1) * n];
+                row.copy_from_slice(old);
+                for &(u, _) in &self.adj[v] {
+                    let u = u as usize;
+                    for (a, &b) in row.iter_mut().zip(&cur[u * w..(u + 1) * w]) {
+                        *a |= b;
+                    }
+                }
+                for (i, (&now, &was)) in row.iter().zip(old).enumerate() {
+                    let mut fresh = now & !was;
+                    grew |= fresh != 0;
+                    while fresh != 0 {
+                        dv[i * 64 + fresh.trailing_zeros() as usize] = k;
+                        fresh &= fresh - 1;
+                    }
+                }
+            }
+            if !grew {
+                break;
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        HopDistances { n, d }
     }
 
     /// True iff every node can reach every other node.
@@ -548,6 +578,33 @@ impl std::fmt::Display for DisconnectedError {
 
 impl std::error::Error for DisconnectedError {}
 
+/// All-pairs hop distances of a [`Topology`] as a flat row-major n×n
+/// matrix, from [`Topology::hop_distances`]. `u32::MAX` = unreachable.
+#[derive(Clone, Debug)]
+pub struct HopDistances {
+    n: usize,
+    d: Vec<u32>,
+}
+
+impl HopDistances {
+    /// Hop distances from `v` to every node; by symmetry also from every
+    /// node to `v`.
+    pub fn row(&self, v: NodeId) -> &[u32] {
+        let v = v as usize;
+        &self.d[v * self.n..(v + 1) * self.n]
+    }
+
+    /// Hop distance from `a` to `b`.
+    pub fn get(&self, a: NodeId, b: NodeId) -> u32 {
+        self.d[a as usize * self.n + b as usize]
+    }
+
+    /// Every entry, row by row.
+    pub fn as_slice(&self) -> &[u32] {
+        &self.d
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,13 +792,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // symmetric index pair reads best
     fn apsp_symmetric() {
         let t = triangle();
-        let d = t.apsp();
+        let d = t.hop_distances();
         for i in 0..3 {
             for j in 0..3 {
-                assert_eq!(d[i][j], d[j][i]);
+                assert_eq!(d.get(i, j), d.get(j, i));
             }
         }
     }

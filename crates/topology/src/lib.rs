@@ -30,4 +30,4 @@ pub mod slimfly;
 pub mod toy;
 pub mod xpander;
 
-pub use graph::{Link, LinkId, NodeId, NodeKind, Topology};
+pub use graph::{HopDistances, Link, LinkId, NodeId, NodeKind, Topology};

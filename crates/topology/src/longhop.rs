@@ -139,14 +139,14 @@ mod tests {
         for n in 0..16u32 {
             assert_eq!(t.degree(n), 4);
         }
-        let diam = t.apsp().iter().flatten().max().copied().unwrap();
+        let diam = t.hop_distances().as_slice().iter().max().copied().unwrap();
         assert_eq!(diam, 4);
     }
 
     #[test]
     fn folded_hypercube_halves_diameter() {
         let t = Longhop::folded_hypercube(4, 1).build();
-        let diam = t.apsp().iter().flatten().max().copied().unwrap();
+        let diam = t.hop_distances().as_slice().iter().max().copied().unwrap();
         assert_eq!(diam, 2); // ceil(4/2)
     }
 
@@ -160,7 +160,7 @@ mod tests {
         for n in 0..512u32 {
             assert_eq!(t.degree(n), 10);
         }
-        let diam = t.apsp().iter().flatten().max().copied().unwrap();
+        let diam = t.hop_distances().as_slice().iter().max().copied().unwrap();
         assert_eq!(diam, 5); // folded 9-cube: ceil(9/2)
     }
 
@@ -188,9 +188,9 @@ mod tests {
     fn vertex_transitive_bfs_matches_full_apsp() {
         let lh = Longhop::folded_hypercube(5, 1);
         let t = lh.build();
-        let apsp = t.apsp();
+        let apsp = t.hop_distances();
         let n = t.num_nodes();
-        let total: u64 = apsp.iter().flatten().map(|&d| d as u64).sum();
+        let total: u64 = apsp.as_slice().iter().map(|&d| d as u64).sum();
         let apl = total as f64 / (n as f64 * (n as f64 - 1.0));
         let fast = cayley_avg_path(5, &lh.generators);
         assert!((apl - fast).abs() < 1e-9);

@@ -18,21 +18,19 @@ pub struct PathStats {
 pub fn path_stats(t: &Topology) -> PathStats {
     let n = t.num_nodes();
     assert!(n >= 2, "path stats need at least two nodes");
+    let dist = t.hop_distances();
     let mut histogram: Vec<u64> = Vec::new();
     let mut sum = 0u64;
-    for s in 0..n as NodeId {
-        for (v, &d) in t.bfs_distances(s).iter().enumerate() {
-            if v as NodeId == s {
-                continue;
-            }
-            assert!(d != u32::MAX, "topology disconnected at node {v}");
-            if histogram.len() <= d as usize {
-                histogram.resize(d as usize + 1, 0);
-            }
-            histogram[d as usize] += 1;
-            sum += d as u64;
+    for (i, &d) in dist.as_slice().iter().enumerate() {
+        assert!(d != u32::MAX, "topology disconnected at node {}", i % n);
+        if histogram.len() <= d as usize {
+            histogram.resize(d as usize + 1, 0);
         }
+        histogram[d as usize] += 1;
+        sum += d as u64;
     }
+    // The diagonal's n zero-hop pairs are not paths.
+    histogram[0] -= n as u64;
     PathStats {
         diameter: histogram.len() as u32 - 1,
         avg_path_length: sum as f64 / (n as f64 * (n as f64 - 1.0)),

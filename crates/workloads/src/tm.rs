@@ -503,12 +503,12 @@ pub fn longest_matching(
 ) -> Vec<(NodeId, NodeId)> {
     assert!(racks.len() >= 2);
     let want = (((racks.len() as f64 * fraction) / 2.0).round() as usize).max(1);
-    // Distances among racks only.
+    let dist = t.hop_distances();
     let mut pairs: Vec<(u32, usize, usize)> = Vec::new();
     for (i, &ri) in racks.iter().enumerate() {
-        let dist = t.bfs_distances(ri);
+        let row = dist.row(ri);
         for (j, &rj) in racks.iter().enumerate().skip(i + 1) {
-            pairs.push((dist[rj as usize], i, j));
+            pairs.push((row[rj as usize], i, j));
         }
     }
     // Shuffle first so ties break randomly but deterministically, then

@@ -352,10 +352,11 @@ echo "==> engine perf gate (BENCH_sim.json: simulated fields exact, rate floor)"
 cargo run --release -p dcn-bench --bin bench -- perf --check > /dev/null
 
 echo "==> ECMP table memory guard (2048-switch Xpander under a 128 MiB ceiling)"
-# The table is a 2048x2048 hop-distance matrix (16 MiB); the whole example
-# fits in ~24 MiB of address space. A table that stores next-hop lists per
-# (destination, node) needs over 512 MiB for this graph: the ceiling keeps
-# that layout from coming back.
+# The table is a 2048x2048 hop-distance matrix (16 MiB); the all-pairs
+# kernel that fills it adds two 2048x32-word bitsets (1 MiB) while it runs.
+# The whole example fits in ~24 MiB of address space. A table that stores
+# next-hop lists per (destination, node) needs over 512 MiB for this graph:
+# the ceiling keeps that layout from coming back.
 cargo build --release --quiet -p dcn-routing --example ecmp_table_2048
 (ulimit -v 131072 && ./target/release/examples/ecmp_table_2048)
 
@@ -365,6 +366,18 @@ echo "==> flow-level golden (fig15_large_scale --scale small, byte-identical std
 cargo build --release --quiet -p dcn-bench --bin fig15_large_scale
 ./target/release/fig15_large_scale --scale small --seed 1 2> /dev/null \
   | cmp - tests/golden/fig15_small.txt
+
+echo "==> structural golden (fig3 path stats + fig7a ECMP diversity, tiny)"
+# Pins the all-pairs hop distances end to end: fig3_xpander_floorplan
+# prints path_stats (diameter, average path length) and
+# fig7a_path_diversity prints ECMP first-hop diversity from the ECMP
+# table. Re-bless only for a deliberate change of the topologies or the
+# distances, and say why in the change.
+cargo build --release --quiet -p dcn-bench --bin fig3_xpander_floorplan --bin fig7a_path_diversity
+{
+  ./target/release/fig3_xpander_floorplan --scale tiny --seed 1 2> /dev/null
+  ./target/release/fig7a_path_diversity --scale tiny --seed 1 2> /dev/null
+} | cmp - tests/golden/structure_tiny.txt
 
 echo "==> fluid golden (fig5a_slimfly --scale tiny, byte-identical stdout)"
 # Pins the Garg–Könemann solver's end-to-end output (Fig 5a's SlimFly and
