@@ -1,4 +1,5 @@
-//! `bench` — engine performance benchmarks with a committed baseline.
+//! `bench` — the packet engine's performance gate, with a committed
+//! baseline.
 //!
 //! ```text
 //! cargo run --release -p dcn-bench --bin bench -- perf            # report
@@ -6,8 +7,10 @@
 //! cargo run --release -p dcn-bench --bin bench -- perf --check   # assert vs BENCH_sim.json
 //! ```
 //!
-//! `perf` runs the suite in [`dcn_bench::perf`]: three transports at two
-//! fat-tree sizes, reporting events/second and wall time per case.
+//! `perf` runs the suite in [`dcn_bench::perf`] and prints one row per
+//! case with every column (events, wall time, rate, and the simulated
+//! counters): three transports at two fat-tree sizes, one long flow, the
+//! tiny Xpander under each observer, and the disarmed failpoint check.
 //! Simulated fields are byte-stable; `--check` compares them exactly
 //! against the committed `BENCH_sim.json` and asserts each case's rate
 //! stays above half the blessed baseline (loose on purpose: it catches an
@@ -15,15 +18,10 @@
 //! engine changes with `--bless` so the perf trajectory is reviewed next
 //! to the code that moved it; `dcnstat bench` diffs two baselines.
 //!
-//! `--counters` switches the report table to the engine's deterministic
-//! self-observability columns (queue peak, calendar spills/fallbacks,
-//! arena high-water) instead of the wall-clock columns; the JSON rows
-//! always carry both.
-//!
 //! `--out <path>` overrides the baseline location (default
 //! `BENCH_sim.json` in the working directory — the repo root under CI).
 
-use dcn_bench::perf::{case_label, case_rate, check_perf, run_perf_suite};
+use dcn_bench::perf::{check_perf, perf_cases, run_perf_suite, write_table};
 use dcn_json::Json;
 
 fn fail(msg: &str) -> ! {
@@ -31,7 +29,7 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-const USAGE: &str = "usage: bench perf [--bless | --check] [--counters] [--seed N] [--out <path>]";
+const USAGE: &str = "usage: bench perf [--bless | --check] [--seed N] [--out <path>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,7 +38,6 @@ fn main() {
     }
     let mut bless = false;
     let mut check = false;
-    let mut counters = false;
     let mut seed = 1u64;
     let mut path = "BENCH_sim.json".to_string();
     let mut i = 1;
@@ -48,7 +45,6 @@ fn main() {
         match args[i].as_str() {
             "--bless" => bless = true,
             "--check" => check = true,
-            "--counters" => counters = true,
             "--seed" => {
                 i += 1;
                 seed = args
@@ -72,37 +68,9 @@ fn main() {
     }
 
     let report = run_perf_suite(seed);
-    let u = |c: &Json, k: &str| c.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
-    if counters {
-        // The engine self-observability columns: all deterministic, so
-        // they are part of the blessed baseline and exact-checked.
-        println!("case\tevents\tqueue_peak\tspills\tfallbacks\tarena_hwm");
-    } else {
-        println!("case\tevents\twall_ms\tevents_per_sec");
-    }
-    if let Some(cases) = report.get("cases").and_then(|c| c.as_array()) {
-        for c in cases {
-            if counters {
-                println!(
-                    "{}\t{}\t{}\t{}\t{}\t{}",
-                    case_label(c),
-                    u(c, "events"),
-                    u(c, "queue_peak"),
-                    u(c, "ladder_spills"),
-                    u(c, "scatter_fallbacks"),
-                    u(c, "arena_hwm"),
-                );
-            } else {
-                println!(
-                    "{}\t{}\t{}\t{}",
-                    case_label(c),
-                    u(c, "events"),
-                    u(c, "wall_ms"),
-                    case_rate(c).unwrap_or(0.0) as u64,
-                );
-            }
-        }
-    }
+    let cases = perf_cases(&report).unwrap_or_else(|e| fail(&e));
+    write_table(cases, &mut std::io::stdout().lock())
+        .unwrap_or_else(|e| fail(&format!("write table: {e}")));
 
     if bless {
         dcn_core::write_atomic(&path, report.pretty().as_bytes())

@@ -1,44 +1,63 @@
-//! The engine performance suite behind `bench perf` and the committed
-//! `BENCH_sim.json` baseline.
+//! The performance suite behind `bench perf` and the committed
+//! `BENCH_sim.json` baseline: the one place the packet engine is timed.
 //!
-//! Each case runs one deterministic packet-level experiment (a transport
-//! on a fat-tree size) and records two kinds of fields:
+//! A row is a flat JSON object. Its string fields name it (joined with
+//! `/` they form its label, e.g. `fat_tree_k4/dctcp`); everything else is
+//! a measurement of one of two kinds:
 //!
 //! - **simulated** — flow counts, events processed, drops, queue peak,
 //!   and the engine's deterministic self-observability counters (calendar
 //!   spills/fallbacks, arena high-water). Same binary, same seed ⇒ byte-identical
 //!   values; `--check` compares them exactly, so an accidental behavior
 //!   change in the hot path fails CI even if it is *faster*.
-//! - **wall-clock** — `wall_ms` and `events_per_sec_wall`, segregated in
-//!   [`PERF_WALL_CLOCK_FIELDS`] exactly like `RunManifest`'s wall fields.
-//!   `--check` only asserts a loose floor (half the blessed rate), which
-//!   catches "the engine got slow" without tripping on CI machine jitter.
+//! - **wall-clock** — `wall_ms` and `events_per_sec_wall`, which
+//!   [`dcn_core::WALL_CLOCK_FIELDS`] already names, so
+//!   [`dcn_core::diff_json`] skips them exactly as it does for manifests.
+//!   `--check` only asserts a loose floor ([`PERF_RATE_FLOOR`] of the
+//!   blessed rate), which catches "the engine got slow" without tripping
+//!   on CI machine jitter.
 //!
-//! The committed baseline at the repo root is the start of the perf
-//! trajectory ROADMAP item 1 calls for: re-bless with
+//! The rows: three transports on two fat-tree sizes under all-to-all
+//! load; one 10 MB flow on the k=4 fat-tree; the tiny Xpander under HYB
+//! with each observer (none, a counting tracer, a JSONL tracer into
+//! memory, telemetry sampling), which must agree with each other on every
+//! simulated field; and the disarmed failpoint check (see
+//! [`failpoint_case`]).
+//!
+//! [`compare_cases`] is the one comparer: `--check` ([`check_perf`]) and
+//! `dcnstat bench old new` both read its verdicts. Re-bless with
 //! `bench perf --bless` after a deliberate engine change and the diff
 //! shows up in review next to the code that caused it.
 
+use std::hint::black_box;
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::time::{Duration, Instant};
+
+use dcn_core::{diff_json, failpoint, paper_networks, Routing, Run, Scale};
 use dcn_json::Json;
-use dcn_routing::RoutingSuite;
-use dcn_sim::{compute_metrics, SimConfig, Simulator, MS, SEC};
+use dcn_sim::{
+    compute_metrics, CountingTracer, JsonlTracer, SharedBuf, SimConfig, Telemetry,
+    DEFAULT_SAMPLE_EVERY_NS, MS, SEC,
+};
 use dcn_topology::fattree::FatTree;
-use dcn_workloads::{fsize::PFabricWebSearch, generate_flows, tm::AllToAll};
+use dcn_workloads::tm::Endpoint;
+use dcn_workloads::{generate_flows, AllToAll, FlowEvent, PFabricWebSearch};
 
 /// Schema tag every `BENCH_sim.json` leads with.
 pub const PERF_SCHEMA: &str = "dcn-bench-perf-v1";
-
-/// Per-case fields that legitimately differ between two runs of the same
-/// binary: wall-clock measurements. Everything else is simulated and must
-/// be byte-identical. (`RunManifest` keeps the same split in
-/// `dcn_core::WALL_CLOCK_FIELDS`.)
-pub const PERF_WALL_CLOCK_FIELDS: &[&str] = &["wall_ms", "events_per_sec_wall"];
 
 /// `--check` fails when a case's measured rate drops below this fraction
 /// of the blessed baseline.
 pub const PERF_RATE_FLOOR: f64 = 0.5;
 
-/// One experiment of the suite: a transport on a fat-tree size, loaded
+/// An engine case repeats its run until the timed runs add up to this
+/// much wall time, and reports the fastest. A multi-second case runs
+/// once; a millisecond case runs often enough that one slow run (a cold
+/// cache, a noisy neighbour) cannot fail the floor.
+const MIN_TIMED: Duration = Duration::from_millis(500);
+
+/// One all-to-all web-search case: a transport on a fat-tree size, loaded
 /// enough that the hot path (not setup) dominates.
 struct Case {
     topology: &'static str,
@@ -84,127 +103,392 @@ fn config_for(transport: &str) -> SimConfig {
     }
 }
 
-/// Runs one case and returns its report row (simulated fields first,
-/// wall-clock fields last).
-fn run_case(c: &Case, seed: u64) -> Json {
+/// What watches the Xpander case's run besides the engine's own counters.
+const OBSERVERS: &[&str] = &["none", "counting_tracer", "jsonl_tracer", "telemetry"];
+
+fn observe(run: &mut Run, observer: &str) {
+    match observer {
+        "none" => {}
+        "counting_tracer" => run.tracer = Some(Box::new(CountingTracer::new())),
+        "jsonl_tracer" => run.tracer = Some(Box::new(JsonlTracer::new(SharedBuf::new()))),
+        "telemetry" => {
+            run.telemetry = Some(Telemetry::new(
+                Box::new(SharedBuf::new()),
+                DEFAULT_SAMPLE_EVERY_NS,
+            ))
+        }
+        other => panic!("unknown observer {other}"),
+    }
+}
+
+/// Times `sim.run` of the runs `make` describes, built by [`Run::build`],
+/// until [`MIN_TIMED`] is spent, and returns the case row: `labels`, then
+/// the simulated fields (which every repeat must reproduce exactly), then
+/// the fastest run's wall-clock fields.
+fn engine_case<'a>(labels: &[(&str, &str)], seed: u64, mut make: impl FnMut() -> Run<'a>) -> Json {
+    let mut simulated: Option<Vec<(&str, Json)>> = None;
+    let mut best = Duration::MAX;
+    let mut spent = Duration::ZERO;
+    let mut events = 0;
+    while spent < MIN_TIMED {
+        let mut run = make();
+        let mut sim = run.build();
+        let t0 = Instant::now();
+        let rec = sim.run(run.max_time);
+        let wall = t0.elapsed();
+        spent += wall;
+        best = best.min(wall);
+        events = sim.events_processed();
+        let m = compute_metrics(&rec, run.window.0, run.window.1);
+        let eng = sim.engine_counters();
+        let fields = vec![
+            ("seed", Json::from(seed)),
+            ("flows", Json::from(run.flows.len())),
+            ("completed", Json::from(m.completed)),
+            ("events", Json::from(events)),
+            ("drops", Json::from(sim.total_drops())),
+            ("queue_peak", Json::from(sim.heap_peak())),
+            ("ladder_spills", Json::from(eng.ladder_spills)),
+            ("scatter_fallbacks", Json::from(eng.scatter_fallbacks)),
+            ("arena_hwm", Json::from(eng.arena_high_water)),
+        ];
+        match &simulated {
+            Some(first) => assert_eq!(first, &fields, "a repeated run diverged"),
+            None => simulated = Some(fields),
+        }
+    }
+    let mut row: Vec<(&str, Json)> = labels.iter().map(|&(k, v)| (k, Json::from(v))).collect();
+    row.extend(simulated.expect("at least one run"));
+    row.push(("wall_ms", Json::from(best.as_millis() as u64)));
+    let rate = events as f64 / best.as_secs_f64();
+    row.push(("events_per_sec_wall", Json::from(rate.round() as u64)));
+    Json::obj(row)
+}
+
+/// One case of [`CASES`]: ECMP, all-to-all web-search flows, a 2 ms
+/// warm-up before the measurement window.
+fn fat_tree_case(c: &Case, seed: u64) -> Json {
     let t = FatTree::full(c.k).build();
-    let suite = RoutingSuite::new(&t);
-    let cfg = config_for(c.transport);
-    let mut sim = Simulator::new(&t, Box::new(suite.ecmp()), cfg);
     let pattern = AllToAll::new(&t, t.tors_with_servers());
     let flows = generate_flows(&pattern, &PFabricWebSearch::new(), c.lambda, c.span_s, seed);
     let warmup = 2 * MS;
-    let end = warmup + (c.span_s * 1e9) as u64;
-    sim.set_window(warmup, end);
-    sim.inject(&flows);
-    let t0 = std::time::Instant::now();
-    let rec = sim.run(20 * SEC);
-    let wall = t0.elapsed();
-    let m = compute_metrics(&rec, warmup, end);
-    let rate = sim.events_processed() as f64 / wall.as_secs_f64();
-    // The engine's deterministic self-observability counters are report
-    // columns too: they are simulated fields, so --check compares them
-    // exactly.
-    let eng = sim.engine_counters();
+    let window = (warmup, warmup + (c.span_s * 1e9) as u64);
+    let labels = [("topology", c.topology), ("transport", c.transport)];
+    engine_case(&labels, seed, || {
+        Run::new(
+            &t,
+            Routing::Ecmp,
+            config_for(c.transport),
+            &flows,
+            window,
+            20 * SEC,
+        )
+    })
+}
+
+/// One 10 MB DCTCP flow across the k=4 fat-tree with no cross traffic:
+/// the per-packet cost of a single long flow.
+fn single_flow_case(seed: u64) -> Json {
+    let t = FatTree::full(4).build();
+    let flow = FlowEvent {
+        start_s: 0.0,
+        src: Endpoint { rack: 0, server: 0 },
+        dst: Endpoint {
+            rack: 12,
+            server: 0,
+        },
+        bytes: 10_000_000,
+    };
+    let labels = [
+        ("topology", "fat_tree_k4"),
+        ("transport", "dctcp"),
+        ("workload", "single_10MB_flow"),
+    ];
+    engine_case(&labels, seed, || {
+        Run::new(
+            &t,
+            Routing::Ecmp,
+            SimConfig::default(),
+            std::slice::from_ref(&flow),
+            (0, 10 * SEC),
+            10 * SEC,
+        )
+    })
+}
+
+/// The tiny Xpander of [`paper_networks`] under HYB, all-to-all
+/// web-search flows at 2000 flows/s for 20 ms, window 0–10 ms: one case
+/// per observer. Observing must not change the simulation, so the cases
+/// differ only in their rates.
+fn xpander_cases(seed: u64) -> Vec<Json> {
+    let pair = paper_networks(Scale::Tiny, seed);
+    let xp = &pair.xpander;
+    let pattern = AllToAll::new(xp, xp.tors_with_servers());
+    let flows = generate_flows(&pattern, &PFabricWebSearch::new(), 2000.0, 0.02, seed);
+    OBSERVERS
+        .iter()
+        .map(|&observer| {
+            let labels = [
+                ("topology", "xpander_tiny"),
+                ("transport", "dctcp"),
+                ("routing", "hyb"),
+                ("observer", observer),
+            ];
+            engine_case(&labels, seed, || {
+                let mut run = Run::new(
+                    xp,
+                    Routing::PAPER_HYB,
+                    SimConfig::default(),
+                    &flows,
+                    (0, 10 * MS),
+                    20 * SEC,
+                );
+                observe(&mut run, observer);
+                run
+            })
+        })
+        .collect()
+}
+
+/// Iterations per timed chunk of [`failpoint_case`].
+const FAILPOINT_ITERS: u64 = 2_500_000;
+/// Rounds of [`failpoint_case`]; each times one chunk of checks and one of
+/// raw loads.
+const FAILPOINT_ROUNDS: u64 = 30;
+
+/// What the disarmed failpoint check is measured against: a relaxed load
+/// of an atomic that is never set, the floor of what a check can cost.
+static RAW_LOAD: AtomicU8 = AtomicU8::new(0);
+
+/// Times `FAILPOINT_ITERS` calls of `f`; returns the time and how many
+/// returned `true`.
+fn time_chunk(f: impl Fn() -> bool) -> (Duration, u64) {
+    let t0 = Instant::now();
+    let mut hits = 0u64;
+    for _ in 0..FAILPOINT_ITERS {
+        if f() {
+            hits += 1;
+        }
+    }
+    (t0.elapsed(), hits)
+}
+
+/// The disarmed failpoint check: the price every durability boundary pays
+/// when no faults are armed, which should be one relaxed atomic load and
+/// a compare.
+///
+/// Chunks of checks alternate with equally long chunks of raw loads of
+/// [`RAW_LOAD`] in the same process. Both loops reduce their answer to a
+/// `bool` before [`black_box`], as a call site's `if let Some(..)` does,
+/// so they differ only in what the check adds. The case's rate is the fastest
+/// check chunk's rate as a fraction of the fastest load chunk's, scaled
+/// by 1e9: checks per second on a core that does one raw load per
+/// nanosecond. The machine's speed cancels out of that ratio, so the
+/// floor gates what the check costs, not how busy the box is.
+fn failpoint_case() -> Json {
+    failpoint::disarm_all();
+    let (mut check, mut load) = (Duration::MAX, Duration::MAX);
+    let mut wall = Duration::ZERO;
+    for _ in 0..FAILPOINT_ROUNDS {
+        let (t, trips) = time_chunk(|| black_box(failpoint::check("fsio.tmp_write").is_some()));
+        assert_eq!(trips, 0, "disarmed failpoint tripped");
+        check = check.min(t);
+        wall += t;
+        let (t, set) = time_chunk(|| black_box(RAW_LOAD.load(Ordering::Relaxed) != 0));
+        assert_eq!(set, 0);
+        load = load.min(t);
+        wall += t;
+    }
+    let ratio = load.as_secs_f64() / check.as_secs_f64();
     Json::obj(vec![
-        ("topology", Json::from(c.topology)),
-        ("transport", Json::from(c.transport)),
-        ("seed", Json::from(seed)),
-        ("flows", Json::from(flows.len())),
-        ("completed", Json::from(m.completed)),
-        ("events", Json::from(sim.events_processed())),
-        ("drops", Json::from(sim.total_drops())),
-        ("queue_peak", Json::from(sim.heap_peak())),
-        ("ladder_spills", Json::from(eng.ladder_spills)),
-        ("scatter_fallbacks", Json::from(eng.scatter_fallbacks)),
-        ("arena_hwm", Json::from(eng.arena_high_water)),
+        ("probe", Json::from("failpoint_disarmed")),
+        ("reference", Json::from("atomic_u8_load")),
+        ("events", Json::from(FAILPOINT_ROUNDS * FAILPOINT_ITERS)),
         ("wall_ms", Json::from(wall.as_millis() as u64)),
-        ("events_per_sec_wall", Json::from(rate.round() as u64)),
+        (
+            "events_per_sec_wall",
+            Json::from((ratio * 1e9).round() as u64),
+        ),
     ])
 }
 
 /// Runs every case of the suite; the returned document is what `--bless`
 /// commits as `BENCH_sim.json`.
 pub fn run_perf_suite(seed: u64) -> Json {
-    let cases: Vec<Json> = CASES.iter().map(|c| run_case(c, seed)).collect();
+    let mut cases: Vec<Json> = CASES.iter().map(|c| fat_tree_case(c, seed)).collect();
+    cases.push(single_flow_case(seed));
+    cases.extend(xpander_cases(seed));
+    cases.push(failpoint_case());
     Json::obj(vec![
         ("schema", Json::from(PERF_SCHEMA)),
         ("cases", Json::Arr(cases)),
     ])
 }
 
-/// A case's wall-clock event rate.
-pub fn case_rate(case: &Json) -> Option<f64> {
-    case.get("events_per_sec_wall").and_then(|v| v.as_f64())
+/// The case rows of a perf document, once its schema tag checks out.
+pub fn perf_cases(doc: &Json) -> Result<&[Json], String> {
+    if doc.get("schema").and_then(|s| s.as_str()) != Some(PERF_SCHEMA) {
+        return Err(format!("schema tag is not {PERF_SCHEMA}"));
+    }
+    doc.get("cases")
+        .and_then(|c| c.as_array())
+        .ok_or_else(|| "missing cases array".to_string())
 }
 
-/// The `(topology, transport)` label of a case row.
-pub fn case_label(case: &Json) -> String {
-    let t = case.get("topology").and_then(|v| v.as_str()).unwrap_or("?");
-    let x = case
-        .get("transport")
-        .and_then(|v| v.as_str())
-        .unwrap_or("?");
-    format!("{t}/{x}")
+/// A case's label: its string fields, in order, joined with `/`.
+fn case_label(case: &Json) -> String {
+    let names: Vec<&str> = case
+        .as_object()
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|(_, v)| v.as_str())
+        .collect();
+    names.join("/")
+}
+
+/// How a case of a fresh run compares with the blessed case of the same
+/// label.
+pub struct Verdict {
+    pub label: String,
+    /// The blessed rate; `None` when the baseline has no such case.
+    pub blessed: Option<f64>,
+    /// The fresh rate; `None` when this run has no such case.
+    pub current: Option<f64>,
+    /// Drifted simulated fields, `field: blessed vs current` as
+    /// [`diff_json`] writes them.
+    pub drift: Vec<String>,
+}
+
+impl Verdict {
+    /// Fresh over blessed rate, when both sides have the case.
+    pub fn speedup(&self) -> Option<f64> {
+        match (self.blessed, self.current) {
+            (Some(b), Some(c)) if b > 0.0 => Some(c / b),
+            _ => None,
+        }
+    }
+
+    /// Whether the fresh rate fell under [`PERF_RATE_FLOOR`] of the
+    /// blessed one.
+    pub fn below_floor(&self) -> bool {
+        matches!((self.blessed, self.current), (Some(b), Some(c)) if c < PERF_RATE_FLOOR * b)
+    }
+
+    /// Why the case fails `--check`, one line each; empty when it passes.
+    pub fn failures(&self) -> Vec<String> {
+        let label = &self.label;
+        let (Some(b), Some(c)) = (self.blessed, self.current) else {
+            let side = if self.current.is_none() {
+                "is missing from this run"
+            } else {
+                "is not in the blessed baseline"
+            };
+            return vec![format!(
+                "{label}: case {side} (re-bless after changing the suite)"
+            )];
+        };
+        let mut errs: Vec<String> = self
+            .drift
+            .iter()
+            .map(|d| {
+                let (field, values) = d.split_once(": ").unwrap_or((d, ""));
+                format!("{label}: simulated field \"{field}\" drifted: {values} (blessed vs now)")
+            })
+            .collect();
+        if self.below_floor() {
+            errs.push(format!(
+                "{label}: rate regressed: {c:.0}/s < floor {:.0}/s ({:.0}% of blessed {b:.0}/s)",
+                PERF_RATE_FLOOR * b,
+                100.0 * PERF_RATE_FLOOR
+            ));
+        }
+        errs
+    }
+}
+
+/// The one comparer: matches fresh cases to blessed ones by label, diffs
+/// their simulated fields with [`diff_json`] (which skips the wall-clock
+/// fields), and keeps both rates for the floor. Blessed cases come first
+/// in baseline order, then cases only the fresh run has.
+pub fn compare_cases(current: &[Json], blessed: &[Json]) -> Vec<Verdict> {
+    let rate = |c: &Json| {
+        c.get("events_per_sec_wall")
+            .and_then(|v| v.as_f64())
+            .unwrap_or(0.0)
+    };
+    let mut verdicts: Vec<Verdict> = blessed
+        .iter()
+        .map(|b| {
+            let label = case_label(b);
+            let c = current.iter().find(|c| case_label(c) == label);
+            let mut drift = Vec::new();
+            if let Some(c) = c {
+                diff_json(b, c, "", &mut drift);
+            }
+            Verdict {
+                label,
+                blessed: Some(rate(b)),
+                current: c.map(rate),
+                drift,
+            }
+        })
+        .collect();
+    for c in current {
+        let label = case_label(c);
+        if !blessed.iter().any(|b| case_label(b) == label) {
+            verdicts.push(Verdict {
+                label,
+                blessed: None,
+                current: Some(rate(c)),
+                drift: Vec::new(),
+            });
+        }
+    }
+    verdicts
 }
 
 /// Compares a fresh run against the blessed baseline: every simulated
-/// field must match exactly; every wall-clock rate must clear
-/// [`PERF_RATE_FLOOR`]. Returns human-readable failures (empty = pass).
+/// field must match exactly; every rate must clear [`PERF_RATE_FLOOR`].
+/// Returns human-readable failures (empty = pass).
 pub fn check_perf(current: &Json, baseline: &Json) -> Vec<String> {
-    let mut errs = Vec::new();
-    for doc in [current, baseline] {
-        if doc.get("schema").and_then(|s| s.as_str()) != Some(PERF_SCHEMA) {
-            errs.push(format!("schema tag is not {PERF_SCHEMA}"));
-            return errs;
-        }
+    match (perf_cases(current), perf_cases(baseline)) {
+        (Ok(cur), Ok(base)) => compare_cases(cur, base)
+            .iter()
+            .flat_map(Verdict::failures)
+            .collect(),
+        (Err(e), _) | (_, Err(e)) => vec![e],
     }
-    let cur = current
-        .get("cases")
-        .and_then(|c| c.as_array())
-        .unwrap_or(&[]);
-    let base = baseline
-        .get("cases")
-        .and_then(|c| c.as_array())
-        .unwrap_or(&[]);
-    if cur.len() != base.len() {
-        errs.push(format!(
-            "case count mismatch: {} now vs {} blessed (re-bless after changing the suite)",
-            cur.len(),
-            base.len()
-        ));
-        return errs;
-    }
-    for (c, b) in cur.iter().zip(base) {
-        let label = case_label(b);
-        let (Some(cf), Some(bf)) = (c.as_object(), b.as_object()) else {
-            errs.push(format!("{label}: malformed case row"));
-            continue;
-        };
-        for (key, bv) in bf {
-            if PERF_WALL_CLOCK_FIELDS.contains(&key.as_str()) {
-                continue;
-            }
-            match cf.iter().find(|(k, _)| k == key) {
-                Some((_, cv)) if cv == bv => {}
-                Some((_, cv)) => errs.push(format!(
-                    "{label}: simulated field \"{key}\" drifted: {cv} vs blessed {bv}"
-                )),
-                None => errs.push(format!("{label}: simulated field \"{key}\" missing")),
+}
+
+/// The measured columns of [`write_table`], after the case label.
+const TABLE_COLUMNS: &[&str] = &[
+    "events",
+    "wall_ms",
+    "events_per_sec_wall",
+    "flows",
+    "completed",
+    "drops",
+    "queue_peak",
+    "ladder_spills",
+    "scatter_fallbacks",
+    "arena_hwm",
+];
+
+/// Writes cases as a TSV table: the label, then every measured column
+/// (`-` where a case has no such field).
+pub fn write_table(cases: &[Json], out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "case\t{}", TABLE_COLUMNS.join("\t"))?;
+    for c in cases {
+        write!(out, "{}", case_label(c))?;
+        for col in TABLE_COLUMNS {
+            match c.get(col) {
+                Some(v) => write!(out, "\t{v}")?,
+                None => write!(out, "\t-")?,
             }
         }
-        if let (Some(cr), Some(br)) = (case_rate(c), case_rate(b)) {
-            let floor = PERF_RATE_FLOOR * br;
-            if cr < floor {
-                errs.push(format!(
-                    "{label}: engine regressed: {cr:.0} events/s < floor {floor:.0} \
-                     ({:.0}% of blessed {br:.0})",
-                    100.0 * PERF_RATE_FLOOR
-                ));
-            }
-        }
+        writeln!(out)?;
     }
-    errs
+    Ok(())
 }
 
 #[cfg(test)]
@@ -260,5 +544,95 @@ mod tests {
             ("cases", Json::Arr(vec![])),
         ]);
         assert!(!check_perf(&empty, &doc(100, 1000)).is_empty());
+    }
+
+    fn failpoint_doc(rate: u64) -> Json {
+        Json::obj(vec![
+            ("schema", Json::from(PERF_SCHEMA)),
+            (
+                "cases",
+                Json::Arr(vec![Json::obj(vec![
+                    ("probe", Json::from("failpoint_disarmed")),
+                    ("reference", Json::from("atomic_u8_load")),
+                    ("events", Json::from(FAILPOINT_ROUNDS * FAILPOINT_ITERS)),
+                    ("wall_ms", Json::from(300u64)),
+                    ("events_per_sec_wall", Json::from(rate)),
+                ])]),
+            ),
+        ])
+    }
+
+    /// A check that got slow relative to a raw load fails the same floor
+    /// as an engine case.
+    #[test]
+    fn failpoint_ratio_below_floor_fails() {
+        let blessed = failpoint_doc(480_000_000);
+        assert!(check_perf(&failpoint_doc(250_000_000), &blessed).is_empty());
+        let errs = check_perf(&failpoint_doc(20_000_000), &blessed);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(
+            errs[0].starts_with("failpoint_disarmed/atomic_u8_load: rate regressed"),
+            "{errs:?}"
+        );
+    }
+
+    /// A case on one side only is named, whichever side it is on.
+    #[test]
+    fn one_sided_case_is_reported() {
+        let both = Json::obj(vec![
+            ("schema", Json::from(PERF_SCHEMA)),
+            (
+                "cases",
+                Json::Arr(vec![
+                    perf_cases(&doc(100, 1000)).unwrap()[0].clone(),
+                    perf_cases(&failpoint_doc(1000)).unwrap()[0].clone(),
+                ]),
+            ),
+        ]);
+        let errs = check_perf(&both, &doc(100, 1000));
+        assert_eq!(
+            errs,
+            vec![
+                "failpoint_disarmed/atomic_u8_load: case is not in the blessed baseline \
+                 (re-bless after changing the suite)"
+            ]
+        );
+        let errs = check_perf(&doc(100, 1000), &both);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("is missing from this run"), "{errs:?}");
+    }
+
+    /// In the committed baseline, the observed Xpander cases agree with the
+    /// unobserved one on every simulated field.
+    #[test]
+    fn blessed_observer_cases_match_unobserved_case() {
+        let doc = Json::parse(include_str!("../../../BENCH_sim.json")).unwrap();
+        let cases = perf_cases(&doc).unwrap();
+        let xpander = |observer: &str| {
+            let label = format!("xpander_tiny/dctcp/hyb/{observer}");
+            cases
+                .iter()
+                .find(|c| case_label(c) == label)
+                .unwrap_or_else(|| panic!("no {label} case"))
+        };
+        for &observer in &OBSERVERS[1..] {
+            let mut drift = Vec::new();
+            diff_json(xpander("none"), xpander(observer), "", &mut drift);
+            assert_eq!(drift, vec![format!("observer: \"none\" vs \"{observer}\"")]);
+        }
+    }
+
+    #[test]
+    fn table_prints_every_column() {
+        let doc = failpoint_doc(1000);
+        let mut out = Vec::new();
+        write_table(perf_cases(&doc).unwrap(), &mut out).unwrap();
+        let s = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[0].split('\t').count(), 1 + TABLE_COLUMNS.len());
+        assert_eq!(
+            lines[1],
+            "failpoint_disarmed/atomic_u8_load\t75000000\t300\t1000\t-\t-\t-\t-\t-\t-\t-"
+        );
     }
 }

@@ -45,9 +45,10 @@
 //! ## Zero cost when disabled
 //!
 //! The disarmed fast path is one relaxed atomic load and a compare — no
-//! locks, no allocation, no map lookup. `trace_overhead --check` gates
-//! this: the disabled-check rate is blessed alongside the tracer
-//! baselines and a regression fails CI.
+//! locks, no allocation, no map lookup. `bench perf --check` gates this:
+//! its `failpoint_disarmed/atomic_u8_load` case times disarmed checks
+//! against raw relaxed loads in the same process, the ratio is blessed in
+//! `BENCH_sim.json` beside the engine cases, and a regression fails CI.
 //!
 //! ## Recovery invariants
 //!

@@ -9,9 +9,9 @@
 //!
 //! The calendar and arena counters sit inside branches that already
 //! execute rarely (ladder migration, scatter fallback, slab growth); the
-//! per-kind event counts are one increment per event. The
-//! `trace_overhead` bench gate holds the engine to its blessed
-//! no-observability throughput floor with all of this in place.
+//! per-kind event counts are one increment per event. `bench perf
+//! --check` holds the engine to its blessed no-observability throughput
+//! floor (`BENCH_sim.json`) with all of this in place.
 
 /// The deterministic counter set for a whole run; see the module docs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -342,14 +342,17 @@ echo "==> chaos soak under debug assertions (arena liveness, calendar invariants
 # asserts all fire at near-release speed while faults churn ids.
 cargo run --profile relcheck --quiet --bin dcnrun -- chaos --plans 5 --seed 2
 
-echo "==> tracing overhead gate (NopTracer and disarmed failpoints must stay free)"
-cargo run --release -p dcn-bench --bin trace_overhead -- --check > /dev/null
-
-echo "==> engine perf gate (BENCH_sim.json: simulated fields exact, rate floor)"
-# Re-baseline deliberate engine changes with:
+echo "==> perf gate (BENCH_sim.json: engine, observer and failpoint cases; simulated fields exact, rate floor)"
+# One gate, one baseline: the fat-tree transport cases, one 10 MB flow,
+# the tiny Xpander with no observer / counting tracer / JSONL tracer /
+# telemetry (tracing must stay free when off), and the disarmed failpoint
+# check timed against raw atomic loads (failpoints must stay free when
+# disarmed). Re-baseline deliberate engine changes with:
 #   cargo run --release -p dcn-bench --bin bench -- perf --bless
 # and commit the updated BENCH_sim.json next to the code that moved it.
 cargo run --release -p dcn-bench --bin bench -- perf --check > /dev/null
+# The baseline diffs clean against itself through the same comparer.
+cargo run --release --quiet --bin dcnstat -- bench BENCH_sim.json BENCH_sim.json > /dev/null
 
 echo "==> ECMP table memory guard (2048-switch Xpander under a 128 MiB ceiling)"
 # The table is a 2048x2048 hop-distance matrix (16 MiB); the all-pairs

@@ -17,11 +17,13 @@
 //! non-zero when any simulated field drifts — two same-seed runs must
 //! report "zero drift".
 //!
-//! `bench` reads the engine-perf baselines `bench perf --bless` writes:
-//! with one file it prints the per-case rate table; with two it prints a
-//! speedup table (old → new), highlights cases whose rate regressed below
-//! the CI floor, and reports any simulated-field drift — so a perf
-//! trajectory of committed baselines stays readable across re-anchors.
+//! `bench` reads the perf baselines `bench perf --bless` writes: with one
+//! file it prints the table `bench perf` prints; with two it prints a
+//! speedup table (old → new) from the same verdicts `bench perf --check`
+//! gates on, and exits non-zero when a case would fail that gate (rate
+//! below the CI floor, simulated-field drift, or a case on one side only)
+//! — so a perf trajectory of committed baselines stays readable across
+//! re-anchors.
 //!
 //! `top` polls a
 //! running `dcnserve`'s `stats` op and redraws a compact operational
@@ -36,6 +38,7 @@ use std::time::Duration;
 
 use beyond_fattrees::prelude::*;
 use beyond_fattrees::serve::protocol::{read_frame, write_frame};
+use dcn_bench::perf;
 use dcn_json::Json;
 
 fn fail(msg: &str) -> ! {
@@ -267,73 +270,42 @@ fn cmd_diff(a_path: &str, b_path: &str, out: &mut dyn Write) -> io::Result<bool>
 fn read_bench(path: &str) -> Vec<Json> {
     let body = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
     let doc = Json::parse(&body).unwrap_or_else(|e| fail(&format!("parse {path}: {e}")));
-    if doc.get("schema").and_then(|s| s.as_str()) != Some(dcn_bench::perf::PERF_SCHEMA) {
-        fail(&format!(
-            "{path}: not a {} document",
-            dcn_bench::perf::PERF_SCHEMA
-        ));
-    }
-    doc.get("cases")
-        .and_then(|c| c.as_array())
-        .unwrap_or_else(|| fail(&format!("{path}: missing cases array")))
+    perf::perf_cases(&doc)
+        .unwrap_or_else(|e| fail(&format!("{path}: {e}")))
         .to_vec()
 }
 
-/// `bench <file>`: per-case rate table of one perf baseline.
+/// `bench <file>`: one perf baseline as the table `bench perf` prints.
 fn bench_report(cases: &[Json], out: &mut dyn Write) -> io::Result<()> {
-    writeln!(out, "case\tevents\twall_ms\tevents_per_sec")?;
-    for c in cases {
-        writeln!(
-            out,
-            "{}\t{}\t{}\t{}",
-            dcn_bench::perf::case_label(c),
-            c.get("events").and_then(|v| v.as_u64()).unwrap_or(0),
-            c.get("wall_ms").and_then(|v| v.as_u64()).unwrap_or(0),
-            dcn_bench::perf::case_rate(c).unwrap_or(0.0) as u64,
-        )?;
-    }
-    Ok(())
+    perf::write_table(cases, out)
 }
 
-/// `bench <old> <new>`: speedup table plus simulated-field drift; returns
-/// whether anything regressed (rate below the CI floor) or drifted.
+/// `bench <old> <new>`: speedup table over the verdicts `bench perf
+/// --check` gates on; returns whether any case fails that gate.
 fn bench_compare(old: &[Json], new: &[Json], out: &mut dyn Write) -> io::Result<bool> {
     let mut bad = false;
     writeln!(out, "case\told_ev_s\tnew_ev_s\tspeedup\tnote")?;
-    for o in old {
-        let label = dcn_bench::perf::case_label(o);
-        let Some(n) = new.iter().find(|c| dcn_bench::perf::case_label(c) == label) else {
-            bad = true;
-            writeln!(out, "{label}\t-\t-\t-\tMISSING in new")?;
-            continue;
+    for v in perf::compare_cases(new, old) {
+        bad |= !v.failures().is_empty();
+        let rate = |r: Option<f64>| r.map_or("-".to_string(), |r| format!("{r:.0}"));
+        let speedup = v.speedup().map_or("-".to_string(), |s| format!("{s:.2}x"));
+        let note = match (v.blessed, v.current) {
+            (_, None) => "MISSING in new",
+            (None, _) => "new case",
+            _ if v.below_floor() => "REGRESSED (below CI floor)",
+            _ if !v.drift.is_empty() => "simulated fields drifted",
+            _ if v.speedup().is_some_and(|s| s < 1.0) => "slower (within floor)",
+            _ => "ok",
         };
-        let (or, nr) = (
-            dcn_bench::perf::case_rate(o).unwrap_or(0.0),
-            dcn_bench::perf::case_rate(n).unwrap_or(0.0),
-        );
-        let speedup = if or > 0.0 { nr / or } else { 0.0 };
-        let mut drift = Vec::new();
-        diff_json(o, n, &label, &mut drift);
-        let note = if speedup < dcn_bench::perf::PERF_RATE_FLOOR {
-            bad = true;
-            "REGRESSED (below CI floor)"
-        } else if !drift.is_empty() {
-            bad = true;
-            "simulated fields drifted"
-        } else if speedup < 1.0 {
-            "slower (within floor)"
-        } else {
-            "ok"
-        };
-        writeln!(out, "{label}\t{:.0}\t{:.0}\t{speedup:.2}x\t{note}", or, nr)?;
-        for d in &drift {
+        writeln!(
+            out,
+            "{}\t{}\t{}\t{speedup}\t{note}",
+            v.label,
+            rate(v.blessed),
+            rate(v.current)
+        )?;
+        for d in &v.drift {
             writeln!(out, "  {d}")?;
-        }
-    }
-    for n in new {
-        let label = dcn_bench::perf::case_label(n);
-        if !old.iter().any(|c| dcn_bench::perf::case_label(c) == label) {
-            writeln!(out, "{label}\t-\t-\t-\tnew case")?;
         }
     }
     Ok(bad)
