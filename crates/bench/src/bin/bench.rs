@@ -10,7 +10,8 @@
 //! `perf` runs the suite in [`dcn_bench::perf`] and prints one row per
 //! case with every column (events, wall time, rate, and the simulated
 //! counters): three transports at two fat-tree sizes, one long flow, the
-//! tiny Xpander under each observer, and the disarmed failpoint check.
+//! tiny Xpander under each observer, the disarmed failpoint check, and
+//! the 2048-switch Xpander's lift generation and ECMP table build.
 //! Simulated fields are byte-stable; `--check` compares them exactly
 //! against the committed `BENCH_sim.json` and asserts each case's rate
 //! stays above half the blessed baseline (loose on purpose: it catches an

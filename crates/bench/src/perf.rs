@@ -1,15 +1,17 @@
 //! The performance suite behind `bench perf` and the committed
 //! `BENCH_sim.json` baseline: the one place the packet engine is timed.
 //!
-//! A row is a flat JSON object. Its string fields name it (joined with
-//! `/` they form its label, e.g. `fat_tree_k4/dctcp`); everything else is
-//! a measurement of one of two kinds:
+//! A row is a flat JSON object. Its leading string fields name it (joined
+//! with `/` they form its label, e.g. `fat_tree_k4/dctcp`); everything
+//! else is a measurement of one of two kinds:
 //!
 //! - **simulated** — flow counts, events processed, drops, queue peak,
 //!   and the engine's deterministic self-observability counters (calendar
-//!   spills/fallbacks, arena high-water). Same binary, same seed ⇒ byte-identical
-//!   values; `--check` compares them exactly, so an accidental behavior
-//!   change in the hot path fails CI even if it is *faster*.
+//!   spills/fallbacks, arena high-water); for set-up rows, the fabric's
+//!   size, fingerprint and distance checksum. Same binary, same seed ⇒
+//!   byte-identical values; `--check` compares them exactly, so an
+//!   accidental behavior change in the hot path fails CI even if it is
+//!   *faster*.
 //! - **wall-clock** — `wall_ms` and `events_per_sec_wall`, which
 //!   [`dcn_core::WALL_CLOCK_FIELDS`] already names, so
 //!   [`dcn_core::diff_json`] skips them exactly as it does for manifests.
@@ -21,8 +23,9 @@
 //! load; one 10 MB flow on the k=4 fat-tree; the tiny Xpander under HYB
 //! with each observer (none, a counting tracer, a JSONL tracer into
 //! memory, telemetry sampling), which must agree with each other on every
-//! simulated field; and the disarmed failpoint check (see
-//! [`failpoint_case`]).
+//! simulated field; the disarmed failpoint check (see
+//! [`failpoint_case`]); and the set-up of the 65,536-host Xpander, lift
+//! generation and ECMP table (see [`xpander_2048_cases`]).
 //!
 //! [`compare_cases`] is the one comparer: `--check` ([`check_perf`]) and
 //! `dcnstat bench old new` both read its verdicts. Re-bless with
@@ -34,13 +37,16 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
-use dcn_core::{diff_json, failpoint, paper_networks, Routing, Run, Scale};
+use dcn_core::{diff_json, failpoint, hex64, paper_networks, Routing, Run, Scale};
 use dcn_json::Json;
+use dcn_routing::EcmpTable;
 use dcn_sim::{
     compute_metrics, CountingTracer, JsonlTracer, SharedBuf, SimConfig, Telemetry,
     DEFAULT_SAMPLE_EVERY_NS, MS, SEC,
 };
 use dcn_topology::fattree::FatTree;
+use dcn_topology::xpander::Xpander;
+use dcn_topology::NodeId;
 use dcn_workloads::tm::Endpoint;
 use dcn_workloads::{generate_flows, AllToAll, FlowEvent, PFabricWebSearch};
 
@@ -51,10 +57,10 @@ pub const PERF_SCHEMA: &str = "dcn-bench-perf-v1";
 /// of the blessed baseline.
 pub const PERF_RATE_FLOOR: f64 = 0.5;
 
-/// An engine case repeats its run until the timed runs add up to this
-/// much wall time, and reports the fastest. A multi-second case runs
-/// once; a millisecond case runs often enough that one slow run (a cold
-/// cache, a noisy neighbour) cannot fail the floor.
+/// An engine or set-up case repeats its run until the timed runs add up
+/// to this much wall time, and reports the fastest. A multi-second case
+/// runs once; a millisecond case runs often enough that one slow run (a
+/// cold cache, a noisy neighbour) cannot fail the floor.
 const MIN_TIMED: Duration = Duration::from_millis(500);
 
 /// One all-to-all web-search case: a transport on a fat-tree size, loaded
@@ -261,12 +267,15 @@ const FAILPOINT_ROUNDS: u64 = 30;
 static RAW_LOAD: AtomicU8 = AtomicU8::new(0);
 
 /// Times `FAILPOINT_ITERS` calls of `f`; returns the time and how many
-/// returned `true`.
-fn time_chunk(f: impl Fn() -> bool) -> (Duration, u64) {
+/// returned `true`. Never inlined and calling through `dyn`, it is one
+/// loop of machine code for the check and the raw load alike, so the two
+/// differ only in the closure it calls, whatever the build's code layout.
+#[inline(never)]
+fn time_chunk(f: &dyn Fn() -> bool) -> (Duration, u64) {
     let t0 = Instant::now();
     let mut hits = 0u64;
     for _ in 0..FAILPOINT_ITERS {
-        if f() {
+        if black_box(f()) {
             hits += 1;
         }
     }
@@ -278,23 +287,26 @@ fn time_chunk(f: impl Fn() -> bool) -> (Duration, u64) {
 /// a compare.
 ///
 /// Chunks of checks alternate with equally long chunks of raw loads of
-/// [`RAW_LOAD`] in the same process. Both loops reduce their answer to a
-/// `bool` before [`black_box`], as a call site's `if let Some(..)` does,
-/// so they differ only in what the check adds. The case's rate is the fastest
-/// check chunk's rate as a fraction of the fastest load chunk's, scaled
-/// by 1e9: checks per second on a core that does one raw load per
-/// nanosecond. The machine's speed cancels out of that ratio, so the
-/// floor gates what the check costs, not how busy the box is.
+/// [`RAW_LOAD`] in the same process, both timed by [`time_chunk`]. Both
+/// closures reduce their answer to a `bool`, as a call site's
+/// `if let Some(..)` does, so they differ only in what the check adds.
+/// The case's rate is the fastest check chunk's rate as a fraction of the
+/// fastest load chunk's, scaled by 1e9: checks per second on a core that
+/// makes one raw-load call per nanosecond. The machine's speed cancels
+/// out of that ratio, so the floor gates what the check costs, not how
+/// busy the box is. Both chunks pay the same indirect call, so the ratio
+/// stays near 1 (0.74–0.83 on a 2-vCPU box) and falls under the floor
+/// when a check costs about one more call than a raw load.
 fn failpoint_case() -> Json {
     failpoint::disarm_all();
     let (mut check, mut load) = (Duration::MAX, Duration::MAX);
     let mut wall = Duration::ZERO;
     for _ in 0..FAILPOINT_ROUNDS {
-        let (t, trips) = time_chunk(|| black_box(failpoint::check("fsio.tmp_write").is_some()));
+        let (t, trips) = time_chunk(&|| failpoint::check("fsio.tmp_write").is_some());
         assert_eq!(trips, 0, "disarmed failpoint tripped");
         check = check.min(t);
         wall += t;
-        let (t, set) = time_chunk(|| black_box(RAW_LOAD.load(Ordering::Relaxed) != 0));
+        let (t, set) = time_chunk(&|| RAW_LOAD.load(Ordering::Relaxed) != 0);
         assert_eq!(set, 0);
         load = load.min(t);
         wall += t;
@@ -312,6 +324,65 @@ fn failpoint_case() -> Json {
     ])
 }
 
+/// Calls `f` until [`MIN_TIMED`] is spent; returns the fastest call's
+/// time and the last call's result.
+fn fastest<T>(mut f: impl FnMut() -> T) -> (Duration, T) {
+    let mut best = Duration::MAX;
+    let mut spent = Duration::ZERO;
+    loop {
+        let t0 = Instant::now();
+        let out = black_box(f());
+        let wall = t0.elapsed();
+        best = best.min(wall);
+        spent += wall;
+        if spent >= MIN_TIMED {
+            return (best, out);
+        }
+    }
+}
+
+/// The set-up layers of the 65,536-host Xpander (d = 31, 2048 switches,
+/// 32 servers each), one row each: generating the best-of-4 lift
+/// (`build`) and the ECMP table over it (`ecmp_table`). Each row pins the
+/// fabric by its fingerprint, and the table row also by a checksum
+/// (FNV-1a over 32-bit words) of every `distance(node, dst)`; the rate is
+/// builds per second of the fastest build.
+fn xpander_2048_cases(seed: u64) -> Vec<Json> {
+    let x = Xpander::for_switches(31, 2048, 32, seed);
+    let (build, t) = fastest(|| x.build());
+    let (table_build, table) = fastest(|| EcmpTable::new(&t));
+    let n = t.num_nodes() as NodeId;
+    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    for dst in 0..n {
+        for node in 0..n {
+            checksum = (checksum ^ table.distance(node, dst) as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    let row = |stage: &str, extra: Option<(&str, Json)>, best: Duration| {
+        let mut row = vec![
+            ("topology", Json::from("xpander_2048")),
+            ("stage", Json::from(stage)),
+            ("seed", Json::from(seed)),
+            ("switches", Json::from(t.num_nodes())),
+            ("links", Json::from(t.num_links())),
+            ("fingerprint", hex64(t.fingerprint())),
+        ];
+        row.extend(extra);
+        row.push(("wall_ms", Json::from(best.as_millis() as u64)));
+        let rate = 1.0 / best.as_secs_f64();
+        row.push(("events_per_sec_wall", Json::from(rate.round() as u64)));
+        Json::obj(row)
+    };
+    vec![
+        row("build", None, build),
+        row(
+            "ecmp_table",
+            Some(("distance_checksum", hex64(checksum))),
+            table_build,
+        ),
+    ]
+}
+
 /// Runs every case of the suite; the returned document is what `--bless`
 /// commits as `BENCH_sim.json`.
 pub fn run_perf_suite(seed: u64) -> Json {
@@ -319,6 +390,7 @@ pub fn run_perf_suite(seed: u64) -> Json {
     cases.push(single_flow_case(seed));
     cases.extend(xpander_cases(seed));
     cases.push(failpoint_case());
+    cases.extend(xpander_2048_cases(seed));
     Json::obj(vec![
         ("schema", Json::from(PERF_SCHEMA)),
         ("cases", Json::Arr(cases)),
@@ -335,13 +407,14 @@ pub fn perf_cases(doc: &Json) -> Result<&[Json], String> {
         .ok_or_else(|| "missing cases array".to_string())
 }
 
-/// A case's label: its string fields, in order, joined with `/`.
+/// A case's label: its leading string fields, in order, joined with `/`.
+/// String fields after the first other field are measurements.
 fn case_label(case: &Json) -> String {
     let names: Vec<&str> = case
         .as_object()
         .unwrap_or(&[])
         .iter()
-        .filter_map(|(_, v)| v.as_str())
+        .map_while(|(_, v)| v.as_str())
         .collect();
     names.join("/")
 }
@@ -472,6 +545,10 @@ const TABLE_COLUMNS: &[&str] = &[
     "ladder_spills",
     "scatter_fallbacks",
     "arena_hwm",
+    "switches",
+    "links",
+    "fingerprint",
+    "distance_checksum",
 ];
 
 /// Writes cases as a TSV table: the label, then every measured column
@@ -622,6 +699,37 @@ mod tests {
         }
     }
 
+    /// A string field after the first number is a measurement: it is
+    /// not part of the label, and a change in it is drift.
+    #[test]
+    fn trailing_string_field_is_compared_not_labelled() {
+        let setup = |fp: &str| {
+            Json::obj(vec![
+                ("schema", Json::from(PERF_SCHEMA)),
+                (
+                    "cases",
+                    Json::Arr(vec![Json::obj(vec![
+                        ("topology", Json::from("xpander_2048")),
+                        ("stage", Json::from("build")),
+                        ("seed", Json::from(1u64)),
+                        ("fingerprint", Json::from(fp)),
+                        ("wall_ms", Json::from(30u64)),
+                        ("events_per_sec_wall", Json::from(33u64)),
+                    ])]),
+                ),
+            ])
+        };
+        let blessed = setup("92a237be17d41fdb");
+        assert_eq!(
+            case_label(&perf_cases(&blessed).unwrap()[0]),
+            "xpander_2048/build"
+        );
+        assert!(check_perf(&setup("92a237be17d41fdb"), &blessed).is_empty());
+        let errs = check_perf(&setup("0000000000000000"), &blessed);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("\"fingerprint\" drifted"), "{errs:?}");
+    }
+
     #[test]
     fn table_prints_every_column() {
         let doc = failpoint_doc(1000);
@@ -632,7 +740,7 @@ mod tests {
         assert_eq!(lines[0].split('\t').count(), 1 + TABLE_COLUMNS.len());
         assert_eq!(
             lines[1],
-            "failpoint_disarmed/atomic_u8_load\t75000000\t300\t1000\t-\t-\t-\t-\t-\t-\t-"
+            "failpoint_disarmed/atomic_u8_load\t75000000\t300\t1000\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-"
         );
     }
 }

@@ -37,4 +37,4 @@ pub use experiment::{
 };
 pub use flex::{fat_tree_throughput, tp_throughput, FlexCurve};
 pub use fsio::{fsync_parent_dir, write_atomic};
-pub use manifest::{diff_json, ManifestSpec, RunManifest, WALL_CLOCK_FIELDS};
+pub use manifest::{diff_json, hex64, ManifestSpec, RunManifest, WALL_CLOCK_FIELDS};

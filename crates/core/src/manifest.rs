@@ -86,7 +86,9 @@ pub struct RunManifest {
     json: Json,
 }
 
-fn hex64(v: u64) -> Json {
+/// A 64-bit value (a fingerprint or digest) as a fixed-width hex
+/// string: a JSON number cannot hold every `u64` exactly.
+pub fn hex64(v: u64) -> Json {
     Json::from(format!("{v:016x}"))
 }
 

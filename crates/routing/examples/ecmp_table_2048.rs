@@ -4,8 +4,11 @@
 //! CI runs this under a `ulimit -v` ceiling to pin the table's memory
 //! footprint: a 2048² hop-distance matrix is 16 MiB, and the
 //! bit-parallel kernel that fills it holds two 512 KiB bitsets while it
-//! runs. On a 2-vCPU Intel Xeon VM the build takes 15–40 ms (one BFS per
-//! destination took 0.21–0.33 s).
+//! runs. The kernel splits its rows over one thread per core. On a 2-vCPU
+//! Intel Xeon VM, twelve fresh runs took 28–77 ms, alternated with the
+//! single-threaded kernel at 24–51 ms (eleven runs): the split pays only
+//! while the second vCPU is free (one BFS per destination took
+//! 0.21–0.33 s). It also runs under a 40 MiB ceiling.
 //!
 //! ```sh
 //! cargo run --release -p dcn-routing --example ecmp_table_2048

@@ -98,16 +98,17 @@ pub struct Channels {
 }
 
 impl Channels {
-    /// An empty table; `mtu_bytes`/`ack_bytes` are the two wire sizes the
-    /// serialization-time cache covers.
-    pub(crate) fn new(mtu_bytes: u32, ack_bytes: u32) -> Self {
+    /// An empty table with room for `capacity` channels; `mtu_bytes`/
+    /// `ack_bytes` are the two wire sizes the serialization-time cache
+    /// covers.
+    pub(crate) fn new(mtu_bytes: u32, ack_bytes: u32, capacity: usize) -> Self {
         Channels {
-            to_node: Vec::new(),
-            rate_bpns: Vec::new(),
-            prop_ns: Vec::new(),
-            ser_mtu_ns: Vec::new(),
-            ser_ack_ns: Vec::new(),
-            state: Vec::new(),
+            to_node: Vec::with_capacity(capacity),
+            rate_bpns: Vec::with_capacity(capacity),
+            prop_ns: Vec::with_capacity(capacity),
+            ser_mtu_ns: Vec::with_capacity(capacity),
+            ser_ack_ns: Vec::with_capacity(capacity),
+            state: Vec::with_capacity(capacity),
             mtu_bytes,
             ack_bytes,
         }
@@ -426,7 +427,7 @@ mod tests {
 
     fn chan() -> Channels {
         // 10 Gbps, 100ns prop, 10-packet queue, ECN at 3 packets.
-        let mut c = Channels::new(1500, 40);
+        let mut c = Channels::new(1500, 40, 1);
         c.push(
             1,
             10.0,
@@ -546,7 +547,7 @@ mod tests {
 
     #[test]
     fn serialization_uses_channel_rate_and_cache() {
-        let mut c = Channels::new(1500, 40);
+        let mut c = Channels::new(1500, 40, 1);
         c.push(0, 40.0, 0, Box::new(TailDropEcn::new(1, 1)));
         assert_eq!(c.ser_ns(0, 1500), 300); // cached MTU path, 4x faster than 10G
         assert_eq!(c.ser_ns(0, 40), 8); // cached ACK path
@@ -557,7 +558,7 @@ mod tests {
     fn eviction_counts_as_channel_drop() {
         use crate::switch::PFabricQueue;
         let mut a = PacketArena::new();
-        let mut c = Channels::new(1500, 40);
+        let mut c = Channels::new(1500, 40, 1);
         c.push(1, 10.0, 100, Box::new(PFabricQueue::new(2 * 1500)));
         offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
         let low = pkt(&mut a, 1500);

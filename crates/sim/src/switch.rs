@@ -370,7 +370,9 @@ impl Fabric {
         let mtu = cfg.mtu as u64;
         let link_cap = cfg.queue_pkts as u64 * mtu;
         let ecn_at = cfg.ecn_k_pkts as u64 * mtu;
-        let mut channels = Channels::new(cfg.mtu, cfg.ack_bytes);
+        let servers = topo.num_servers();
+        let mut channels =
+            Channels::new(cfg.mtu, cfg.ack_bytes, 2 * topo.num_links() + 2 * servers);
         for l in topo.links() {
             let gbps = cfg.link_gbps * l.capacity;
             channels.push(l.b, gbps, cfg.prop_delay_ns, disc(link_cap, ecn_at));
@@ -378,7 +380,7 @@ impl Fabric {
         }
         let host_ch_base = channels.len() as u32;
         let num_switches = topo.num_nodes() as u32;
-        let mut server_tor = Vec::new();
+        let mut server_tor = Vec::with_capacity(servers);
         let mut rack_base = vec![u32::MAX; topo.num_nodes()];
         let host_cap = cfg.host_queue_pkts as u64 * mtu;
         for rack in 0..topo.num_nodes() as NodeId {

@@ -243,39 +243,68 @@ impl Topology {
     /// that is new at level `k` is a pair at distance `k`. Stops at the
     /// first level that sets no bit. Cost O(D·(n+2E)·n/64) word operations
     /// for diameter D; transient memory is two n×⌈n/64⌉ `u64` bitsets.
-    /// Links are undirected, so the result is symmetric.
+    /// Links are undirected, so the result is symmetric. Graphs of 512 or
+    /// more switches split each level's rows over one thread per core; the
+    /// result does not depend on the split.
     pub fn hop_distances(&self) -> HopDistances {
+        self.hop_distances_on(setup_workers(self.num_nodes()))
+    }
+
+    /// [`Topology::hop_distances`] with each level's rows split into
+    /// `workers` contiguous blocks. Every block reads all of level `k-1`
+    /// and writes only its own rows of level `k` and of the distance
+    /// matrix, so blocks need no synchronisation within a level. The
+    /// matrix is allocated zeroed and each block fills its own rows with
+    /// `u32::MAX` at level 1, so its pages are first touched in parallel.
+    pub(crate) fn hop_distances_on(&self, workers: usize) -> HopDistances {
         let n = self.num_nodes();
         let w = n.div_ceil(64);
-        let mut d = vec![u32::MAX; n * n];
+        let mut d = vec![0u32; n * n];
+        if n == 0 {
+            return HopDistances { n, d };
+        }
         let mut cur = vec![0u64; n * w];
         let mut next = vec![0u64; n * w];
         for v in 0..n {
             cur[v * w + v / 64] = 1 << (v % 64);
-            d[v * n + v] = 0;
         }
+        let rows = n.div_ceil(workers.max(1));
         for k in 1.. {
-            let mut grew = false;
-            for v in 0..n {
-                let (row, old) = (&mut next[v * w..(v + 1) * w], &cur[v * w..(v + 1) * w]);
-                let dv = &mut d[v * n..(v + 1) * n];
-                row.copy_from_slice(old);
-                for &(u, _) in &self.adj[v] {
-                    let u = u as usize;
-                    for (a, &b) in row.iter_mut().zip(&cur[u * w..(u + 1) * w]) {
-                        *a |= b;
+            let blocks: Vec<_> = next
+                .chunks_mut(rows * w)
+                .zip(d.chunks_mut(rows * n))
+                .enumerate()
+                .map(|(b, (next, d))| (b * rows, next, d))
+                .collect();
+            let prev = &cur;
+            let grew = split_run(blocks, |(first, next, d)| {
+                let mut grew = false;
+                for (i, (row, dv)) in next.chunks_mut(w).zip(d.chunks_mut(n)).enumerate() {
+                    let v = first + i;
+                    if k == 1 {
+                        dv.fill(u32::MAX);
+                        dv[v] = 0;
+                    }
+                    let old = &prev[v * w..(v + 1) * w];
+                    row.copy_from_slice(old);
+                    for &(u, _) in &self.adj[v] {
+                        let u = u as usize;
+                        for (a, &b) in row.iter_mut().zip(&prev[u * w..(u + 1) * w]) {
+                            *a |= b;
+                        }
+                    }
+                    for (i, (&now, &was)) in row.iter().zip(old).enumerate() {
+                        let mut fresh = now & !was;
+                        grew |= fresh != 0;
+                        while fresh != 0 {
+                            dv[i * 64 + fresh.trailing_zeros() as usize] = k;
+                            fresh &= fresh - 1;
+                        }
                     }
                 }
-                for (i, (&now, &was)) in row.iter().zip(old).enumerate() {
-                    let mut fresh = now & !was;
-                    grew |= fresh != 0;
-                    while fresh != 0 {
-                        dv[i * 64 + fresh.trailing_zeros() as usize] = k;
-                        fresh &= fresh - 1;
-                    }
-                }
-            }
-            if !grew {
+                grew
+            });
+            if !grew.contains(&true) {
                 break;
             }
             std::mem::swap(&mut cur, &mut next);
@@ -605,6 +634,42 @@ impl HopDistances {
     }
 }
 
+/// Switch count at and above which set-up work (the Xpander candidate
+/// search, [`Topology::hop_distances`]) is split over threads. Below
+/// about this size the hop kernel's thread spawn per BFS level costs more
+/// than splitting its rows saves; DESIGN.md §dcn-topology has the
+/// measured crossover.
+pub(crate) const PARALLEL_MIN_NODES: usize = 512;
+
+/// Threads for set-up work on a graph of `n` switches: one per core from
+/// [`PARALLEL_MIN_NODES`] up, else one.
+pub(crate) fn setup_workers(n: usize) -> usize {
+    if n < PARALLEL_MIN_NODES {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// Runs `f` on every part, the first on the calling thread and each other
+/// on a scoped thread of its own, and returns the results in part order.
+/// One part runs inline and spawns nothing. A worker's panic propagates.
+pub(crate) fn split_run<P: Send, R: Send>(parts: Vec<P>, f: impl Fn(P) -> R + Sync) -> Vec<R> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|s| {
+        let rest: Vec<_> = parts.map(|p| s.spawn(move || f(p))).collect();
+        let mut out = vec![f(first)];
+        out.extend(rest.into_iter().map(|h| match h.join() {
+            Ok(r) => r,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }));
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -799,6 +864,118 @@ mod tests {
             for j in 0..3 {
                 assert_eq!(d.get(i, j), d.get(j, i));
             }
+        }
+    }
+
+    /// Asserts that the bit-parallel all-pairs kernel, as
+    /// [`Topology::hop_distances`] runs it and with its rows split into 1,
+    /// 2, 3 and 8 blocks, equals one `bfs_distances` per source on every
+    /// pair.
+    fn assert_hop_distances_match_bfs(t: &Topology) {
+        let bfs: Vec<Vec<u32>> = t.nodes().map(|s| t.bfs_distances(s)).collect();
+        let mut runs = vec![("default".to_string(), t.hop_distances())];
+        for w in [1, 2, 3, 8] {
+            runs.push((format!("{w} blocks"), t.hop_distances_on(w)));
+        }
+        for (how, hd) in runs {
+            let name = format!("{} ({how})", t.name());
+            assert_eq!(hd.as_slice().len(), t.num_nodes() * t.num_nodes());
+            for s in t.nodes() {
+                let bfs = &bfs[s as usize];
+                assert_eq!(hd.row(s), &bfs[..], "{name}: row {s}");
+                for (v, &d) in bfs.iter().enumerate() {
+                    assert_eq!(hd.get(s, v as u32), d, "{name}: ({s}, {v})");
+                }
+            }
+        }
+    }
+
+    /// `n` nodes on a ring plus seeded random chords, parallel links
+    /// included; `n` = 1 has neither.
+    fn ring_with_chords(n: u32, chords: u32, seed: u64) -> Topology {
+        let mut t = Topology::new(format!("ring{n}+{chords}"));
+        for _ in 0..n {
+            t.add_node(NodeKind::Tor, 1);
+        }
+        if n >= 2 {
+            for v in 0..n {
+                t.add_link(v, (v + 1) % n);
+            }
+            let mut rng = dcn_rng::Rng::seed_from_u64(seed);
+            for _ in 0..chords {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    t.add_link(a, b);
+                }
+            }
+        }
+        t
+    }
+
+    /// Every generator: the kernel equals per-source BFS. The last
+    /// Xpander (517 switches) is above `PARALLEL_MIN_NODES`, and 517 rows
+    /// leave a ragged last block for every split.
+    #[test]
+    fn hop_distances_match_bfs_on_generators() {
+        use crate::{
+            dragonfly::Dragonfly, fattree::FatTree, jellyfish::Jellyfish, longhop::Longhop,
+            slimfly::SlimFly, toy::ToyFig4, xpander::Xpander,
+        };
+        for t in [
+            FatTree::full(4).build(),
+            FatTree::full(8).build(),
+            FatTree::oversubscribed_core(8, 2).build(),
+            Xpander::paper_sec6(1).build(),
+            Xpander::new(4, 13, 1, 3).build(), // 65 switches
+            Jellyfish::new(50, 5, 2, 7).build(),
+            SlimFly::new(5, 1).build(),
+            Longhop::greedy(6, 8, 1).build(),
+            Dragonfly::balanced(2).build(),
+            ToyFig4::build().topology,
+            Xpander::new(10, 47, 1, 4).build(), // 517 switches
+        ] {
+            assert_hop_distances_match_bfs(&t);
+        }
+    }
+
+    /// Word-boundary sizes, parallel links, and partitioned survivors whose
+    /// unreachable pairs must stay `u32::MAX`, below and above
+    /// `PARALLEL_MIN_NODES`.
+    #[test]
+    fn hop_distances_match_bfs_on_edge_cases() {
+        use crate::xpander::Xpander;
+        for n in [1u32, 2, 63, 64, 65, 129, 577] {
+            assert_hop_distances_match_bfs(&ring_with_chords(n, n / 4, n as u64));
+        }
+        let mut multi = ring_with_chords(40, 0, 0);
+        for v in (0..40).step_by(3) {
+            multi.add_link(v, (v + 1) % 40);
+            multi.add_link(v, (v + 7) % 40);
+        }
+        assert!(multi.multiplicity(0, 1) >= 2);
+        assert_hop_distances_match_bfs(&multi);
+
+        // Cut every link of some switches: they survive as isolated nodes.
+        // At 618 switches they sit in the first, a middle and the last
+        // block of every split.
+        for (x, isolated) in [
+            (Xpander::new(5, 14, 1, 2), vec![0, 70]), // 84 switches
+            (Xpander::new(5, 103, 1, 2), vec![0, 300, 617]), // 618 switches
+        ] {
+            let t = x.build();
+            let cut: Vec<u32> = (0..t.num_links() as u32)
+                .filter(|&l| isolated.contains(&t.link(l).a) || isolated.contains(&t.link(l).b))
+                .collect();
+            let survivor = t.without_links_largest_component(&cut);
+            assert_hop_distances_match_bfs(&survivor);
+            let hd = survivor.hop_distances();
+            for &v in &isolated {
+                assert_eq!(survivor.degree(v), 0);
+                assert_eq!(hd.get(v, v), 0);
+                let unreachable = hd.row(v).iter().filter(|&&d| d == u32::MAX).count();
+                assert_eq!(unreachable, t.num_nodes() - 1);
+            }
+            assert!(hd.get(1, 2) < u32::MAX);
         }
     }
 }

@@ -7,7 +7,7 @@
 //! high probability a near-Ramanujan expander; the builder samples a few
 //! matchings per seed and keeps the lift with the best spectral gap.
 
-use crate::graph::{NodeId, NodeKind, Topology};
+use crate::graph::{setup_workers, split_run, LinkId, NodeId, NodeKind, Topology};
 use dcn_rng::{Rng, SliceRandom};
 
 /// Configuration of an Xpander network.
@@ -92,18 +92,35 @@ impl Xpander {
     }
 
     /// Builds the best-of-`candidates` lift. Node `m·lift + i` is copy `i`
-    /// of meta-node `m`; `group(node)` is the meta-node index.
+    /// of meta-node `m`; `group(node)` is the meta-node index. From 512
+    /// switches up the candidates are evaluated on one thread per core
+    /// (at most one per candidate); the chosen lift does not depend on it.
     pub fn build(&self) -> Topology {
-        let mut best: Option<(f64, Topology)> = None;
-        for c in 0..self.candidates.max(1) as u64 {
-            let t = self.build_once(self.seed.wrapping_add(c * 0xA24B_AED4));
-            if !t.is_connected() {
-                continue;
+        let workers = setup_workers(self.num_switches()).min(self.candidates.max(1) as usize);
+        self.build_on(workers)
+    }
+
+    /// [`Xpander::build`] with the candidates split into `workers`
+    /// contiguous blocks. Each block keeps its first connected candidate
+    /// of least λ, and the blocks are then folded in order by the same
+    /// strict `<`, so the winner is the first least candidate whatever
+    /// the split.
+    fn build_on(&self, workers: usize) -> Topology {
+        let candidates: Vec<u64> = (0..self.candidates.max(1) as u64).collect();
+        let per_block = candidates.len().div_ceil(workers.max(1));
+        let blocks = split_run(candidates.chunks(per_block).collect(), |block| {
+            let mut best: Option<(f64, Topology)> = None;
+            for &c in block {
+                let t = self.build_once(self.seed.wrapping_add(c * 0xA24B_AED4));
+                if t.is_connected() {
+                    keep_least(&mut best, (second_eigenvalue(&t), t));
+                }
             }
-            let lam2 = second_eigenvalue(&t);
-            if best.as_ref().is_none_or(|(b, _)| lam2 < *b) {
-                best = Some((lam2, t));
-            }
+            best
+        });
+        let mut best = None;
+        for b in blocks.into_iter().flatten() {
+            keep_least(&mut best, b);
         }
         best.expect("no connected lift found").1
     }
@@ -141,9 +158,18 @@ impl Xpander {
     }
 }
 
-/// Second-largest adjacency eigenvalue of a connected d-regular graph via
-/// power iteration deflated against the all-ones top eigenvector. For the
-/// Ramanujan property this should be ≤ 2·sqrt(d−1) (plus slack).
+/// Replaces `best` with `cand` when `best` is empty or `cand`'s λ is
+/// strictly smaller, so the earliest of equal candidates wins.
+fn keep_least(best: &mut Option<(f64, Topology)>, cand: (f64, Topology)) {
+    if best.as_ref().is_none_or(|(b, _)| cand.0 < *b) {
+        *best = Some(cand);
+    }
+}
+
+/// Largest nontrivial adjacency eigenvalue magnitude, max(|λ₂|, |λₙ|), of
+/// a connected d-regular graph, by 200 steps of power iteration deflated
+/// against the all-ones top eigenvector. For the Ramanujan property this
+/// should be ≤ 2·sqrt(d−1) (plus slack).
 pub fn second_eigenvalue(t: &Topology) -> f64 {
     let n = t.num_nodes();
     if n < 2 {
@@ -158,13 +184,10 @@ pub fn second_eigenvalue(t: &Topology) -> f64 {
         .collect();
     orthogonalize(&mut x);
     normalize(&mut x);
+    let mut y = vec![0.0f64; n];
     let mut lam = 0.0;
     for _ in 0..200 {
-        let mut y = vec![0.0f64; n];
-        for l in t.links() {
-            y[l.a as usize] += x[l.b as usize];
-            y[l.b as usize] += x[l.a as usize];
-        }
+        adjacency_times(t, &x, &mut y);
         orthogonalize(&mut y);
         let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm < 1e-14 {
@@ -174,9 +197,43 @@ pub fn second_eigenvalue(t: &Topology) -> f64 {
             *v /= norm;
         }
         lam = norm;
-        x = y;
+        std::mem::swap(&mut x, &mut y);
     }
     lam
+}
+
+/// `y = A·x` for the adjacency matrix `A` of `t`, gathered per node. A
+/// node's adjacency lists its links in link order, so its terms are added
+/// in the order a scatter over `t.links()` adds them, with the same bits.
+/// Runs of four nodes of equal degree are summed side by side, as four
+/// independent chains of additions the core can overlap.
+fn adjacency_times(t: &Topology, x: &[f64], y: &mut [f64]) {
+    let sum = |v: usize| {
+        t.neighbors(v as NodeId)
+            .iter()
+            .fold(0.0, |s, &(u, _)| s + x[u as usize])
+    };
+    for (q, out) in y.chunks_exact_mut(4).enumerate() {
+        let [a, b, c, d]: [&[(NodeId, LinkId)]; 4] =
+            std::array::from_fn(|i| t.neighbors((4 * q + i) as NodeId));
+        if [b, c, d].iter().all(|l| l.len() == a.len()) {
+            let mut s = [0.0f64; 4];
+            for (((&(ua, _), &(ub, _)), &(uc, _)), &(ud, _)) in a.iter().zip(b).zip(c).zip(d) {
+                s[0] += x[ua as usize];
+                s[1] += x[ub as usize];
+                s[2] += x[uc as usize];
+                s[3] += x[ud as usize];
+            }
+            out.copy_from_slice(&s);
+        } else {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = sum(4 * q + i);
+            }
+        }
+    }
+    for v in y.len() / 4 * 4..y.len() {
+        y[v] = sum(v);
+    }
 }
 
 fn orthogonalize(x: &mut [f64]) {
@@ -260,6 +317,43 @@ mod tests {
         let ea: Vec<_> = a.links().iter().map(|l| (l.a, l.b)).collect();
         let eb: Vec<_> = b.links().iter().map(|l| (l.a, l.b)).collect();
         assert_eq!(ea, eb);
+    }
+
+    /// However the candidates are split, the same lift wins; with seed 0
+    /// only candidate 1 of the 2-regular lift is connected.
+    #[test]
+    fn candidate_split_keeps_the_lift() {
+        for x in [Xpander::new(6, 10, 4, 42), Xpander::new(2, 6, 1, 0)] {
+            let fp = x.build_on(1).fingerprint();
+            for workers in [2, 3, 4, 8] {
+                assert_eq!(x.build_on(workers).fingerprint(), fp, "{workers} blocks");
+            }
+        }
+    }
+
+    /// The gathered product has the bits of a scatter over the links, on
+    /// regular and irregular graphs, with and without a ragged last run.
+    #[test]
+    fn adjacency_times_matches_scatter_bits() {
+        use crate::fattree::FatTree;
+        for t in [
+            FatTree::full(4).build(),           // degrees 2 and 4
+            Xpander::new(13, 23, 1, 3).build(), // 322 switches: 80 runs + 2
+        ] {
+            let n = t.num_nodes();
+            let x: Vec<f64> = (0..n)
+                .map(|i| ((i * 37 % 101) as f64 - 50.0) / 7.0)
+                .collect();
+            let mut scatter = vec![0.0f64; n];
+            for l in t.links() {
+                scatter[l.a as usize] += x[l.b as usize];
+                scatter[l.b as usize] += x[l.a as usize];
+            }
+            let mut y = vec![f64::NAN; n];
+            adjacency_times(&t, &x, &mut y);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(&scatter), "{}", t.name());
+        }
     }
 
     #[test]

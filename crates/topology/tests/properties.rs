@@ -3,15 +3,11 @@
 //! (dependency-free stand-in for the old proptest harness).
 
 use dcn_rng::Rng;
-use dcn_topology::dragonfly::Dragonfly;
 use dcn_topology::fattree::FatTree;
 use dcn_topology::jellyfish::Jellyfish;
 use dcn_topology::longhop::Longhop;
 use dcn_topology::metrics::path_stats;
-use dcn_topology::slimfly::SlimFly;
-use dcn_topology::toy::ToyFig4;
 use dcn_topology::xpander::Xpander;
-use dcn_topology::{NodeKind, Topology};
 
 /// Fat-trees: size formulas, port budgets, connectivity.
 #[test]
@@ -158,90 +154,4 @@ fn random_failures_never_disconnect() {
         let e2: Vec<_> = again.links().iter().map(|l| (l.a, l.b)).collect();
         assert_eq!(e1, e2, "same seed must cut the same links");
     }
-}
-
-/// Asserts that the bit-parallel all-pairs kernel equals one
-/// `bfs_distances` per source on every pair.
-fn assert_hop_distances_match_bfs(t: &Topology) {
-    let hd = t.hop_distances();
-    assert_eq!(hd.as_slice().len(), t.num_nodes() * t.num_nodes());
-    for s in t.nodes() {
-        let bfs = t.bfs_distances(s);
-        assert_eq!(hd.row(s), &bfs[..], "{}: row {s}", t.name());
-        for (v, &d) in bfs.iter().enumerate() {
-            assert_eq!(hd.get(s, v as u32), d, "{}: ({s}, {v})", t.name());
-        }
-    }
-}
-
-/// `n` nodes on a ring plus seeded random chords, parallel links
-/// included; `n` = 1 has neither.
-fn ring_with_chords(n: u32, chords: u32, seed: u64) -> Topology {
-    let mut t = Topology::new(format!("ring{n}+{chords}"));
-    for _ in 0..n {
-        t.add_node(NodeKind::Tor, 1);
-    }
-    if n >= 2 {
-        for v in 0..n {
-            t.add_link(v, (v + 1) % n);
-        }
-        let mut rng = Rng::seed_from_u64(seed);
-        for _ in 0..chords {
-            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            if a != b {
-                t.add_link(a, b);
-            }
-        }
-    }
-    t
-}
-
-/// Every generator: the kernel equals per-source BFS.
-#[test]
-fn hop_distances_match_bfs_on_generators() {
-    for t in [
-        FatTree::full(4).build(),
-        FatTree::full(8).build(),
-        FatTree::oversubscribed_core(8, 2).build(),
-        Xpander::paper_sec6(1).build(),
-        Xpander::new(4, 13, 1, 3).build(), // 65 switches
-        Jellyfish::new(50, 5, 2, 7).build(),
-        SlimFly::new(5, 1).build(),
-        Longhop::greedy(6, 8, 1).build(),
-        Dragonfly::balanced(2).build(),
-        ToyFig4::build().topology,
-    ] {
-        assert_hop_distances_match_bfs(&t);
-    }
-}
-
-/// Word-boundary sizes, parallel links, and a partitioned survivor whose
-/// unreachable pairs must stay `u32::MAX`.
-#[test]
-fn hop_distances_match_bfs_on_edge_cases() {
-    for n in [1u32, 2, 63, 64, 65, 129] {
-        assert_hop_distances_match_bfs(&ring_with_chords(n, n / 4, n as u64));
-    }
-    let mut multi = ring_with_chords(40, 0, 0);
-    for v in (0..40).step_by(3) {
-        multi.add_link(v, (v + 1) % 40);
-        multi.add_link(v, (v + 7) % 40);
-    }
-    assert!(multi.multiplicity(0, 1) >= 2);
-    assert_hop_distances_match_bfs(&multi);
-
-    // Cut every link of switches 0 and 70: they survive as isolated nodes.
-    let t = Xpander::new(5, 14, 1, 2).build(); // 84 switches
-    let cut: Vec<u32> = (0..t.num_links() as u32)
-        .filter(|&l| [0, 70].contains(&t.link(l).a) || [0, 70].contains(&t.link(l).b))
-        .collect();
-    let survivor = t.without_links_largest_component(&cut);
-    assert_eq!(survivor.degree(0), 0);
-    assert_eq!(survivor.degree(70), 0);
-    assert_hop_distances_match_bfs(&survivor);
-    let hd = survivor.hop_distances();
-    assert_eq!(hd.get(0, 70), u32::MAX);
-    assert_eq!(hd.get(1, 0), u32::MAX);
-    assert_eq!(hd.get(70, 70), 0);
-    assert!(hd.get(1, 2) < u32::MAX);
 }
