@@ -64,7 +64,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
-use dcn_rng::Rng;
+use dcn_rng::{Fnv1a, Rng};
 
 /// The full catalog of compiled-in failpoint sites. The crash-consistency
 /// harness enumerates this list; adding a site without extending the
@@ -155,16 +155,6 @@ static STATE: AtomicU8 = AtomicU8::new(ST_UNINIT);
 static REGISTRY: Mutex<Option<RegistryInner>> = Mutex::new(None);
 /// Process-wide trip counter, readable without the lock.
 static TOTAL_TRIPS: AtomicU64 = AtomicU64::new(0);
-
-/// FNV-1a — used to derive per-site RNG streams from the global seed.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Whether any site is currently armed. One relaxed load; this is the
 /// cost every disarmed check pays.
@@ -296,7 +286,7 @@ fn parse_spec(spec: &str, site: &str, seed: u64) -> Result<Option<Site>, String>
             }
         }
     };
-    let mut stream = seed ^ fnv1a(site.as_bytes());
+    let mut stream = seed ^ Fnv1a::hash(site.as_bytes());
     let site_seed = dcn_rng::splitmix64(&mut stream);
     Ok(Some(Site {
         action,

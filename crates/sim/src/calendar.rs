@@ -255,6 +255,12 @@ impl CalendarQueue {
             q.len += 1;
             q.insert(e);
         }
+        // `insert` files the active sub-bucket's entries into the side
+        // heap; the original held them sorted in `cur` (the side heap is
+        // all but always empty), so put them back there and a checkpoint
+        // of the restored queue lists them in the original order.
+        q.cur.extend(q.incoming.drain());
+        q.cur.sort_unstable_by_key(|e| Reverse(e.key()));
         Ok(q)
     }
 

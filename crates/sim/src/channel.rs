@@ -17,7 +17,7 @@
 
 use crate::slab::{PacketArena, PktId};
 use crate::switch::{EnqueueOutcome, QueueDiscipline};
-use crate::types::{Ns, Packet};
+use crate::types::Ns;
 
 /// Result of offering a packet to a channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +92,7 @@ pub struct Channels {
     ser_mtu_ns: Vec<Ns>,
     /// Precomputed [`Channels::ser_ns`] for an ACK.
     ser_ack_ns: Vec<Ns>,
-    state: Vec<ChanDyn>,
+    pub(crate) state: Vec<ChanDyn>,
     mtu_bytes: u32,
     ack_bytes: u32,
 }
@@ -163,12 +163,6 @@ impl Channels {
         &mut self.state[ch as usize]
     }
 
-    /// Full mutable access to one channel's dynamic state (checkpoint
-    /// restore).
-    pub(crate) fn dyn_mut(&mut self, ch: u32) -> &mut ChanDyn {
-        self.d_mut(ch)
-    }
-
     #[inline]
     pub(crate) fn up(&self, ch: u32) -> bool {
         self.d(ch).up
@@ -185,17 +179,6 @@ impl Channels {
 
     pub(crate) fn set_loss_prob(&mut self, ch: u32, p: f64) {
         self.d_mut(ch).loss_prob = p;
-    }
-
-    pub(crate) fn busy(&self, ch: u32) -> bool {
-        self.d(ch).busy
-    }
-
-    /// The current transmission's TxFree: its reserved key and whether it
-    /// is in the calendar (checkpointing).
-    pub(crate) fn tx_free_key(&self, ch: u32) -> (Ns, u64, bool) {
-        let d = self.d(ch);
-        (d.free_at, d.free_seq, d.armed)
     }
 
     pub(crate) fn drops(&self, ch: u32) -> u64 {
@@ -218,11 +201,6 @@ impl Channels {
     /// or on arrival over a wire that died in flight.
     pub(crate) fn add_fault_drop(&mut self, ch: u32) {
         self.d_mut(ch).fault_drops += 1;
-    }
-
-    /// The gray-loss draw counter (checkpointing).
-    pub(crate) fn gray_ctr(&self, ch: u32) -> u64 {
-        self.d(ch).gray_ctr
     }
 
     /// Bumps and returns the channel's gray-loss draw counter (at the
@@ -348,19 +326,6 @@ impl Channels {
         d.qlen as usize
     }
 
-    /// Snapshot of the channel's queued packets for checkpointing.
-    pub(crate) fn snapshot_queue(&self, ch: u32, pool: &PacketArena) -> Option<Vec<Packet>> {
-        self.d(ch).disc.snapshot_queue(pool)
-    }
-
-    /// Reinstates a checkpointed queue on channel `ch`, keeping the dense
-    /// length cache in sync with the discipline.
-    pub(crate) fn restore_queue(&mut self, ch: u32, pkts: Vec<Packet>, pool: &mut PacketArena) {
-        let d = self.dyn_mut(ch);
-        d.qlen = pkts.len() as u32;
-        d.disc.restore_queue(pkts, pool);
-    }
-
     // --- whole-table sums (stats) ---
 
     pub(crate) fn sum_drops(&self) -> u64 {
@@ -444,7 +409,7 @@ mod tests {
         let p = pkt(&mut a, 1500);
         let (o, _) = offer(&mut c, p, &mut a);
         assert_eq!(o, Offer::StartTx);
-        assert!(c.busy(0));
+        assert!(c.state[0].busy);
         assert_eq!(a.live_count(), 1, "StartTx leaves the id live");
     }
 
@@ -466,8 +431,9 @@ mod tests {
         let n2 = tx_done(&mut c).unwrap();
         assert_eq!(a.get(n2).seq, 2);
         // Nothing queued behind the last packet: its TxFree stays virtual.
-        assert_eq!(c.tx_free_key(0), (2_400, 2, false));
-        assert!(c.busy(0));
+        let d = &c.state[0];
+        assert_eq!((d.free_at, d.free_seq, d.armed), (2_400, 2, false));
+        assert!(d.busy);
     }
 
     #[test]

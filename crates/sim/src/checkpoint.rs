@@ -21,29 +21,42 @@
 //! | now u64 | events_processed u64 | payload ... | FNV-1a of all prior bytes
 //! ```
 //!
+//! The payload is a fixed sequence of sections — scalars, calendar,
+//! flows, channels, faults, control schedule, goodput and routing view,
+//! tracer and telemetry snapshots — written by `put` calls of the `Codec`
+//! trait in [`Simulator::checkpoint`] and read back by the matching `get`
+//! calls in [`Simulator::restore`]. Structs list their fields once, in
+//! wire order, in a `codec!` invocation; only the tagged enums and the
+//! calendar entries (whose `Deliver` packets live in the arena) are
+//! written by hand. All wire-order knowledge is in this file.
+//!
 //! The topology fingerprint is [`Topology::fingerprint`]; the config
 //! fingerprint hashes every behavior-relevant [`SimConfig`] field (floats
-//! via `to_bits`) and the engine's [`SCHEDULE_VERSION`]. Restore refuses images whose fingerprints do not match
-//! the topology and config it is given, and any truncation or bit flip
-//! fails the trailing checksum in [`Checkpoint::from_bytes`] before any
-//! state is trusted.
+//! via `to_bits`) and the engine's [`SCHEDULE_VERSION`]. Restore refuses
+//! images whose fingerprints do not match the topology and config it is
+//! given, and any truncation or bit flip fails the trailing checksum in
+//! [`Checkpoint::from_bytes`] before any state is trusted.
 //!
 //! Not checkpointable (checkpoint returns `Err`, nothing is written):
 //! oracle routing (its selector is deliberately not rebuilt on restore),
-//! tracers and telemetry over arbitrary in-memory sinks, and custom queue
-//! disciplines that do not implement
-//! [`QueueDiscipline::snapshot_queue`](crate::switch::QueueDiscipline).
+//! tracers and telemetry over arbitrary in-memory sinks, and a queue
+//! discipline whose
+//! [`QueueDiscipline::snapshot_queue`](crate::switch::QueueDiscipline)
+//! returns `None` (both built-in ones always snapshot).
 
 use crate::calendar::{CalEntry, CalendarQueue};
 use crate::counters::EventCounts;
 use crate::engine::{CtrlEntry, CtrlEv, Ev, Simulator, SCHEDULE_VERSION};
-use crate::fault::{survivor_topology_from, FaultEvent, FaultKind, RemappedSelector};
+use crate::fault::{
+    survivor_topology_from, FaultController, FaultEvent, FaultKind, RemappedSelector,
+};
 use crate::host::{Flow, FlowRx};
 use crate::slab::PacketArena;
 use crate::stats::{ChannelCounters, DropCounters, TraceCounters};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-use crate::trace::{CountingTracer, JsonlTracer, NopTracer, TracerSnapshot};
+use crate::trace::TracerSnapshot;
 use crate::types::{Ns, Packet, SimConfig};
+use dcn_rng::Fnv1a;
 use dcn_routing::PathSelector;
 use dcn_topology::Topology;
 use std::sync::Arc;
@@ -56,16 +69,7 @@ const MAGIC: &[u8; 8] = b"DCNCKPT1";
 /// the per-kind event counts. Everything else is as in v4.
 pub const VERSION: u32 = 5;
 /// magic + version + topo fp + cfg fp + now + events_processed.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
 /// Fingerprint of every behavior-relevant [`SimConfig`] field plus the
 /// engine's [`SCHEDULE_VERSION`], so a checkpoint can only be restored —
@@ -76,499 +80,351 @@ pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
 }
 
 fn fingerprint_at(cfg: &SimConfig, schedule_version: u32) -> u64 {
-    let mut e = Enc::new();
-    e.u32(schedule_version);
-    e.f64(cfg.link_gbps);
-    e.f64(cfg.server_link_gbps);
-    e.u64(cfg.prop_delay_ns);
-    e.u32(cfg.queue_pkts);
-    e.u32(cfg.ecn_k_pkts);
-    e.u64(cfg.flowlet_gap_ns);
-    e.u32(cfg.mtu);
-    e.u32(cfg.mss);
-    e.u32(cfg.ack_bytes);
-    e.u32(cfg.init_cwnd_pkts);
-    e.u64(cfg.min_rto_ns);
-    e.f64(cfg.dctcp_g);
-    e.u32(cfg.host_queue_pkts);
-    e.str(cfg.transport.name());
-    e.str(cfg.queue_disc.name());
-    e.u32(cfg.pfabric_cwnd_pkts);
-    e.u64(cfg.reconverge_delay_ns);
-    e.u64(cfg.max_events);
-    fnv1a(&e.buf)
+    // Destructured, so a new config field does not compile until it is
+    // fingerprinted here.
+    let SimConfig {
+        link_gbps,
+        server_link_gbps,
+        prop_delay_ns,
+        queue_pkts,
+        ecn_k_pkts,
+        flowlet_gap_ns,
+        mtu,
+        mss,
+        ack_bytes,
+        init_cwnd_pkts,
+        min_rto_ns,
+        dctcp_g,
+        host_queue_pkts,
+        transport,
+        queue_disc,
+        pfabric_cwnd_pkts,
+        reconverge_delay_ns,
+        max_events,
+    } = *cfg;
+    let mut e = Enc::default();
+    e.put(&(schedule_version, link_gbps, server_link_gbps, prop_delay_ns))
+        .put(&(queue_pkts, ecn_k_pkts, flowlet_gap_ns, mtu, mss, ack_bytes))
+        .put(&(init_cwnd_pkts, min_rto_ns, dctcp_g, host_queue_pkts))
+        .put(&(transport.name().to_string(), queue_disc.name().to_string()))
+        .put(&(pfabric_cwnd_pkts, reconverge_delay_ns, max_events));
+    Fnv1a::hash(&e.0)
 }
 
-// ---- binary encoding helpers ----
+// ---- the codec ----
 
-struct Enc {
-    buf: Vec<u8>,
-}
+/// An image under construction.
+#[derive(Default)]
+struct Enc(Vec<u8>);
 
 impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    fn vec_u64(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x);
-        }
-    }
-
-    fn vec_u32(&mut self, v: &[u32]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u32(x);
-        }
-    }
-
-    fn vec_bool(&mut self, v: &[bool]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.bool(x);
-        }
+    fn put<T: Codec>(&mut self, v: &T) -> &mut Self {
+        v.put(self);
+        self
     }
 }
 
+/// A cursor over an image's payload.
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+    fn get<T: Codec>(&mut self) -> Result<T, String> {
+        T::get(self)
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err("checkpoint truncated".into());
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = (self.buf.get(self.pos..self.pos + n)).ok_or("checkpoint truncated")?;
         self.pos += n;
         Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(format!("checkpoint corrupt: bad bool byte {b}")),
-        }
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Length prefix, sanity-capped so corrupt lengths fail instead of
     /// attempting enormous allocations.
     fn len(&mut self) -> Result<usize, String> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len().saturating_sub(self.pos) {
+        let n: usize = self.get()?;
+        if n > self.buf.len() - self.pos {
             return Err("checkpoint corrupt: length exceeds remaining bytes".into());
         }
         Ok(n)
     }
+}
 
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec())
+/// A value's wire form: `put` appends it, `get` reads it back. `get` is
+/// where damaged bytes are caught, so it checks everything it reads and
+/// never panics.
+trait Codec: Sized {
+    fn put(&self, e: &mut Enc);
+    fn get(d: &mut Dec) -> Result<Self, String>;
+}
+
+macro_rules! int_codec {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            fn put(&self, e: &mut Enc) {
+                e.0.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(d: &mut Dec) -> Result<Self, String> {
+                let b = d.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(b.try_into().expect("take returns n bytes")))
+            }
+        }
+    )*};
+}
+int_codec!(u8, u16, u32, u64);
+
+/// Counts and cursors travel as `u64`.
+impl Codec for usize {
+    fn put(&self, e: &mut Enc) {
+        (*self as u64).put(e);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(d.get::<u64>()? as usize)
+    }
+}
+
+/// The bit pattern, so every float restores exactly.
+impl Codec for f64 {
+    fn put(&self, e: &mut Enc) {
+        self.to_bits().put(e);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(f64::from_bits(d.get()?))
+    }
+}
+
+/// One byte, strictly 0 or 1.
+impl Codec for bool {
+    fn put(&self, e: &mut Enc) {
+        (*self as u8).put(e);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        match d.get::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("checkpoint corrupt: bad bool byte {b}")),
+        }
+    }
+}
+
+/// Length-prefixed UTF-8.
+impl Codec for String {
+    fn put(&self, e: &mut Enc) {
+        self.len().put(e);
+        e.0.extend_from_slice(self.as_bytes());
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        let n = d.len()?;
+        String::from_utf8(d.take(n)?.to_vec())
             .map_err(|_| "checkpoint corrupt: invalid utf-8 string".into())
     }
+}
 
-    fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
+/// Length-prefixed elements.
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, e: &mut Enc) {
+        self.len().put(e);
+        for v in self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        let n = d.len()?;
+        (0..n).map(|_| d.get()).collect()
+    }
+}
+
+/// A presence flag, then the value.
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, e: &mut Enc) {
+        self.is_some().put(e);
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(if d.get()? { Some(d.get()?) } else { None })
+    }
+}
+
+/// The shared value itself; a restore gives each holder its own copy.
+impl<T: Codec> Codec for Arc<T> {
+    fn put(&self, e: &mut Enc) {
+        (**self).put(e);
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(Arc::new(d.get()?))
+    }
+}
+
+/// Tuples of 2 to 11 elements, in order.
+macro_rules! tuple_codec {
+    ($a:ident) => {};
+    ($a:ident $($rest:ident)+) => {
+        impl<$a: Codec, $($rest: Codec),+> Codec for ($a, $($rest),+) {
+            fn put(&self, e: &mut Enc) {
+                #[allow(non_snake_case)]
+                let ($a, $($rest),+) = self;
+                $a.put(e);
+                $($rest.put(e);)+
+            }
+            fn get(d: &mut Dec) -> Result<Self, String> {
+                Ok((d.get()?, $(d.get::<$rest>()?),+))
+            }
+        }
+        tuple_codec!($($rest)+);
+    };
+}
+tuple_codec!(A B C D E F G H I J K);
+
+/// Implements [`Codec`] for a struct from one list of its fields, in wire
+/// order. `get` builds a struct literal, so a field that is neither
+/// listed nor `skip`ped (restored as `Default`) fails to compile.
+macro_rules! codec {
+    ($ty:ident { $($f:ident),* $(,)? } $(skip { $($skip:ident),* })?) => {
+        impl Codec for $ty {
+            fn put(&self, e: &mut Enc) {
+                $(self.$f.put(e);)*
+            }
+            fn get(d: &mut Dec) -> Result<Self, String> {
+                Ok($ty {
+                    $($f: d.get()?,)*
+                    $($($skip: Default::default(),)*)?
+                })
+            }
+        }
+    };
+}
+
+codec! { Packet { flow, seq, bytes, ecn_ce, is_ack, ack_ecn, ts, hop, prio, path } }
+// The sender half; the receiver half is a separate `FlowRx` record.
+codec! { Flow {
+    src_server, dst_server, src_tor, dst_tor, size_bytes, start_ns, total_pkts, next_seq,
+    acked, cwnd, ssthresh, alpha, ecn_acked, ecn_total, window_acked, window_end,
+    cwnd_cut_this_window, dupacks, in_recovery, recover, srtt, rto_backoff, rto_deadline,
+    rto_live, last_send_ns, flowlet_count, cur_path, in_window, failed, fault_hit_ns,
+    recovery_ns, path_salt,
+} }
+// `rev_cache` is a pure content-derived cache: restored as `None` and
+// refilled by the next data packet, with identical contents.
+codec! { FlowRx {
+    total_pkts, dst_server, start_ns, in_window, rcv_bitmap, rcv_cum, finished_ns, failed
+} skip { rev_cache } }
+codec! { EventCounts { flow_start, tx_free, deliver, rto_fired, rto_stale } }
+codec! { CtrlEntry { t, seq, ev } }
+codec! { FaultEvent { at_ns, kind } }
+// Pure counters and masks: the gray-loss draw state lives in the
+// channels' counters.
+codec! { FaultController { events, pending, epoch, down_links, down_sw, noroute_drops } }
+codec! { DropCounters { congestion, eviction, fault, noroute } }
+codec! { ChannelCounters {
+    enqueues, dequeues, hwm_pkts, hwm_bytes, marks, drops_congestion, drops_eviction,
+    drops_fault,
+} }
+codec! { TraceCounters {
+    sent_data, sent_acks, delivered_data, delivered_acks, drops, marks, rtos,
+    flowlet_switches, path_reselects, fault_transitions, flows_started, flows_finished,
+    flows_failed, per_channel,
+} }
+codec! { TelemetrySnapshot { every_ns, path, samples, bytes, tx_bytes, tx_total } }
+
+impl Codec for CtrlEv {
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            CtrlEv::Fault(i) => e.put(&(0u8, i)),
+            CtrlEv::Reconverge(epoch) => e.put(&(1u8, epoch)),
+        };
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(match d.get::<u8>()? {
+            0 => CtrlEv::Fault(d.get()?),
+            1 => CtrlEv::Reconverge(d.get()?),
+            t => return Err(format!("checkpoint corrupt: unknown control tag {t}")),
         })
     }
-
-    fn vec_u64(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.len()?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn vec_u32(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.len()?;
-        (0..n).map(|_| self.u32()).collect()
-    }
-
-    fn vec_bool(&mut self) -> Result<Vec<bool>, String> {
-        let n = self.len()?;
-        (0..n).map(|_| self.bool()).collect()
-    }
 }
 
-// ---- component encoders ----
-
-fn enc_packet(e: &mut Enc, p: &Packet) {
-    e.u32(p.flow);
-    e.u32(p.seq);
-    e.u32(p.bytes);
-    e.bool(p.ecn_ce);
-    e.bool(p.is_ack);
-    e.bool(p.ack_ecn);
-    e.u64(p.ts);
-    e.u16(p.hop);
-    e.u32(p.prio);
-    e.vec_u32(&p.path);
-}
-
-fn dec_packet(d: &mut Dec) -> Result<Packet, String> {
-    Ok(Packet {
-        flow: d.u32()?,
-        seq: d.u32()?,
-        bytes: d.u32()?,
-        ecn_ce: d.bool()?,
-        is_ack: d.bool()?,
-        ack_ecn: d.bool()?,
-        ts: d.u64()?,
-        hop: d.u16()?,
-        prio: d.u32()?,
-        path: Arc::new(d.vec_u32()?),
-    })
-}
-
-fn enc_ev(e: &mut Enc, ev: &Ev, pkts: &PacketArena) {
-    match ev {
-        Ev::FlowStart(f) => {
-            e.u8(0);
-            e.u32(*f);
-        }
-        Ev::TxFree(ch) => {
-            e.u8(1);
-            e.u32(*ch);
-        }
-        // In-flight packets are serialized by value — the wire format
-        // carries packets, not arena ids, so images are independent of the
-        // arena's slot layout.
-        Ev::Deliver(id) => {
-            e.u8(2);
-            enc_packet(e, pkts.get(*id));
-        }
-        Ev::Rto(f) => {
-            e.u8(3);
-            e.u32(*f);
-        }
+impl Codec for FaultKind {
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            FaultKind::LinkDown(l) => e.put(&(0u8, l)),
+            FaultKind::LinkUp(l) => e.put(&(1u8, l)),
+            FaultKind::SwitchDown(n) => e.put(&(2u8, n)),
+            FaultKind::SwitchUp(n) => e.put(&(3u8, n)),
+            FaultKind::LinkGray(l, p) => e.put(&(4u8, l, p)),
+            FaultKind::LinkClear(l) => e.put(&(5u8, l)),
+        };
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(match d.get::<u8>()? {
+            0 => FaultKind::LinkDown(d.get()?),
+            1 => FaultKind::LinkUp(d.get()?),
+            2 => FaultKind::SwitchDown(d.get()?),
+            3 => FaultKind::SwitchUp(d.get()?),
+            4 => FaultKind::LinkGray(d.get()?, d.get()?),
+            5 => FaultKind::LinkClear(d.get()?),
+            t => return Err(format!("checkpoint corrupt: unknown fault tag {t}")),
+        })
     }
 }
 
-fn dec_ev(d: &mut Dec, pkts: &mut PacketArena) -> Result<Ev, String> {
-    Ok(match d.u8()? {
-        0 => Ev::FlowStart(d.u32()?),
-        1 => Ev::TxFree(d.u32()?),
-        2 => Ev::Deliver(pkts.alloc(dec_packet(d)?)),
-        3 => Ev::Rto(d.u32()?),
-        t => return Err(format!("checkpoint corrupt: unknown event tag {t}")),
-    })
+impl Codec for TracerSnapshot {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            TracerSnapshot::Nop => e.put(&0u8),
+            TracerSnapshot::Counting {
+                counters,
+                last_t,
+                time_regressions,
+            } => e.put(&1u8).put(counters).put(&(*last_t, *time_regressions)),
+            TracerSnapshot::JsonlFile { path, bytes, lines } => {
+                e.put(&2u8).put(path).put(&(*bytes, *lines))
+            }
+        };
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        Ok(match d.get::<u8>()? {
+            0 => TracerSnapshot::Nop,
+            1 => TracerSnapshot::Counting {
+                counters: d.get()?,
+                last_t: d.get()?,
+                time_regressions: d.get()?,
+            },
+            2 => TracerSnapshot::JsonlFile {
+                path: d.get()?,
+                bytes: d.get()?,
+                lines: d.get()?,
+            },
+            t => return Err(format!("checkpoint corrupt: unknown tracer tag {t}")),
+        })
+    }
 }
 
-fn enc_ctrl(e: &mut Enc, c: &CtrlEntry) {
-    e.u64(c.t);
-    e.u64(c.seq);
+/// One calendar entry. In-flight packets are serialized by value — the
+/// wire format carries packets, not arena ids, so images are independent
+/// of the arena's slot layout — and decode into `pkts`.
+fn put_entry(e: &mut Enc, c: &CalEntry, pkts: &PacketArena) {
+    e.put(&(c.t, c.seq));
     match c.ev {
-        CtrlEv::Fault(i) => {
-            e.u8(0);
-            e.u32(i);
-        }
-        CtrlEv::Reconverge(epoch) => {
-            e.u8(1);
-            e.u64(epoch);
-        }
-    }
-}
-
-fn dec_ctrl(d: &mut Dec) -> Result<CtrlEntry, String> {
-    let t = d.u64()?;
-    let seq = d.u64()?;
-    let ev = match d.u8()? {
-        0 => CtrlEv::Fault(d.u32()?),
-        1 => CtrlEv::Reconverge(d.u64()?),
-        tag => return Err(format!("checkpoint corrupt: unknown control tag {tag}")),
+        Ev::FlowStart(f) => e.put(&(0u8, f)),
+        Ev::TxFree(ch) => e.put(&(1u8, ch)),
+        Ev::Deliver(id) => e.put(&2u8).put(pkts.get(id)),
+        Ev::Rto(f) => e.put(&(3u8, f)),
     };
-    Ok(CtrlEntry { t, seq, ev })
 }
 
-/// Sender half only; the receiver half is a separate [`FlowRx`] record.
-fn enc_flow(e: &mut Enc, f: &Flow) {
-    e.u32(f.src_server);
-    e.u32(f.dst_server);
-    e.u32(f.src_tor);
-    e.u32(f.dst_tor);
-    e.u64(f.size_bytes);
-    e.u64(f.start_ns);
-    e.u32(f.total_pkts);
-    e.u32(f.next_seq);
-    e.u32(f.acked);
-    e.f64(f.cwnd);
-    e.f64(f.ssthresh);
-    e.f64(f.alpha);
-    e.u32(f.ecn_acked);
-    e.u64(f.ecn_total);
-    e.u32(f.window_acked);
-    e.u32(f.window_end);
-    e.bool(f.cwnd_cut_this_window);
-    e.u32(f.dupacks);
-    e.bool(f.in_recovery);
-    e.u32(f.recover);
-    e.f64(f.srtt);
-    e.u32(f.rto_backoff);
-    e.u64(f.rto_deadline.0);
-    e.u64(f.rto_deadline.1);
-    e.u64(f.rto_live.0);
-    e.u64(f.rto_live.1);
-    e.u64(f.last_send_ns);
-    e.u64(f.flowlet_count);
-    match &f.cur_path {
-        Some(p) => {
-            e.bool(true);
-            e.vec_u32(p);
-        }
-        None => e.bool(false),
-    }
-    e.bool(f.in_window);
-    e.bool(f.failed);
-    e.opt_u64(f.fault_hit_ns);
-    e.opt_u64(f.recovery_ns);
-    e.u64(f.path_salt);
-}
-
-fn dec_flow(d: &mut Dec) -> Result<Flow, String> {
-    Ok(Flow {
-        src_server: d.u32()?,
-        dst_server: d.u32()?,
-        src_tor: d.u32()?,
-        dst_tor: d.u32()?,
-        size_bytes: d.u64()?,
-        start_ns: d.u64()?,
-        total_pkts: d.u32()?,
-        next_seq: d.u32()?,
-        acked: d.u32()?,
-        cwnd: d.f64()?,
-        ssthresh: d.f64()?,
-        alpha: d.f64()?,
-        ecn_acked: d.u32()?,
-        ecn_total: d.u64()?,
-        window_acked: d.u32()?,
-        window_end: d.u32()?,
-        cwnd_cut_this_window: d.bool()?,
-        dupacks: d.u32()?,
-        in_recovery: d.bool()?,
-        recover: d.u32()?,
-        srtt: d.f64()?,
-        rto_backoff: d.u32()?,
-        rto_deadline: (d.u64()?, d.u64()?),
-        rto_live: (d.u64()?, d.u64()?),
-        last_send_ns: d.u64()?,
-        flowlet_count: d.u64()?,
-        cur_path: if d.bool()? {
-            Some(Arc::new(d.vec_u32()?))
-        } else {
-            None
-        },
-        in_window: d.bool()?,
-        failed: d.bool()?,
-        fault_hit_ns: d.opt_u64()?,
-        recovery_ns: d.opt_u64()?,
-        path_salt: d.u64()?,
-    })
-}
-
-fn enc_rx(e: &mut Enc, r: &FlowRx) {
-    e.u32(r.total_pkts);
-    e.u32(r.dst_server);
-    e.u64(r.start_ns);
-    e.bool(r.in_window);
-    e.vec_u64(&r.rcv_bitmap);
-    e.u32(r.rcv_cum);
-    // rev_cache is a pure content-derived cache: restored as None and
-    // repopulated on the next data packet, with identical contents.
-    e.opt_u64(r.finished_ns);
-    e.bool(r.failed);
-}
-
-fn dec_rx(d: &mut Dec) -> Result<FlowRx, String> {
-    Ok(FlowRx {
-        total_pkts: d.u32()?,
-        dst_server: d.u32()?,
-        start_ns: d.u64()?,
-        in_window: d.bool()?,
-        rcv_bitmap: d.vec_u64()?,
-        rcv_cum: d.u32()?,
-        rev_cache: None,
-        finished_ns: d.opt_u64()?,
-        failed: d.bool()?,
-    })
-}
-
-fn enc_fault_kind(e: &mut Enc, k: &FaultKind) {
-    match *k {
-        FaultKind::LinkDown(l) => {
-            e.u8(0);
-            e.u32(l);
-        }
-        FaultKind::LinkUp(l) => {
-            e.u8(1);
-            e.u32(l);
-        }
-        FaultKind::SwitchDown(n) => {
-            e.u8(2);
-            e.u32(n);
-        }
-        FaultKind::SwitchUp(n) => {
-            e.u8(3);
-            e.u32(n);
-        }
-        FaultKind::LinkGray(l, p) => {
-            e.u8(4);
-            e.u32(l);
-            e.f64(p);
-        }
-        FaultKind::LinkClear(l) => {
-            e.u8(5);
-            e.u32(l);
-        }
-    }
-}
-
-fn dec_fault_kind(d: &mut Dec) -> Result<FaultKind, String> {
-    Ok(match d.u8()? {
-        0 => FaultKind::LinkDown(d.u32()?),
-        1 => FaultKind::LinkUp(d.u32()?),
-        2 => FaultKind::SwitchDown(d.u32()?),
-        3 => FaultKind::SwitchUp(d.u32()?),
-        4 => FaultKind::LinkGray(d.u32()?, d.f64()?),
-        5 => FaultKind::LinkClear(d.u32()?),
-        t => return Err(format!("checkpoint corrupt: unknown fault tag {t}")),
-    })
-}
-
-fn enc_counters(e: &mut Enc, c: &TraceCounters) {
-    e.u64(c.sent_data);
-    e.u64(c.sent_acks);
-    e.u64(c.delivered_data);
-    e.u64(c.delivered_acks);
-    e.u64(c.drops.congestion);
-    e.u64(c.drops.eviction);
-    e.u64(c.drops.fault);
-    e.u64(c.drops.noroute);
-    e.u64(c.marks);
-    e.u64(c.rtos);
-    e.u64(c.flowlet_switches);
-    e.u64(c.path_reselects);
-    e.u64(c.fault_transitions);
-    e.u64(c.flows_started);
-    e.u64(c.flows_finished);
-    e.u64(c.flows_failed);
-    e.u64(c.per_channel.len() as u64);
-    for ch in &c.per_channel {
-        e.u64(ch.enqueues);
-        e.u64(ch.dequeues);
-        e.u32(ch.hwm_pkts);
-        e.u64(ch.hwm_bytes);
-        e.u64(ch.marks);
-        e.u64(ch.drops_congestion);
-        e.u64(ch.drops_eviction);
-        e.u64(ch.drops_fault);
-    }
-}
-
-fn dec_counters(d: &mut Dec) -> Result<TraceCounters, String> {
-    let mut c = TraceCounters {
-        sent_data: d.u64()?,
-        sent_acks: d.u64()?,
-        delivered_data: d.u64()?,
-        delivered_acks: d.u64()?,
-        drops: DropCounters {
-            congestion: d.u64()?,
-            eviction: d.u64()?,
-            fault: d.u64()?,
-            noroute: d.u64()?,
-        },
-        marks: d.u64()?,
-        rtos: d.u64()?,
-        flowlet_switches: d.u64()?,
-        path_reselects: d.u64()?,
-        fault_transitions: d.u64()?,
-        flows_started: d.u64()?,
-        flows_finished: d.u64()?,
-        flows_failed: d.u64()?,
-        per_channel: Vec::new(),
+fn get_entry(d: &mut Dec, pkts: &mut PacketArena) -> Result<CalEntry, String> {
+    let (t, seq) = d.get()?;
+    let ev = match d.get::<u8>()? {
+        0 => Ev::FlowStart(d.get()?),
+        1 => Ev::TxFree(d.get()?),
+        2 => Ev::Deliver(pkts.alloc(d.get()?)),
+        3 => Ev::Rto(d.get()?),
+        t => return Err(format!("checkpoint corrupt: unknown event tag {t}")),
     };
-    let n = d.len()?;
-    c.per_channel.reserve(n);
-    for _ in 0..n {
-        c.per_channel.push(ChannelCounters {
-            enqueues: d.u64()?,
-            dequeues: d.u64()?,
-            hwm_pkts: d.u32()?,
-            hwm_bytes: d.u64()?,
-            marks: d.u64()?,
-            drops_congestion: d.u64()?,
-            drops_eviction: d.u64()?,
-            drops_fault: d.u64()?,
-        });
-    }
-    Ok(c)
+    Ok(CalEntry { t, seq, ev })
 }
 
 // ---- the checkpoint image ----
@@ -618,7 +474,7 @@ impl Checkpoint {
         }
         let body = &data[..data.len() - 8];
         let want = u64::from_le_bytes(data[data.len() - 8..].try_into().unwrap());
-        if fnv1a(body) != want {
+        if Fnv1a::hash(body) != want {
             return Err("checkpoint corrupt: checksum mismatch".into());
         }
         Ok(Checkpoint { data })
@@ -723,168 +579,72 @@ impl Simulator {
         if self.oracle.is_some() {
             return Err("oracle routing cannot be checkpointed".into());
         }
-        let tracer_snap = self
+        let tracer = self
             .tracer
             .snapshot()
             .ok_or("installed tracer does not support checkpointing")?;
-        let telemetry_snap = match &self.telemetry {
-            Some(tel) => Some(
+        let telemetry = (self.telemetry.as_ref())
+            .map(|tel| {
                 tel.snapshot()
-                    .ok_or("installed telemetry sink does not support checkpointing")?,
-            ),
-            None => None,
-        };
+                    .ok_or("installed telemetry sink does not support checkpointing")
+            })
+            .transpose()?;
         self.tracer.flush_output();
         if let Some(tel) = self.telemetry.as_mut() {
             tel.flush()
                 .map_err(|e| format!("telemetry flush failed: {e}"))?;
         }
 
-        let mut e = Enc::new();
-        e.buf.extend_from_slice(MAGIC);
-        e.u32(VERSION);
-        e.u64(self.topo.fingerprint());
-        e.u64(config_fingerprint(&self.cfg));
-        e.u64(self.now);
-        e.u64(self.events_processed);
-
+        let mut e = Enc(MAGIC.to_vec());
+        e.put(&VERSION)
+            .put(&(self.topo.fingerprint(), config_fingerprint(&self.cfg)))
+            .put(&(self.now, self.events_processed));
         // Scalars.
-        e.u64(self.window.0);
-        e.u64(self.window.1);
-        e.u64(self.window_remaining as u64);
-        e.u64(self.pkts_sent);
-        e.u64(self.pkts_delivered);
-        e.u64(self.telemetry_next);
-        e.u64(self.plan_seed);
-        e.u64(self.ctrl_seq);
-
+        e.put(&(self.window, self.window_remaining, self.pkts_sent))
+            .put(&(self.pkts_delivered, self.telemetry_next))
+            .put(&(self.plan_seed, self.ctrl_seq));
         // The calendar: its counters, ring size, and cursor, then the
         // pending events in iteration order — together enough for restore
         // to rebuild the exact layout, so the resumed queue pops, spills,
         // and falls back exactly like the original.
         let q = &self.queue;
-        let (cur_abs, sub_cur) = q.cursor();
-        e.u64(q.seq);
-        e.u64(q.peak as u64);
-        e.u64(q.ladder_spills);
-        e.u64(q.scatter_fallbacks);
-        e.u64(self.pkts.high_water() as u64);
-        let n = &self.event_counts;
-        for c in [n.flow_start, n.tx_free, n.deliver, n.rto_fired, n.rto_stale] {
-            e.u64(c);
+        e.put(&(q.seq, q.peak, q.ladder_spills, q.scatter_fallbacks))
+            .put(&self.pkts.high_water())
+            .put(&self.event_counts)
+            .put(&(q.num_slots(), q.cursor(), q.len()));
+        for c in q.iter() {
+            put_entry(&mut e, c, &self.pkts);
         }
-        e.u64(q.num_slots() as u64);
-        e.u64(cur_abs);
-        e.u32(sub_cur);
-        e.u64(q.len() as u64);
-        for item in q.iter() {
-            e.u64(item.t);
-            e.u64(item.seq);
-            enc_ev(&mut e, &item.ev, &self.pkts);
-        }
-
         // Flows: all sender halves, then all receiver halves.
-        e.u64(self.flows.len() as u64);
-        for f in &self.flows {
-            enc_flow(&mut e, f);
-        }
+        e.put(&self.flows);
         for rx in &self.rx {
-            enc_rx(&mut e, rx);
+            e.put(rx);
         }
+        // Channels: transmitter, counters, and fault state, then the queue.
+        let chs = &self.fabric.channels.state;
+        e.put(&chs.len());
+        for c in chs {
+            let queue = c
+                .disc
+                .snapshot_queue(&self.pkts)
+                .ok_or("a channel's queue discipline does not support checkpointing")?;
+            e.put(&(c.busy, c.free_at, c.free_seq, c.armed, c.drops, c.marks))
+                .put(&(c.up, c.loss_prob, c.fault_drops, c.evictions, c.gray_ctr))
+                .put(&queue);
+        }
+        // The fault controller, then the control-plane schedule still to
+        // run (fault firings and reconvergence completions).
+        e.put(&self.faults);
+        e.put(&self.ctrl[self.ctrl_pos..].to_vec());
+        // Goodput timeline, routing view, observability cursors.
+        e.put(&self.goodput_bins)
+            .put(&self.routing_down)
+            .put(&tracer)
+            .put(&telemetry);
 
-        // Channels.
-        let chs = &self.fabric.channels;
-        e.u64(chs.len() as u64);
-        for i in 0..chs.len() {
-            let ch = i as u32;
-            e.bool(chs.busy(ch));
-            let (free_at, free_seq, armed) = chs.tx_free_key(ch);
-            e.u64(free_at);
-            e.u64(free_seq);
-            e.bool(armed);
-            e.u64(chs.drops(ch));
-            e.u64(chs.marks(ch));
-            e.bool(chs.up(ch));
-            e.f64(chs.loss_prob(ch));
-            e.u64(chs.fault_drops(ch));
-            e.u64(chs.evictions(ch));
-            e.u64(chs.gray_ctr(ch));
-            let q = chs.snapshot_queue(ch, &self.pkts).ok_or_else(|| {
-                "a channel's queue discipline does not support checkpointing".to_string()
-            })?;
-            e.u64(q.len() as u64);
-            for p in &q {
-                enc_packet(&mut e, p);
-            }
-        }
-
-        // Fault controller (pure counters and masks — the gray-loss draw
-        // state lives in the per-channel counters above).
-        e.u64(self.faults.events.len() as u64);
-        for ev in &self.faults.events {
-            e.u64(ev.at_ns);
-            enc_fault_kind(&mut e, &ev.kind);
-        }
-        e.u64(self.faults.pending as u64);
-        e.u64(self.faults.epoch);
-        e.vec_bool(&self.faults.down_links);
-        e.vec_bool(&self.faults.down_sw);
-        e.u64(self.faults.noroute_drops);
-
-        // Remaining control-plane schedule (fault firings and
-        // reconvergence completions not yet executed).
-        e.u64((self.ctrl.len() - self.ctrl_pos) as u64);
-        for c in &self.ctrl[self.ctrl_pos..] {
-            enc_ctrl(&mut e, c);
-        }
-
-        // Goodput timeline and the routing view.
-        e.vec_u64(&self.goodput_bins);
-        match &self.routing_down {
-            Some((dl, ds)) => {
-                e.bool(true);
-                e.vec_bool(dl);
-                e.vec_bool(ds);
-            }
-            None => e.bool(false),
-        }
-
-        // Observability cursors.
-        match &tracer_snap {
-            TracerSnapshot::Nop => e.u8(0),
-            TracerSnapshot::Counting {
-                counters,
-                last_t,
-                time_regressions,
-            } => {
-                e.u8(1);
-                enc_counters(&mut e, counters);
-                e.u64(*last_t);
-                e.u64(*time_regressions);
-            }
-            TracerSnapshot::JsonlFile { path, bytes, lines } => {
-                e.u8(2);
-                e.str(path);
-                e.u64(*bytes);
-                e.u64(*lines);
-            }
-        }
-        match &telemetry_snap {
-            Some(snap) => {
-                e.bool(true);
-                e.u64(snap.every_ns);
-                e.str(&snap.path);
-                e.u64(snap.samples);
-                e.u64(snap.bytes);
-                e.vec_u64(&snap.tx_bytes);
-                e.u64(snap.tx_total);
-            }
-            None => e.bool(false),
-        }
-
-        let sum = fnv1a(&e.buf);
-        e.u64(sum);
-        Ok(Checkpoint { data: e.buf })
+        let sum = Fnv1a::hash(&e.0);
+        e.put(&sum);
+        Ok(Checkpoint { data: e.0 })
     }
 
     /// Rebuilds a simulator from a checkpoint taken on the same topology
@@ -903,267 +663,89 @@ impl Simulator {
         ckpt: &Checkpoint,
     ) -> Result<Simulator, String> {
         let meta = ckpt.meta();
-        if meta.topo_fingerprint != topo.fingerprint() {
-            return Err(format!(
-                "checkpoint topology fingerprint {:016x} does not match the given topology ({:016x})",
-                meta.topo_fingerprint,
-                topo.fingerprint()
-            ));
-        }
-        if meta.cfg_fingerprint != config_fingerprint(&cfg) {
-            return Err(format!(
-                "checkpoint config fingerprint {:016x} does not match the given config ({:016x})",
-                meta.cfg_fingerprint,
-                config_fingerprint(&cfg)
-            ));
-        }
-
-        let payload = &ckpt.data[HEADER_LEN..ckpt.data.len() - 8];
-        let mut d = Dec::new(payload);
-
-        let window = (d.u64()?, d.u64()?);
-        let window_remaining = d.u64()? as usize;
-        let pkts_sent = d.u64()?;
-        let pkts_delivered = d.u64()?;
-        let telemetry_next = d.u64()?;
-        let plan_seed = d.u64()?;
-        let ctrl_seq = d.u64()?;
-
-        // The calendar; Deliver packets decode into a fresh arena.
-        let cal_seq = d.u64()?;
-        let cal_peak = d.u64()? as usize;
-        let ladder_spills = d.u64()?;
-        let scatter_fallbacks = d.u64()?;
-        let arena_hwm = d.u64()? as usize;
-        let event_counts = EventCounts {
-            flow_start: d.u64()?,
-            tx_free: d.u64()?,
-            deliver: d.u64()?,
-            rto_fired: d.u64()?,
-            rto_stale: d.u64()?,
-        };
-        let num_slots = d.u64()? as usize;
-        let cursor = (d.u64()?, d.u32()?);
-        let n_items = d.len()?;
-        let mut pkts = PacketArena::new();
-        let mut items = Vec::with_capacity(n_items);
-        for _ in 0..n_items {
-            let t = d.u64()?;
-            let seq = d.u64()?;
-            let ev = dec_ev(&mut d, &mut pkts)?;
-            items.push(CalEntry { t, seq, ev });
-        }
-
-        let n_flows = d.len()?;
-        let mut flows = Vec::with_capacity(n_flows);
-        for _ in 0..n_flows {
-            flows.push(dec_flow(&mut d)?);
-        }
-        let mut rxs = Vec::with_capacity(n_flows);
-        for _ in 0..n_flows {
-            rxs.push(dec_rx(&mut d)?);
-        }
-
-        struct ChanState {
-            busy: bool,
-            free_at: Ns,
-            free_seq: u64,
-            armed: bool,
-            drops: u64,
-            marks: u64,
-            up: bool,
-            loss_prob: f64,
-            fault_drops: u64,
-            evictions: u64,
-            gray_ctr: u64,
-            queue: Vec<Packet>,
-        }
-        let n_channels = d.len()?;
-        let mut chans = Vec::with_capacity(n_channels);
-        for _ in 0..n_channels {
-            let busy = d.bool()?;
-            let (free_at, free_seq, armed) = (d.u64()?, d.u64()?, d.bool()?);
-            let drops = d.u64()?;
-            let marks = d.u64()?;
-            let up = d.bool()?;
-            let loss_prob = d.f64()?;
-            let fault_drops = d.u64()?;
-            let evictions = d.u64()?;
-            let gray_ctr = d.u64()?;
-            let n_q = d.len()?;
-            let mut queue = Vec::with_capacity(n_q);
-            for _ in 0..n_q {
-                queue.push(dec_packet(&mut d)?);
+        for (what, got, want) in [
+            ("topology", meta.topo_fingerprint, topo.fingerprint()),
+            ("config", meta.cfg_fingerprint, config_fingerprint(&cfg)),
+        ] {
+            if got != want {
+                return Err(format!(
+                    "checkpoint {what} fingerprint {got:016x} does not match the given {what} ({want:016x})"
+                ));
             }
-            chans.push(ChanState {
-                busy,
-                free_at,
-                free_seq,
-                armed,
-                drops,
-                marks,
-                up,
-                loss_prob,
-                fault_drops,
-                evictions,
-                gray_ctr,
-                queue,
-            });
         }
 
-        let n_fev = d.len()?;
-        let mut fault_events = Vec::with_capacity(n_fev);
-        for _ in 0..n_fev {
-            let at_ns = d.u64()?;
-            let kind = dec_fault_kind(&mut d)?;
-            fault_events.push(FaultEvent { at_ns, kind });
-        }
-        let pending = d.u64()? as usize;
-        let epoch = d.u64()?;
-        let down_links = d.vec_bool()?;
-        let down_sw = d.vec_bool()?;
-        let noroute_drops = d.u64()?;
-
-        let n_ctrl = d.len()?;
-        let mut ctrl = Vec::with_capacity(n_ctrl);
-        for _ in 0..n_ctrl {
-            ctrl.push(dec_ctrl(&mut d)?);
-        }
-
-        let goodput_bins = d.vec_u64()?;
-        let routing_down = if d.bool()? {
-            Some((d.vec_bool()?, d.vec_bool()?))
-        } else {
-            None
-        };
-
-        let tracer_snap = match d.u8()? {
-            0 => TracerSnapshot::Nop,
-            1 => {
-                let counters = dec_counters(&mut d)?;
-                let last_t = d.u64()?;
-                let time_regressions = d.u64()?;
-                TracerSnapshot::Counting {
-                    counters,
-                    last_t,
-                    time_regressions,
-                }
-            }
-            2 => {
-                let path = d.str()?;
-                let bytes = d.u64()?;
-                let lines = d.u64()?;
-                TracerSnapshot::JsonlFile { path, bytes, lines }
-            }
-            t => return Err(format!("checkpoint corrupt: unknown tracer tag {t}")),
-        };
-        let telemetry_snap = if d.bool()? {
-            Some(TelemetrySnapshot {
-                every_ns: d.u64()?,
-                path: d.str()?,
-                samples: d.u64()?,
-                bytes: d.u64()?,
-                tx_bytes: d.vec_u64()?,
-                tx_total: d.u64()?,
-            })
-        } else {
-            None
-        };
-        if d.pos != payload.len() {
-            return Err("checkpoint corrupt: trailing payload bytes".into());
-        }
-
-        // Reconstruct. The selector must see the same survivor view the
-        // original's last reconvergence built.
-        let selector: Box<dyn PathSelector> = match &routing_down {
-            Some((dl, ds)) => {
-                let (survivor, map) = survivor_topology_from(topo, dl, ds);
-                Box::new(RemappedSelector::new(selector.rebuild(&survivor), map))
-            }
-            None => selector,
-        };
+        // Decode straight into a fresh simulator, section by section.
         let mut sim = Simulator::new(topo, selector, cfg);
         sim.now = meta.now;
         sim.events_processed = meta.events_processed;
-        sim.event_counts = event_counts;
-        sim.window = window;
-        sim.window_remaining = window_remaining;
-        sim.pkts_sent = pkts_sent;
-        sim.pkts_delivered = pkts_delivered;
-        sim.telemetry_next = telemetry_next;
-        sim.routing_down = routing_down;
-        sim.goodput_bins = goodput_bins;
-        sim.plan_seed = plan_seed;
-        sim.flows = flows;
-        sim.rx = rxs;
-        sim.ctrl = ctrl;
-        sim.ctrl_pos = 0;
-        sim.ctrl_seq = ctrl_seq;
+        let mut d = Dec {
+            buf: &ckpt.data[HEADER_LEN..ckpt.data.len() - 8],
+            pos: 0,
+        };
+        (sim.window, sim.window_remaining, sim.pkts_sent) = d.get()?;
+        (sim.pkts_delivered, sim.telemetry_next) = d.get()?;
+        (sim.plan_seed, sim.ctrl_seq) = d.get()?;
 
-        sim.pkts = pkts;
-        sim.pkts.set_high_water(arena_hwm);
-        sim.queue = CalendarQueue::from_items(cal_seq, cal_peak, items, cursor, num_slots)
+        // The calendar; Deliver packets decode into the fresh arena.
+        let (seq, peak, ladder_spills, scatter_fallbacks) = d.get()?;
+        sim.pkts.set_high_water(d.get()?);
+        sim.event_counts = d.get()?;
+        let (num_slots, cursor) = d.get()?;
+        let n = d.len()?;
+        let items = (0..n)
+            .map(|_| get_entry(&mut d, &mut sim.pkts))
+            .collect::<Result<_, _>>()?;
+        sim.queue = CalendarQueue::from_items(seq, peak, items, cursor, num_slots)
             .map_err(|e| format!("checkpoint corrupt: {e}"))?;
         sim.queue.ladder_spills = ladder_spills;
         sim.queue.scatter_fallbacks = scatter_fallbacks;
 
-        if sim.fabric.channels.len() != chans.len() {
+        sim.flows = d.get()?;
+        sim.rx = (0..sim.flows.len())
+            .map(|_| d.get())
+            .collect::<Result<_, _>>()?;
+
+        if d.len()? != sim.fabric.channels.state.len() {
             return Err("checkpoint corrupt: channel count mismatch".into());
         }
-        for (i, st) in chans.into_iter().enumerate() {
-            let dch = sim.fabric.channels.dyn_mut(i as u32);
-            dch.busy = st.busy;
-            dch.free_at = st.free_at;
-            dch.free_seq = st.free_seq;
-            dch.armed = st.armed;
-            dch.drops = st.drops;
-            dch.marks = st.marks;
-            dch.up = st.up;
-            dch.loss_prob = st.loss_prob;
-            dch.fault_drops = st.fault_drops;
-            dch.evictions = st.evictions;
-            dch.gray_ctr = st.gray_ctr;
-            sim.fabric
-                .channels
-                .restore_queue(i as u32, st.queue, &mut sim.pkts);
+        for c in &mut sim.fabric.channels.state {
+            (c.busy, c.free_at, c.free_seq, c.armed, c.drops, c.marks) = d.get()?;
+            (c.up, c.loss_prob, c.fault_drops, c.evictions, c.gray_ctr) = d.get()?;
+            let queue: Vec<Packet> = d.get()?;
+            c.qlen = queue.len() as u32;
+            c.disc.restore_queue(queue, &mut sim.pkts);
         }
 
-        if sim.faults.down_links.len() != down_links.len()
-            || sim.faults.down_sw.len() != down_sw.len()
+        let want = (sim.faults.down_links.len(), sim.faults.down_sw.len());
+        sim.faults = d.get()?;
+        sim.ctrl = d.get()?;
+        sim.goodput_bins = d.get()?;
+        sim.routing_down = d.get()?;
+        let tracer: TracerSnapshot = d.get()?;
+        let telemetry: Option<TelemetrySnapshot> = d.get()?;
+        if d.pos != d.buf.len() {
+            return Err("checkpoint corrupt: trailing payload bytes".into());
+        }
+        let fits = |dl: &[bool], ds: &[bool]| (dl.len(), ds.len()) == want;
+        if !fits(&sim.faults.down_links, &sim.faults.down_sw)
+            || matches!(&sim.routing_down, Some((dl, ds)) if !fits(dl, ds))
         {
             return Err("checkpoint corrupt: fault state size mismatch".into());
         }
-        sim.faults.events = fault_events;
-        sim.faults.pending = pending;
-        sim.faults.epoch = epoch;
-        sim.faults.down_links = down_links;
-        sim.faults.down_sw = down_sw;
-        sim.faults.noroute_drops = noroute_drops;
 
-        match tracer_snap {
-            TracerSnapshot::Nop => sim.set_tracer(Box::new(NopTracer)),
-            TracerSnapshot::Counting {
-                counters,
-                last_t,
-                time_regressions,
-            } => sim.set_tracer(Box::new(CountingTracer {
-                counters,
-                last_t,
-                time_regressions,
-            })),
-            TracerSnapshot::JsonlFile { path, bytes, lines } => {
-                let t = JsonlTracer::resume(&path, bytes, lines)
-                    .map_err(|e| format!("cannot resume trace file {path}: {e}"))?;
-                sim.set_tracer(Box::new(t));
-            }
+        // The selector must see the same survivor view the original's
+        // last reconvergence built.
+        if let Some((dl, ds)) = &sim.routing_down {
+            let (survivor, map) = survivor_topology_from(topo, dl, ds);
+            sim.selector = Box::new(RemappedSelector::new(sim.selector.rebuild(&survivor), map));
         }
-        if let Some(snap) = &telemetry_snap {
+        sim.set_tracer(tracer.resume()?);
+        if let Some(snap) = &telemetry {
             let tel = Telemetry::resume_file(snap)
                 .map_err(|e| format!("cannot resume telemetry file {}: {e}", snap.path))?;
             // Assign directly: set_telemetry would re-arm the deadline to
             // the first cadence boundary instead of the checkpointed one.
             sim.telemetry = Some(Box::new(tel));
-            sim.telemetry_next = telemetry_next;
         }
         Ok(sim)
     }
@@ -1173,6 +755,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::trace::JsonlTracer;
     use crate::types::{MS, SEC};
     use dcn_routing::RoutingSuite;
     use dcn_topology::fattree::FatTree;
@@ -1400,10 +983,10 @@ mod tests {
             assert!(!sim.run_until(pause), "no pause point with both states");
             let now = (sim.now, u64::MAX);
             let chs = &sim.fabric.channels;
-            let virt = (0..chs.len() as u32).find(|&c| {
-                let (at, seq, armed) = chs.tx_free_key(c);
-                chs.busy(c) && !armed && (at, seq) > now
-            });
+            let virt = chs
+                .state
+                .iter()
+                .position(|c| c.busy && !c.armed && (c.free_at, c.free_seq) > now);
             let deferred = sim
                 .flows
                 .iter()
@@ -1418,8 +1001,8 @@ mod tests {
         let mut resumed =
             Simulator::restore(&t, Box::new(suite.ecmp()), SimConfig::default(), &ckpt)
                 .expect("restore");
-        let (at, seq, armed) = resumed.fabric.channels.tx_free_key(ch);
-        assert!(resumed.fabric.channels.busy(ch) && !armed && (at, seq) > (pause, 0));
+        let c = &resumed.fabric.channels.state[ch];
+        assert!(c.busy && !c.armed && (c.free_at, c.free_seq) > (pause, 0));
         let f = &resumed.flows[fid];
         assert!(f.rto_live.1 != 0 && f.rto_live < f.rto_deadline);
 

@@ -23,7 +23,7 @@
 
 use crate::switch::Fabric;
 use crate::types::Ns;
-use dcn_rng::Rng;
+use dcn_rng::{Fnv1a, Rng};
 use dcn_routing::PathSelector;
 use dcn_topology::{LinkId, NodeId, Topology};
 
@@ -203,20 +203,15 @@ impl FaultPlan {
     /// event — the fault-plan provenance field in run manifests. Two plans
     /// with the same digest schedule the identical failure sequence.
     pub fn digest(&self) -> u64 {
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        mix(&mut h, &self.seed.to_le_bytes());
+        let mut h = Fnv1a::default();
+        h.write_u64(self.seed);
         for e in &self.events {
-            mix(&mut h, &e.at_ns.to_le_bytes());
-            mix(&mut h, e.kind.label().as_bytes());
-            mix(&mut h, &(e.kind.target() as u64).to_le_bytes());
-            mix(&mut h, &(e.kind.loss_ppm() as u64).to_le_bytes());
+            h.write_u64(e.at_ns)
+                .write(e.kind.label().as_bytes())
+                .write_u64(e.kind.target() as u64)
+                .write_u64(e.kind.loss_ppm() as u64);
         }
-        h
+        h.finish()
     }
 
     /// Checks the schedule against a simulation horizon and for coherent

@@ -59,6 +59,8 @@
 pub mod calendar;
 pub mod channel;
 pub mod checkpoint;
+#[cfg(test)]
+mod checkpoint_pin;
 pub mod counters;
 pub mod engine;
 pub mod fault;

@@ -80,27 +80,16 @@ pub trait QueueDiscipline: Send {
     fn name(&self) -> &'static str;
 
     /// Checkpoint support: clones of the queued packets in internal
-    /// (arrival) order, or `None` when the discipline cannot be
-    /// snapshotted — [`crate::Simulator::checkpoint`] then fails cleanly
-    /// instead of silently losing queue state.
-    fn snapshot_queue(&self, pool: &PacketArena) -> Option<Vec<Packet>> {
-        let _ = pool;
-        None
-    }
+    /// (arrival) order. `None` refuses the snapshot —
+    /// [`crate::Simulator::checkpoint`] then fails cleanly instead of
+    /// silently losing queue state; the built-in disciplines never refuse.
+    fn snapshot_queue(&self, pool: &PacketArena) -> Option<Vec<Packet>>;
 
     /// Reinstates packets captured by [`QueueDiscipline::snapshot_queue`]
     /// in the same order, allocating fresh arena ids and bypassing
     /// admission entirely (no marking, drops, or evictions — the packets
-    /// already carry their marks). Disciplines returning `Some` from the
-    /// snapshot hook must implement this.
-    fn restore_queue(&mut self, pkts: Vec<Packet>, pool: &mut PacketArena) {
-        let _ = pool;
-        assert!(
-            pkts.is_empty(),
-            "{} does not support queue restoration",
-            self.name()
-        );
-    }
+    /// already carry their marks).
+    fn restore_queue(&mut self, pkts: Vec<Packet>, pool: &mut PacketArena);
 }
 
 /// A factory producing one [`QueueDiscipline`] instance per channel;

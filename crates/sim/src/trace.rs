@@ -193,8 +193,8 @@ pub trait Tracer: Send {
 }
 
 /// Resumable tracer state captured by [`Tracer::snapshot`] and persisted
-/// in checkpoints; [`crate::checkpoint`] rebuilds the matching tracer
-/// from it on restore.
+/// in checkpoints; [`TracerSnapshot::resume`] rebuilds the matching
+/// tracer from it on restore.
 #[derive(Clone, Debug)]
 pub enum TracerSnapshot {
     /// The disabled default tracer.
@@ -213,6 +213,29 @@ pub enum TracerSnapshot {
         bytes: u64,
         lines: u64,
     },
+}
+
+impl TracerSnapshot {
+    /// The tracer this snapshot was taken of, continuing where it stood;
+    /// a JSONL file tracer reopens and truncates its temporary file.
+    pub(crate) fn resume(self) -> Result<Box<dyn Tracer>, String> {
+        Ok(match self {
+            TracerSnapshot::Nop => Box::new(NopTracer),
+            TracerSnapshot::Counting {
+                counters,
+                last_t,
+                time_regressions,
+            } => Box::new(CountingTracer {
+                counters,
+                last_t,
+                time_regressions,
+            }),
+            TracerSnapshot::JsonlFile { path, bytes, lines } => Box::new(
+                JsonlTracer::resume(&path, bytes, lines)
+                    .map_err(|e| format!("cannot resume trace file {path}: {e}"))?,
+            ),
+        })
+    }
 }
 
 /// The default tracer: drops everything, reports itself disabled.

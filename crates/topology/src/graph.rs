@@ -4,6 +4,7 @@
 //! matching the paper's rack-granularity traffic matrices). Parallel edges
 //! are allowed — oversubscribed fat-trees and small expanders use them.
 
+use dcn_rng::Fnv1a;
 use std::collections::VecDeque;
 
 /// Index of a switch in a [`Topology`].
@@ -191,31 +192,26 @@ impl Topology {
     /// capacity bits). Run manifests record it so two result files can be
     /// checked for having simulated the same fabric.
     pub fn fingerprint(&self) -> u64 {
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        mix(&mut h, self.name.as_bytes());
-        mix(&mut h, &(self.kinds.len() as u64).to_le_bytes());
+        let mut h = Fnv1a::default();
+        h.write(self.name.as_bytes())
+            .write_u64(self.kinds.len() as u64);
         for (i, k) in self.kinds.iter().enumerate() {
             let tag: u64 = match k {
                 NodeKind::Tor => 1,
                 NodeKind::Aggregation => 2,
                 NodeKind::Core => 3,
             };
-            mix(&mut h, &tag.to_le_bytes());
-            mix(&mut h, &(self.servers[i] as u64).to_le_bytes());
-            mix(&mut h, &(self.groups[i] as u64).to_le_bytes());
+            h.write_u64(tag)
+                .write_u64(self.servers[i] as u64)
+                .write_u64(self.groups[i] as u64);
         }
-        mix(&mut h, &(self.links.len() as u64).to_le_bytes());
+        h.write_u64(self.links.len() as u64);
         for l in &self.links {
-            mix(&mut h, &(l.a as u64).to_le_bytes());
-            mix(&mut h, &(l.b as u64).to_le_bytes());
-            mix(&mut h, &l.capacity.to_bits().to_le_bytes());
+            h.write_u64(l.a as u64)
+                .write_u64(l.b as u64)
+                .write_u64(l.capacity.to_bits());
         }
-        h
+        h.finish()
     }
 
     /// Unweighted BFS hop distances from `src` (`u32::MAX` = unreachable).
@@ -254,8 +250,10 @@ impl Topology {
     /// `workers` contiguous blocks. Every block reads all of level `k-1`
     /// and writes only its own rows of level `k` and of the distance
     /// matrix, so blocks need no synchronisation within a level. The
-    /// matrix is allocated zeroed and each block fills its own rows with
-    /// `u32::MAX` at level 1, so its pages are first touched in parallel.
+    /// matrix is allocated zeroed (the diagonal is already right) and the
+    /// blocks write each reached pair once, so its pages are first touched
+    /// in parallel; pairs still unreached after the last level are set to
+    /// `u32::MAX` from the final reach sets.
     pub(crate) fn hop_distances_on(&self, workers: usize) -> HopDistances {
         let n = self.num_nodes();
         let w = n.div_ceil(64);
@@ -281,10 +279,6 @@ impl Topology {
                 let mut grew = false;
                 for (i, (row, dv)) in next.chunks_mut(w).zip(d.chunks_mut(n)).enumerate() {
                     let v = first + i;
-                    if k == 1 {
-                        dv.fill(u32::MAX);
-                        dv[v] = 0;
-                    }
                     let old = &prev[v * w..(v + 1) * w];
                     row.copy_from_slice(old);
                     for &(u, _) in &self.adj[v] {
@@ -308,6 +302,19 @@ impl Topology {
                 break;
             }
             std::mem::swap(&mut cur, &mut next);
+        }
+        for (row, dv) in cur.chunks(w).zip(d.chunks_mut(n)) {
+            for (i, &reached) in row.iter().enumerate() {
+                let mut miss = !reached;
+                while miss != 0 {
+                    let j = i * 64 + miss.trailing_zeros() as usize;
+                    if j >= n {
+                        break; // padding bits of the last word
+                    }
+                    dv[j] = u32::MAX;
+                    miss &= miss - 1;
+                }
+            }
         }
         HopDistances { n, d }
     }

@@ -111,6 +111,9 @@ fi
 echo "==> checkpoint equivalence gate (resume must be byte-exact)"
 cargo test --release -q --test checkpoint_resume
 
+echo "==> checkpoint format pin (v5 bytes, restore identity, damaged payloads)"
+cargo test --release -q -p dcn-sim --lib checkpoint_pin
+
 echo "==> checkpoint corruption gate (damage is final, never restored)"
 cargo test --release -q --test checkpoint_corruption
 

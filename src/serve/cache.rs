@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dcn_core::failpoint;
+use dcn_rng::Fnv1a;
 
 /// Quarantined entries kept for post-mortem before oldest-first pruning
 /// kicks in. Corruption evidence is valuable but finite: a bit-rotting
@@ -41,17 +42,6 @@ const MAGIC: &[u8; 9] = b"DCNCACHE1";
 pub const FORMAT_VERSION: u32 = 1;
 /// magic + payload length.
 const HEADER_LEN: usize = 9 + 8;
-
-/// FNV-1a over a byte string — the workspace's standard content hash
-/// (topology fingerprints and checkpoint checksums use the same one).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// The identity of one experiment result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,7 +64,7 @@ impl CacheKey {
         buf[8..16].copy_from_slice(&self.sim_cfg.to_le_bytes());
         buf[16..24].copy_from_slice(&self.faults.to_le_bytes());
         buf[24..].copy_from_slice(&self.request.to_le_bytes());
-        format!("{:016x}", fnv1a(&buf))
+        format!("{:016x}", Fnv1a::hash(&buf))
     }
 }
 
@@ -180,7 +170,7 @@ impl ArtifactCache {
         }
         let body = &data[..data.len() - 8];
         let want = u64::from_le_bytes(data[data.len() - 8..].try_into().unwrap());
-        if fnv1a(body) != want {
+        if Fnv1a::hash(body) != want {
             return Err("checksum mismatch".into());
         }
         Ok(data[HEADER_LEN..HEADER_LEN + len].to_vec())
@@ -242,7 +232,7 @@ impl ArtifactCache {
         image.extend_from_slice(MAGIC);
         image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         image.extend_from_slice(payload);
-        let sum = fnv1a(&image);
+        let sum = Fnv1a::hash(&image);
         image.extend_from_slice(&sum.to_le_bytes());
         let path = self.entry_path(key);
         failpoint::fail_io("cache.store")?;

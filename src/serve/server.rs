@@ -48,9 +48,10 @@ use std::time::{Duration, Instant};
 
 use dcn_bench::supervise::{self, Attempt, EXIT_CKPT_CORRUPT, EXIT_CONFIG, EXIT_OK};
 use dcn_json::Json;
+use dcn_rng::Fnv1a;
 
 use super::admission::{Admission, Admit};
-use super::cache::{self, fnv1a, ArtifactCache, CacheKey, Lookup};
+use super::cache::{self, ArtifactCache, CacheKey, Lookup};
 use super::protocol::{self, envelope, FrameError, ParseError, Request};
 use crate::config::Experiment;
 use crate::metrics::{Counter, Gauge, Histogram, Registry};
@@ -529,7 +530,7 @@ fn cache_key(exp: &Experiment, canonical: &[u8]) -> CacheKey {
         topo: exp.topo.fingerprint(),
         sim_cfg: config_fingerprint(&exp.sim),
         faults: exp.faults.as_ref().map(|p| p.digest()).unwrap_or(0),
-        request: fnv1a(canonical),
+        request: Fnv1a::hash(canonical),
     }
 }
 
@@ -546,7 +547,7 @@ fn run_supervised_job(
     // whose workers died together retry out of phase instead of as one
     // thundering herd — while any single job replays deterministically.
     let policy = supervise::RetryPolicy::new(Duration::from_millis(srv.opts.backoff_ms))
-        .with_seed(fnv1a(cfg_path.as_os_str().as_encoded_bytes()));
+        .with_seed(Fnv1a::hash(cfg_path.as_os_str().as_encoded_bytes()));
     let mut attempts = 0u32;
     loop {
         let remaining = deadline.saturating_duration_since(Instant::now());

@@ -8,8 +8,8 @@
 use std::process::Command;
 
 use beyond_fattrees::prelude::*;
-use beyond_fattrees::serve::cache::fnv1a;
 use dcn_bench::supervise::{Attempt, EXIT_CKPT_CORRUPT};
+use dcn_rng::Fnv1a;
 
 /// Offsets in the serialized image (see `dcn_sim::checkpoint` docs):
 /// magic[0..8], version u32 [8..12], topo fp u64 [12..20], cfg fp
@@ -43,7 +43,7 @@ fn image() -> Vec<u8> {
 /// after a targeted field edit — isolating the deeper validation layers.
 fn reseal(data: &mut [u8]) {
     let n = data.len();
-    let sum = fnv1a(&data[..n - 8]);
+    let sum = Fnv1a::hash(&data[..n - 8]);
     data[n - 8..].copy_from_slice(&sum.to_le_bytes());
 }
 

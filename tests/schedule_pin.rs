@@ -12,30 +12,7 @@
 //! behavior must re-record them and say why.
 
 use beyond_fattrees::prelude::*;
-
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= x as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn opt(&mut self, v: Option<u64>) {
-        self.u64(v.map_or(u64::MAX, |x| x));
-    }
-}
+use dcn_rng::Fnv1a;
 
 /// (records digest, trace digest, packets sent, drops, ECN marks).
 type Pin = (u64, u64, u64, u64, u64);
@@ -51,19 +28,17 @@ fn pinned_run(mut sim: Simulator, flows: &[FlowEvent], window_end: u64) -> Pin {
         window.iter().all(|r| r.fct_ns.is_some()),
         "every window flow must finish, so the run ends on an event both engines share"
     );
-    let mut d = Digest::new();
+    let mut d = Fnv1a::default();
     for r in &records {
-        d.u64(r.start_ns);
-        d.u64(r.size_bytes);
-        d.opt(r.fct_ns);
-        d.u64(r.failed as u64);
-        d.opt(r.recovery_ns);
+        d.write_u64(r.start_ns)
+            .write_u64(r.size_bytes)
+            .write_u64(r.fct_ns.unwrap_or(u64::MAX))
+            .write_u64(r.failed as u64)
+            .write_u64(r.recovery_ns.unwrap_or(u64::MAX));
     }
-    let mut tr = Digest::new();
-    tr.bytes(&buf.contents());
     (
-        d.0,
-        tr.0,
+        d.finish(),
+        Fnv1a::hash(&buf.contents()),
         sim.conservation().sent,
         sim.total_drops(),
         sim.total_marks(),
