@@ -2,6 +2,8 @@
 //! (§6.3's un-simplified design) and the KSP baseline, on both corner
 //! workloads of Fig 7 — skewed neighbor-rack traffic and uniform A2A.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, p99_short, parse_cli, sweep, Line, Panel};

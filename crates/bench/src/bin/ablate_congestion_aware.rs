@@ -4,6 +4,8 @@
 //! paths, scored on live global queue state — an upper bound no real
 //! scheme can reach) on the Permute workload that stresses routing most.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, long_tput, parse_cli, rate_sweep, sweep, Line, Panel};

@@ -2,6 +2,8 @@
 //! packets). Small K trims queues (lower tail latency, less throughput);
 //! large K behaves like plain loss-based TCP.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, long_tput, p99_short, parse_cli, sweep, Line, Panel};

@@ -11,6 +11,8 @@
 //!   later; routing reconverges after a delay and senders reroute on RTO.
 //!   Emits the fault-drop and recovery-latency columns alongside FCT.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, packet_setup, parse_cli, sweep, Cli, Line, Panel};

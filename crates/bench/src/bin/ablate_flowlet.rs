@@ -2,6 +2,8 @@
 //! re-routes nearly per packet (reordering risk under VLB/HYB); a huge
 //! gap pins each flow to one path (per-flow routing).
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, long_tput, p99_short, parse_cli, sweep, Line, Panel};

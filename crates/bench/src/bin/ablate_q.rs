@@ -2,6 +2,8 @@
 //! the paper's 100 KB sits where short flows keep shortest paths and long
 //! flows get load-balanced. Permute(0.31) on the 2/3-cost Xpander.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, long_tput, p99_short, parse_cli, sweep, Line, Panel};

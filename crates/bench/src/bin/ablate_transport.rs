@@ -3,6 +3,8 @@
 //! with HYB — checks that the paper's routing result does not secretly
 //! depend on DCTCP's ECN reaction or on FIFO queueing.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, long_tput, p99_short, parse_cli, sweep, Line, Panel};

@@ -22,6 +22,8 @@
 //! `--out <path>` overrides the baseline location (default
 //! `BENCH_sim.json` in the working directory — the repo root under CI).
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::perf::{check_perf, perf_cases, run_perf_suite, write_table};
 use dcn_json::Json;
 

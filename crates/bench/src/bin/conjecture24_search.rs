@@ -7,6 +7,8 @@
 //! A row with `counterexample = 1` would *refute* the conjecture (none
 //! are expected; the paper leaves it open, and this search supports it).
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{parse_cli, Series};
 use dcn_maxflow::concurrent::Commodity;
 use dcn_maxflow::lp::exact_concurrent_flow;

@@ -4,6 +4,8 @@
 //! ECMP on the expander; HYB recovers the fat-tree's performance for
 //! skewed (small-x) matrices.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, fraction_sweep, long_tput, p99_short, parse_cli, sweep, Line, Panel};

@@ -3,6 +3,8 @@
 //! tracks the full-bandwidth fat-tree; the cheap fat-tree deteriorates
 //! much earlier.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, long_tput, p99_short, parse_cli, rate_sweep, sweep, Line, Panel};

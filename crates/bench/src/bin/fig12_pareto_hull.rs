@@ -2,6 +2,8 @@
 //! 99th-percentile FCT of short flows. Xpander's shorter paths give it
 //! *lower* tail latency than the full-bandwidth fat-tree.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{parse_cli, rate_sweep, sweep, Line, Panel};

@@ -9,6 +9,8 @@
 //! bottlenecks ignored (ProjecToR's method); (c) average FCT with real
 //! 10 Gbps server links.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, p99_short, parse_cli, rate_sweep, sweep, Line, Panel};

@@ -2,6 +2,8 @@
 //! the ProjecToR traffic matrix (product-form rack weights) — on exactly
 //! the Fig 13 networks. Results should be "largely similar" to Fig 13.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, p99_short, parse_cli, rate_sweep, sweep, Line, Panel};

@@ -3,6 +3,8 @@
 //! Skew(0.04, 0.77). Run in the flow-level simulator (`dcn-flowsim`) to
 //! make the scale tractable; DESIGN.md §4 documents the fidelity trade.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{packet_setup, parse_cli, rate_sweep, Series};
 use dcn_core::{Routing, Scale};
 use dcn_flowsim::{FlowSim, FlowSimConfig};

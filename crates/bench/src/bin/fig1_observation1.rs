@@ -6,6 +6,8 @@
 //! predicted cap x, and the throughput the fluid-flow solver actually
 //! achieves on the constructed two-pod TM.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{parse_cli, Series};
 use dcn_core::theory::{observation1_fraction, observation1_throughput};
 

@@ -1,6 +1,8 @@
 //! Fig 2: the throughput-proportionality ideal versus the fat-tree's
 //! flexibility curve — the conceptual figure defining the paper's metric.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{fraction_sweep, parse_cli, Series};
 use dcn_core::{fat_tree_throughput, tp_throughput};
 

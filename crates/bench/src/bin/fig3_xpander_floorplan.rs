@@ -2,6 +2,8 @@
 //! 3402 servers, 18 meta-nodes in 6 pods of 3, with cable bundling and
 //! the rack floor plan.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::parse_cli;
 use dcn_json::Json;
 use dcn_topology::metrics::{cable_stats, path_stats, xpander_floor_plan};

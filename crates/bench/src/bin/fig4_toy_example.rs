@@ -3,6 +3,8 @@
 //! upper-bounded at 80%; the unrestricted model reaches 100% only by
 //! ignoring reconfiguration (90% at ProjecToR's duty cycle).
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::parse_cli;
 use dcn_core::dynamicnet::{RestrictedDynamic, UnrestrictedDynamic};
 use dcn_json::Json;

@@ -6,6 +6,8 @@
 //! 24 server ports). The default `small` uses q=5 (50 ToRs, 7+4 ports),
 //! which keeps each Garg–Könemann solve under a second.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{fluid_curve, fraction_sweep, parse_cli, Series};
 use dcn_core::dynamicnet::{RestrictedDynamic, UnrestrictedDynamic};
 use dcn_core::{fat_tree_throughput, tp_throughput, Scale};

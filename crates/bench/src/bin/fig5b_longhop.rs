@@ -2,6 +2,8 @@
 //! network and 8 server ports — a folded 9-cube) and a same-equipment
 //! Jellyfish. Default `small` scale uses a folded 5-cube (32 ToRs).
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{fluid_curve, fraction_sweep, parse_cli, Series};
 use dcn_core::dynamicnet::{RestrictedDynamic, UnrestrictedDynamic};
 use dcn_core::{fat_tree_throughput, tp_throughput, Scale};

@@ -2,6 +2,8 @@
 //! switches (same port count, same servers) under longest-matching TMs.
 //! Paper scale uses k=20 (500 switches, 2000 servers); `small` uses k=8.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{fluid_curve, fraction_sweep, parse_cli, Series};
 use dcn_core::Scale;
 use dcn_topology::fattree::FatTree;

@@ -4,6 +4,8 @@
 //! k = 6 / 8 (at k = 4, twice the fat-tree's 16 servers on its 20
 //! switches leaves only 2 network ports per switch).
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{fluid_curve, fraction_sweep, parse_cli, Series};
 use dcn_core::Scale;
 use dcn_topology::fattree::FatTree;

@@ -3,6 +3,8 @@
 //! loopless paths exist. Audits first-hop ECMP diversity and k-shortest
 //! path lengths for adjacent and non-adjacent ToR pairs.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{parse_cli, Series};
 use dcn_core::{paper_networks, Scale};
 use dcn_routing::{k_shortest_paths, EcmpTable};

@@ -3,6 +3,8 @@
 //! direct link and its FCT blows up with load; VLB spreads over the whole
 //! fabric and keeps up with the full-bandwidth fat-tree.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, parse_cli, rate_sweep, sweep, Line, Panel};

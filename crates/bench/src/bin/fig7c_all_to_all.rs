@@ -2,6 +2,8 @@
 //! now hurts — its average FCT deteriorates with load while ECMP matches
 //! the full-bandwidth fat-tree.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, parse_cli, rate_sweep, sweep, Line, Panel};

@@ -2,6 +2,8 @@
 //! (mean ≈ 2.4 MB) and Pareto-HULL (mean ≈ 100 KB) — as CDFs, analytic
 //! and empirical.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::{parse_cli, Series};
 use dcn_rng::Rng;
 use dcn_workloads::{FlowSizeDist, PFabricWebSearch, ParetoHull};

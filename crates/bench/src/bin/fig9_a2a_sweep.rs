@@ -3,6 +3,8 @@
 //! Emits three blocks: (a) average FCT, (b) 99th-percentile FCT of short
 //! flows, (c) average throughput of long flows.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 use dcn_bench::{avg_fct, fraction_sweep, long_tput, p99_short, parse_cli, sweep, Line, Panel};

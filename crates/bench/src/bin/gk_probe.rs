@@ -1,4 +1,7 @@
 //! Timing probe for the Garg–Könemann solver on the Fig 5a instance.
+
+#![forbid(unsafe_code)]
+
 use dcn_maxflow::concurrent::{max_concurrent_flow, Commodity, GkOptions};
 use dcn_maxflow::network::FlowNetwork;
 use dcn_topology::slimfly::SlimFly;

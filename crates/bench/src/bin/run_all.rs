@@ -6,6 +6,8 @@
 //! cargo run --release -p dcn-bench --bin run_all -- --out results
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 const BINARIES: &[&str] = &[

@@ -1,6 +1,8 @@
 //! Table 1: cost per network port for static and recent dynamic designs,
 //! and the resulting flexible-port factor δ.
 
+#![forbid(unsafe_code)]
+
 use dcn_bench::parse_cli;
 use dcn_core::cost::{delta_lowest, table1};
 use dcn_json::Json;

@@ -21,6 +21,8 @@
 //! sweep writes `man.<line>_x<NN>.json` per line and x index `NN` (see
 //! [`Cli::trace_path`] for the derivation).
 
+#![forbid(unsafe_code)]
+
 pub mod perf;
 pub mod supervise;
 

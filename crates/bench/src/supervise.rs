@@ -99,8 +99,7 @@ impl JobOutcome {
     }
 }
 
-/// Retry pacing shared by every supervisor in the stack (`dcnrun`
-/// batches, `dcnserve` worker relaunches): exponential growth from
+/// Retry pacing for `dcnrun`'s worker relaunches: exponential growth from
 /// `base`, capped at `cap`, with **deterministic jitter** — each delay is
 /// drawn into `[d/2, d)` by a splitmix64 hash of `(jitter_seed, attempt)`.
 ///

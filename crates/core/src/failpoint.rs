@@ -2,9 +2,9 @@
 //! registry for the durability and I/O boundaries of the stack.
 //!
 //! The paper's robustness claim is about *network* component failure; the
-//! serving stack around the simulator additionally has to survive
+//! run harness around the simulator additionally has to survive
 //! *infrastructure* failure — full disks, torn renames, failed fsyncs,
-//! short socket writes, workers that cannot even be spawned. Failpoints
+//! workers that cannot even be spawned. Failpoints
 //! make those ugly partial-failure modes reproducible: every durability
 //! boundary declares a **named site** (the full catalog is [`SITES`]),
 //! and a site can be *armed* with a spec describing when and how to fail.
@@ -81,13 +81,10 @@ pub const SITES: &[&str] = &[
     "ckpt.save.fsync",
     "ckpt.save.rename",
     "ckpt.load",
-    // dcnserve artifact cache.
+    // dcnrun result memo (the root crate's `cache` module).
     "cache.read",
     "cache.store",
     "cache.quarantine",
-    // dcnserve socket framing.
-    "serve.sock_read",
-    "serve.sock_write",
     // worker process management.
     "supervise.spawn",
 ];
@@ -513,7 +510,7 @@ mod tests {
 
     #[test]
     fn site_catalog_is_sorted_groups_and_nonempty() {
-        assert!(SITES.len() >= 15);
+        assert!(SITES.len() >= 13);
         let unique: std::collections::HashSet<_> = SITES.iter().collect();
         assert_eq!(unique.len(), SITES.len(), "duplicate site name");
     }

@@ -21,6 +21,8 @@
 //! assert!((delta_lowest() - 1.5).abs() < 0.02);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod dynamicnet;
 pub mod experiment;

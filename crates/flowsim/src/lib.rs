@@ -27,6 +27,8 @@
 //! assert!(records.iter().all(|r| r.fct_ns.is_some()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dcn_routing::ecmp::hash3;
 use dcn_routing::PathSelector;
 use dcn_sim::stats::FlowRecord;

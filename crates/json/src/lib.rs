@@ -15,6 +15,8 @@
 //! assert_eq!(round.get("b").unwrap().as_bool(), Some(true));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// A JSON value. Numbers keep an integer representation when the source

@@ -22,6 +22,8 @@
 //! assert!(lam >= 0.857 && lam <= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bound;
 pub mod concurrent;
 pub mod dinic;

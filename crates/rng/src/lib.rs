@@ -22,6 +22,8 @@
 //! assert_eq!(Rng::seed_from_u64(7).next_u64(), Rng::seed_from_u64(7).next_u64());
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// SplitMix64 step — used to expand a 64-bit seed into the xoshiro state

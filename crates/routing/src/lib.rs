@@ -21,6 +21,8 @@
 //! assert!(!path.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ecmp;
 pub mod hyb;
 pub mod ksp;

@@ -56,6 +56,8 @@
 //! assert_eq!(m.completed, m.flows);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod calendar;
 pub mod channel;
 pub mod checkpoint;

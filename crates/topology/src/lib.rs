@@ -19,6 +19,8 @@
 //! assert!(path_stats(&xp).avg_path_length < path_stats(&ft).avg_path_length);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dragonfly;
 pub mod export;
 pub mod fattree;

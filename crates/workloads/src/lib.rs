@@ -16,6 +16,8 @@
 //! assert!(!flows.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod fluid;
 pub mod fsize;

@@ -208,133 +208,51 @@ grep -q '^dcnrun_jobs_failed_total 1' "$batch_dir/keep.prom"
 grep -q '^dcnrun_job_wall_ms_count 3' "$batch_dir/keep.prom"
 rm -rf "$batch_dir"
 
-echo "==> dcnserve gates (soak, cache equivalence, corruption heal, drain)"
-cargo build --release --quiet --bin dcnserve
-cargo test --release -q --test serve_soak
-serve_dir="$(mktemp -d)"
-cat > "$serve_dir/job.json" <<'EOF'
+echo "==> dcnrun result memo (warm = cold, corrupt entries quarantined, ENOSPC degraded)"
+memo_dir="$(mktemp -d)"
+# The fault plan keeps the worker busy past its first checkpoint, so
+# --die-after-checkpoints fires.
+cat > "$memo_dir/job.json" <<'EOF'
 {
   "topology": { "kind": "fat_tree", "k": 4 },
   "routing": { "kind": "ecmp" },
   "workload": { "pattern": { "kind": "all_to_all" } },
-  "lambda": 300.0,
-  "window_ms": [0, 2],
-  "seed": 7
+  "lambda": 800.0,
+  "window_ms": [0, 8],
+  "seed": 7,
+  "faults": { "kind": "random_link_outages", "count": 2, "down_ms": 2, "up_ms": 5, "seed": 3 }
 }
 EOF
-# Daemon with chaos injection: every job's first worker attempt SIGKILLs
-# itself after one checkpoint, so even the CI path exercises resume.
-./target/release/dcnserve serve --tcp 127.0.0.1:0 \
-  --addr-file "$serve_dir/addr" --state-dir "$serve_dir/state" \
-  --checkpoint-every-ms 0 --inject-worker-crash --backoff-ms 50 \
-  2> "$serve_dir/daemon.log" &
-serve_pid=$!
-trap 'kill -9 "$serve_pid" 2> /dev/null || true' EXIT
-for _ in $(seq 1 100); do test -s "$serve_dir/addr" && break; sleep 0.1; done
-serve_addr="$(head -n 1 "$serve_dir/addr")"
-dcnserve() { ./target/release/dcnserve "$@"; }
-# Cold (computed through a crash + resume) vs warm (served from cache)
-# must be byte-identical.
-dcnserve request "$serve_dir/job.json" --tcp "$serve_addr" > "$serve_dir/cold.json" 2> /dev/null
-dcnserve request "$serve_dir/job.json" --tcp "$serve_addr" > "$serve_dir/warm.json" 2> /dev/null
-test -s "$serve_dir/cold.json"
-cmp "$serve_dir/cold.json" "$serve_dir/warm.json"
-# Corrupt the cache entry on disk: the daemon must quarantine it and
-# recompute the same bytes, never serve the rot.
-truncate -s -2 "$serve_dir/state/cache/"*.res
-dcnserve request "$serve_dir/job.json" --tcp "$serve_addr" > "$serve_dir/healed.json" 2> /dev/null
-cmp "$serve_dir/cold.json" "$serve_dir/healed.json"
-ls "$serve_dir/state/cache/quarantine/" | grep -q '.res'
-dcnserve ping --tcp "$serve_addr" > /dev/null
-# Live observability: dcnstat top renders one refresh against the daemon,
-# and the Prometheus exposition agrees with the requests we just made.
-cargo run --release --quiet --bin dcnstat -- top --tcp "$serve_addr" --count 1 \
-  | grep -q '^requests '
-dcnserve metrics --tcp "$serve_addr" > "$serve_dir/metrics.prom"
-grep -q '^# TYPE dcnserve_requests_total counter' "$serve_dir/metrics.prom"
-grep -q '^dcnserve_worker_relaunches_total [1-9]' "$serve_dir/metrics.prom"
-# Stats reconciliation: every request the daemon read lands in exactly one
-# outcome bucket. We sent 3 runs (cold, warm, healed), 1 ping, 1 top poll,
-# 1 metrics scrape, and the stats op below — so requests minus the four
-# non-run ops must equal the summed run outcomes.
-stats_json="$(dcnserve stats --tcp "$serve_addr")"
-sget() { echo "$stats_json" | sed -n 's/.*"'"$1"'": \([0-9]*\).*/\1/p' | head -n 1; }
-outcomes=$(( $(sget run_ok) + $(sget served_cached) + $(sget coalesced) \
-  + $(sget overloaded) + $(sget deadline_exceeded) + $(sget errors_config) \
-  + $(sget errors_unknown_op) + $(sget errors_crash) + $(sget errors_ckpt_corrupt) \
-  + $(sget errors_internal) + $(sget draining_refused) + $(sget protocol_errors) ))
-if [ "$(sget requests)" -ne "$(( outcomes + 4 ))" ]; then
-  echo "dcnserve stats ledger does not balance: $stats_json"; exit 1
-fi
-test "$(sget run_ok)" -eq 2          # cold + healed both computed
-test "$(sget served_cached)" -eq 1   # warm came from the cache
-test "$(sget cache_entries)" -ge 1
-# SIGTERM must drain cleanly: exit 0, taxonomy's "ok".
-kill -TERM "$serve_pid"
-set +e
-wait "$serve_pid"
-drain_rc=$?
-set -e
-trap - EXIT
-test "$drain_rc" -eq 0
-rm -rf "$serve_dir"
-
-echo "==> failpoint-armed dcnserve soak (ENOSPC checkpoints + LRU cache bound, relcheck)"
-# The daemon runs under relcheck (release + debug assertions) with every
-# worker checkpoint save failing ENOSPC and the cache bounded to a single
-# entry: every request must still answer byte-identical results — the
-# service degrades (counted), it never refuses or corrupts.
-cargo build --profile relcheck --quiet --bin dcnserve
-cargo build --release --quiet --bin dcnrun
-fp_dir="$(mktemp -d)"
-cat > "$fp_dir/a.json" <<'EOF'
-{
-  "topology": { "kind": "fat_tree", "k": 4 },
-  "routing": { "kind": "ecmp" },
-  "workload": { "pattern": { "kind": "all_to_all" } },
-  "lambda": 1000.0,
-  "window_ms": [0, 2],
-  "seed": 7
-}
-EOF
-sed 's/"seed": 7/"seed": 8/' "$fp_dir/a.json" > "$fp_dir/b.json"
-# Unarmed ground truth for config A, computed by dcnrun.
-cargo run --release --quiet --bin dcnrun -- run "$fp_dir/a.json" \
-  --out-dir "$fp_dir/truth" --checkpoint-every-ms 0
-truth_size="$(stat -c%s "$fp_dir/truth/a.result.json")"
-DCN_FAILPOINTS='ckpt.save.write=enospc' ./target/relcheck/dcnserve serve \
-  --tcp 127.0.0.1:0 --addr-file "$fp_dir/addr" --state-dir "$fp_dir/state" \
-  --checkpoint-every-ms 0 --cache-max-bytes "$(( truth_size + 120 ))" \
-  2> "$fp_dir/daemon.log" &
-fp_pid=$!
-trap 'kill -9 "$fp_pid" 2> /dev/null || true' EXIT
-for _ in $(seq 1 100); do test -s "$fp_dir/addr" && break; sleep 0.1; done
-fp_addr="$(head -n 1 "$fp_dir/addr")"
-# Cold A (worker degrades, result cached), warm A (cache hit), cold B
-# (degrades again; storing B evicts A past the one-entry bound).
-./target/relcheck/dcnserve request "$fp_dir/a.json" --tcp "$fp_addr" \
-  > "$fp_dir/a_cold.json" 2> /dev/null
-./target/relcheck/dcnserve request "$fp_dir/a.json" --tcp "$fp_addr" \
-  > "$fp_dir/a_warm.json" 2> /dev/null
-./target/relcheck/dcnserve request "$fp_dir/b.json" --tcp "$fp_addr" \
-  > "$fp_dir/b_cold.json" 2> /dev/null
-cmp "$fp_dir/truth/a.result.json" "$fp_dir/a_cold.json"   # degraded ≠ different
-cmp "$fp_dir/a_cold.json" "$fp_dir/a_warm.json"           # cached ≠ different
-test -s "$fp_dir/b_cold.json"
-fp_stats="$(./target/relcheck/dcnserve stats --tcp "$fp_addr")"
-fpget() { echo "$fp_stats" | sed -n 's/.*"'"$1"'": \([0-9]*\).*/\1/p' | head -n 1; }
-test "$(fpget degraded)" -eq 2        # both cold runs lost checkpointing
-test "$(fpget served_cached)" -eq 1   # the warm A repeat
-test "$(fpget cache_evicted)" -ge 1   # storing B pushed A out
-test "$(fpget cache_entries)" -eq 1   # the bound holds exactly one entry
-kill -TERM "$fp_pid"
-set +e
-wait "$fp_pid"
-fp_rc=$?
-set -e
-trap - EXIT
-test "$fp_rc" -eq 0                   # degraded daemons still drain cleanly
-rm -rf "$fp_dir"
+# Unarmed ground truth in its own out-dir (and so its own memo).
+dcnrun run "$memo_dir/job.json" --out-dir "$memo_dir/truth" --checkpoint-every-ms 0
+truth="$memo_dir/truth/job.result.json"
+# Cold: the first worker attempt SIGKILLs itself after one checkpoint and
+# the retry resumes; the resumed result is exact and goes into the memo.
+dcnrun batch "$memo_dir/job.json" --out-dir "$memo_dir/out" \
+  --checkpoint-every-ms 0 --die-after-checkpoints 1
+cmp "$truth" "$memo_dir/out/job.result.json"
+grep -q '"attempts": 2' "$memo_dir/out/job.report.json"
+# Warm: answered from the memo, byte-identical, no worker launched.
+dcnrun batch "$memo_dir/job.json" --out-dir "$memo_dir/out" --checkpoint-every-ms 0
+cmp "$truth" "$memo_dir/out/job.result.json"
+grep -q '"status": "cached"' "$memo_dir/out/batch.summary.json"
+grep -q '"attempts": 0' "$memo_dir/out/job.report.json"
+# Corrupt the entry on disk: it must be quarantined and recomputed to the
+# same bytes, never served.
+truncate -s -2 "$memo_dir/out/cache/"*.res
+dcnrun batch "$memo_dir/job.json" --out-dir "$memo_dir/out" --checkpoint-every-ms 0
+cmp "$truth" "$memo_dir/out/job.result.json"
+grep -q '"status": "ok"' "$memo_dir/out/job.report.json"
+ls "$memo_dir/out/cache/quarantine/" | grep -q '\.res$'
+# Every checkpoint save fails ENOSPC, under relcheck (release + debug
+# assertions): the job loses crash protection, not correctness — the
+# result is exact and the job is reported ok_degraded.
+cargo build --profile relcheck --quiet --bin dcnrun
+DCN_FAILPOINTS='ckpt.save.write=enospc' ./target/relcheck/dcnrun batch "$memo_dir/job.json" \
+  --out-dir "$memo_dir/enospc" --checkpoint-every-ms 0
+cmp "$truth" "$memo_dir/enospc/job.result.json"
+grep -q '"status": "ok_degraded"' "$memo_dir/enospc/job.report.json"
+rm -rf "$memo_dir"
 
 echo "==> chaos soak (20 seeded fault plans x 3 transports, zero violations)"
 cargo run --release --quiet --bin dcnrun -- chaos --plans 20 --seed 1

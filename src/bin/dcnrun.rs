@@ -21,6 +21,13 @@
 //! workers write `<job>.result.json` — both atomically (temporary +
 //! rename), so no crash leaves a truncated file.
 //!
+//! Finished results are memoized in `<out-dir>/cache/` under a
+//! content-addressed key (see `beyond_fattrees::cache`): a job whose key
+//! already has a verified result is answered from it — status `cached`,
+//! no worker — so re-running a sweep recomputes only what is new or
+//! damaged. Every artifact is named by the config's file stem, so a batch
+//! in which two configs share a stem is refused before anything runs.
+//!
 //! A batch stops at the first failed job by default; `--keep-going` runs
 //! every job regardless and reports the failures at the end. Either way
 //! `batch` writes a `<out-dir>/batch.summary.json` (per-job status,
@@ -35,12 +42,16 @@
 //! event counts (no deadlock/livelock), and `completed + failed == flows`
 //! for every plan.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::process::Command;
-use std::time::Duration;
+#![forbid(unsafe_code)]
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::process::Command;
+use std::time::{Duration, Instant};
+
+use beyond_fattrees::cache::{self, ArtifactCache, CacheKey, Lookup};
 use beyond_fattrees::jobs::{self, CrashHooks};
-use beyond_fattrees::metrics::Registry;
+use beyond_fattrees::metrics::Exposition;
 use beyond_fattrees::prelude::*;
 use dcn_bench::supervise::{
     self, Attempt, EXIT_CKPT_CORRUPT, EXIT_CONFIG, EXIT_CRASH, EXIT_OK, EXIT_TIMEOUT,
@@ -53,7 +64,7 @@ const USAGE: &str = "usage: dcnrun run <config.json> [options]
        dcnrun chaos [--plans N] [--seed N] [--transport dctcp|newreno|pfabric|all]
 
 options:
-  --out-dir DIR             result/checkpoint/report directory (default: runs)
+  --out-dir DIR             result/checkpoint/report directory, memo in DIR/cache (default: runs)
   --timeout-s N             wall-clock watchdog per attempt (default: none)
   --retries N               relaunch budget per job (default: 2)
   --backoff-ms N            base retry backoff, doubles per attempt with jitter (default: 200)
@@ -100,7 +111,7 @@ fn main() {
 /// Hidden subcommand: runs one experiment, checkpointing as it goes.
 /// Resumes automatically if the checkpoint file exists (the supervisor
 /// removes stale ones before the first attempt). The body lives in
-/// `beyond_fattrees::jobs`, shared with the `dcnserve` daemon's workers.
+/// `beyond_fattrees::jobs`.
 fn worker(args: &[String]) -> i32 {
     let Some(cfg_path) = args.first().filter(|a| !a.starts_with("--")) else {
         fail("worker needs a config path");
@@ -112,14 +123,7 @@ fn worker(args: &[String]) -> i32 {
         die_after_checkpoints: flag_u64(args, "--die-after-checkpoints"),
         stall_after_checkpoints: flag_u64(args, "--stall-after-checkpoints"),
     };
-    jobs::worker_main(
-        "dcnrun",
-        cfg_path,
-        &result_path,
-        &ckpt_path,
-        every_ms,
-        hooks,
-    )
+    jobs::worker_main(cfg_path, &result_path, &ckpt_path, every_ms, hooks)
 }
 
 // ------------------------------------------------------------ supervisor
@@ -137,6 +141,43 @@ fn status_label(a: Attempt) -> &'static str {
         EXIT_CKPT_CORRUPT => "checkpoint_corrupt",
         _ => "crash",
     }
+}
+
+/// How one job ended, as its report, the batch summary and the metrics
+/// tell it.
+struct JobEnd {
+    status: &'static str,
+    exit_code: i32,
+    /// Worker launches; 0 when the memo answered.
+    attempts: u32,
+    wall: Duration,
+}
+
+/// The file stem every artifact of the job at `cfg_path` is named by.
+fn job_stem(cfg_path: &str) -> String {
+    Path::new(cfg_path)
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "job".to_string())
+}
+
+/// The memo key of the config at `cfg_path` under build `build`, or
+/// `None` when the job runs without the memo: a file that is not JSON
+/// (the worker then reports it exactly as it would with no memo), a
+/// config that names a trace or telemetry file, which a memo hit would
+/// not write, or one that loads its topology from a file the config text
+/// does not cover. Only the text is read: a config that fails to
+/// materialize fails in its worker, and nothing is stored for it.
+fn memo_key(build: u64, cfg_path: &str) -> Option<CacheKey> {
+    let cfg = Json::parse(&std::fs::read_to_string(cfg_path).ok()?).ok()?;
+    let topo_kind = cfg.get("topology").and_then(|t| t.get("kind"));
+    if cfg.get("trace").is_some()
+        || cfg.get("telemetry").is_some()
+        || topo_kind.and_then(Json::as_str) == Some("file")
+    {
+        return None;
+    }
+    Some(CacheKey::new(build, &cfg))
 }
 
 fn supervisor(args: &[String], batch: bool) -> i32 {
@@ -167,7 +208,23 @@ fn supervisor(args: &[String], batch: bool) -> i32 {
     }
     let keep_going = args.iter().any(|a| a == "--keep-going");
     let out_dir = flag_value(args, "--out-dir").unwrap_or_else(|| "runs".to_string());
+    // Every artifact path is `<out-dir>/<stem>.*`, so two configs with one
+    // stem would overwrite each other's results (and, in parallel, share
+    // a checkpoint). Refuse the batch before anything runs.
+    let stems: Vec<String> = configs.iter().map(|c| job_stem(c)).collect();
+    for (i, stem) in stems.iter().enumerate() {
+        if let Some(j) = stems[..i].iter().position(|s| s == stem) {
+            fail(&format!(
+                "{} and {} share the job name \"{stem}\" (their artifacts would \
+                 collide in {out_dir}); rename one",
+                configs[j], configs[i]
+            ));
+        }
+    }
     std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| fail(&format!("create {out_dir}: {e}")));
+    let memo_dir = format!("{out_dir}/cache");
+    let memo =
+        ArtifactCache::open(&memo_dir).unwrap_or_else(|e| fail(&format!("open {memo_dir}: {e}")));
     let timeout = flag_u64(args, "--timeout-s").map(Duration::from_secs);
     let retries = flag_u64(args, "--retries").unwrap_or(2) as u32;
     let backoff = Duration::from_millis(flag_u64(args, "--backoff-ms").unwrap_or(200));
@@ -182,16 +239,19 @@ fn supervisor(args: &[String], batch: bool) -> i32 {
             .unwrap_or(1),
     };
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(&format!("current_exe: {e}")));
+    // Workers run this same binary, so its bytes identify the code that
+    // computes every result; without them the memo is off.
+    let build = cache::build_id(&exe)
+        .map_err(|e| eprintln!("dcnrun: read {}: {e}; result memo off", exe.display()))
+        .ok();
 
-    // One supervised job: clean stale artifacts, retry the worker to a
-    // final outcome, write its report. Runs on a scheduler thread; every
-    // artifact path is job-unique, so jobs never contend on files.
+    // One supervised job: clean stale artifacts, answer from the memo or
+    // retry the worker to a final outcome, write its report. Runs on a
+    // scheduler thread; stems are unique (checked above), so jobs never
+    // contend on files.
     let run_one = |idx: usize| {
         let cfg_path = configs[idx];
-        let stem = std::path::Path::new(cfg_path)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "job".to_string());
+        let stem = &stems[idx];
         let result = format!("{out_dir}/{stem}.result.json");
         let ckpt = format!("{out_dir}/{stem}.ckpt");
         let report_path = format!("{out_dir}/{stem}.report.json");
@@ -200,49 +260,85 @@ fn supervisor(args: &[String], batch: bool) -> i32 {
         let _ = std::fs::remove_file(&ckpt);
         let _ = std::fs::remove_file(&result);
 
-        let outcome = supervise::retry(
-            |attempt| {
-                let mut c = Command::new(&exe);
-                c.arg("worker")
-                    .arg(cfg_path)
-                    .arg("--result")
-                    .arg(&result)
-                    .arg("--ckpt")
-                    .arg(&ckpt)
-                    .arg("--checkpoint-every-ms")
-                    .arg(every_ms.to_string());
-                if attempt == 0 {
-                    // Failure-injection hooks fire on the first attempt
-                    // only, so the relaunch path is what gets tested.
-                    if let Some(n) = die_after {
-                        c.arg("--die-after-checkpoints").arg(n.to_string());
+        let t0 = Instant::now();
+        let key = build.and_then(|b| memo_key(b, cfg_path));
+        let hit = key.as_ref().and_then(|k| match memo.load(k) {
+            Lookup::Hit(bytes) => Some(bytes),
+            Lookup::Quarantined(why) => {
+                eprintln!("dcnrun: {stem}: memo entry {}: {why}; recomputing", k.hex());
+                None
+            }
+            Lookup::Miss => None,
+        });
+        let end = if let Some(bytes) = hit {
+            write_atomic(&result, &bytes)
+                .unwrap_or_else(|e| fail(&format!("write result {result}: {e}")));
+            JobEnd {
+                status: "cached",
+                exit_code: EXIT_OK,
+                attempts: 0,
+                wall: t0.elapsed(),
+            }
+        } else {
+            let outcome = supervise::retry(
+                |attempt| {
+                    let mut c = Command::new(&exe);
+                    c.arg("worker")
+                        .arg(cfg_path)
+                        .arg("--result")
+                        .arg(&result)
+                        .arg("--ckpt")
+                        .arg(&ckpt)
+                        .arg("--checkpoint-every-ms")
+                        .arg(every_ms.to_string());
+                    if attempt == 0 {
+                        // Failure-injection hooks fire on the first attempt
+                        // only, so the relaunch path is what gets tested.
+                        if let Some(n) = die_after {
+                            c.arg("--die-after-checkpoints").arg(n.to_string());
+                        }
+                        if let Some(n) = stall_after {
+                            c.arg("--stall-after-checkpoints").arg(n.to_string());
+                        }
                     }
-                    if let Some(n) = stall_after {
-                        c.arg("--stall-after-checkpoints").arg(n.to_string());
-                    }
+                    c
+                },
+                timeout,
+                retries,
+                // Per-job jitter stream: parallel jobs whose workers die
+                // together de-phase their retries instead of re-colliding.
+                supervise::RetryPolicy::new(backoff).with_seed(idx as u64),
+            );
+            let outcome = match outcome {
+                Ok(o) => o,
+                Err(e) => fail(&format!("spawn worker for {cfg_path}: {e}")),
+            };
+            let mut status = status_label(outcome.last);
+            if let (Some(k), EXIT_OK) = (key, outcome.exit_code()) {
+                // Serving the result beats memoizing it: a failed store
+                // only marks the job degraded.
+                if let Err(e) = std::fs::read(&result).and_then(|b| memo.store(&k, &b)) {
+                    eprintln!("dcnrun: {stem}: memo store {}: {e}", k.hex());
+                    status = "ok_degraded";
                 }
-                c
-            },
-            timeout,
-            retries,
-            // Per-job jitter stream: parallel jobs whose workers die
-            // together de-phase their retries instead of re-colliding.
-            supervise::RetryPolicy::new(backoff).with_seed(idx as u64),
-        );
-        let outcome = match outcome {
-            Ok(o) => o,
-            Err(e) => fail(&format!("spawn worker for {cfg_path}: {e}")),
+            }
+            JobEnd {
+                status,
+                exit_code: outcome.exit_code(),
+                attempts: outcome.attempts,
+                wall: t0.elapsed(),
+            }
         };
 
         let mut fields = vec![
             ("job", Json::from(stem.as_str())),
             ("config", Json::from(cfg_path.as_str())),
-            ("status", Json::from(status_label(outcome.last))),
-            ("exit_code", Json::from(outcome.exit_code() as u64)),
-            ("attempts", Json::from(outcome.attempts as u64)),
-            ("wall_ms", Json::from(outcome.wall.as_millis() as u64)),
+            ("status", Json::from(end.status)),
+            ("exit_code", Json::from(end.exit_code as u64)),
+            ("attempts", Json::from(end.attempts as u64)),
+            ("wall_ms", Json::from(end.wall.as_millis() as u64)),
         ];
-        if outcome.exit_code() == EXIT_OK {
+        if end.exit_code == EXIT_OK {
             fields.push(("result", Json::from(result.as_str())));
         } else {
             // Partial-result salvage: report how far the last good
@@ -266,12 +362,12 @@ fn supervisor(args: &[String], batch: bool) -> i32 {
             .unwrap_or_else(|e| fail(&format!("write report {report_path}: {e}")));
         eprintln!(
             "dcnrun: {stem}: {} (attempts {}, {:.1}s) -> {report_path}",
-            status_label(outcome.last),
-            outcome.attempts,
-            outcome.wall.as_secs_f64()
+            end.status,
+            end.attempts,
+            end.wall.as_secs_f64()
         );
-        let keep_dispatching = outcome.exit_code() == EXIT_OK || keep_going;
-        ((stem, outcome), keep_dispatching)
+        let keep_dispatching = end.exit_code == EXIT_OK || keep_going;
+        (end, keep_dispatching)
     };
 
     // Work-stealing dispatch across `--jobs` supervisor slots (a single
@@ -284,92 +380,111 @@ fn supervisor(args: &[String], batch: bool) -> i32 {
     let mut worst = EXIT_OK;
     let mut per_job: Vec<Json> = Vec::new();
     let mut counts = (0u64, 0u64); // (ok, failed)
-    for (i, (stem, outcome)) in &finished {
-        worst = worst.max(outcome.exit_code());
+    for (i, end) in &finished {
+        worst = worst.max(end.exit_code);
         per_job.push(Json::obj(vec![
-            ("job", Json::from(stem.as_str())),
+            ("job", Json::from(stems[*i].as_str())),
             ("config", Json::from(configs[*i].as_str())),
-            ("status", Json::from(status_label(outcome.last))),
-            ("exit_code", Json::from(outcome.exit_code() as u64)),
-            ("attempts", Json::from(outcome.attempts as u64)),
+            ("status", Json::from(end.status)),
+            ("exit_code", Json::from(end.exit_code as u64)),
+            ("attempts", Json::from(end.attempts as u64)),
         ]));
-        if outcome.exit_code() == EXIT_OK {
+        if end.exit_code == EXIT_OK {
             counts.0 += 1;
         } else {
             counts.1 += 1;
         }
     }
 
-    // Operational metrics for the whole supervision run, in the same
-    // Prometheus text format `dcnserve metrics` exposes — one registry,
-    // one render, one atomic write.
+    // Operational metrics for the whole supervision run, rendered once
+    // from the finished jobs and written atomically.
     if let Some(path) = flag_value(args, "--metrics") {
-        let reg = Registry::new();
-        let jobs_total = reg.counter("dcnrun_jobs_total", "Jobs dispatched or skipped.");
-        let jobs_ok = reg.counter("dcnrun_jobs_ok_total", "Jobs that finished with exit 0.");
-        let jobs_degraded = reg.counter(
+        let with_status =
+            |status: &str| finished.iter().filter(|(_, e)| e.status == status).count() as u64;
+        let mut wall = StreamingHistogram::new();
+        let (mut attempts, mut relaunches) = (0u64, 0u64);
+        for (_, end) in &finished {
+            wall.record(end.wall.as_millis() as u64);
+            attempts += end.attempts as u64;
+            relaunches += end.attempts.saturating_sub(1) as u64;
+        }
+        let mut m = Exposition::new();
+        m.counter(
+            "dcnrun_jobs_total",
+            "Jobs dispatched or skipped.",
+            configs.len() as u64,
+        )
+        .counter(
+            "dcnrun_jobs_ok_total",
+            "Jobs that finished with exit 0.",
+            counts.0,
+        )
+        .counter(
+            "dcnrun_jobs_cached_total",
+            "Jobs answered from the result memo without a worker.",
+            with_status("cached"),
+        )
+        .counter(
             "dcnrun_jobs_degraded_total",
-            "Jobs that finished correctly but without durable checkpointing.",
-        );
-        let jobs_failed = reg.counter("dcnrun_jobs_failed_total", "Jobs that exhausted retries.");
-        let jobs_skipped = reg.counter(
+            "Jobs that finished correctly but without durable checkpointing or a memo store.",
+            with_status("ok_degraded"),
+        )
+        .counter(
+            "dcnrun_jobs_failed_total",
+            "Jobs that exhausted retries.",
+            counts.1,
+        )
+        .counter(
             "dcnrun_jobs_skipped_total",
             "Jobs never launched after a fail-fast abort.",
-        );
-        let attempts = reg.counter(
+            skipped_idx.len() as u64,
+        )
+        .counter(
             "dcnrun_worker_attempts_total",
             "Worker launches, including relaunches.",
-        );
-        let relaunches = reg.counter(
+            attempts,
+        )
+        .counter(
             "dcnrun_worker_relaunches_total",
             "Worker launches beyond each job's first attempt.",
+            relaunches,
+        )
+        .gauge(
+            "dcnrun_worst_exit_code",
+            "Worst exit code across the run.",
+            worst as u64,
+        )
+        .summary(
+            "dcnrun_job_wall_ms",
+            "Per-job supervised wall time, ms.",
+            &wall,
         );
-        let worst_gauge = reg.gauge("dcnrun_worst_exit_code", "Worst exit code across the run.");
-        let wall = reg.histogram("dcnrun_job_wall_ms", "Per-job supervised wall time, ms.");
-        jobs_total.add(configs.len() as u64);
-        jobs_ok.add(counts.0);
-        jobs_failed.add(counts.1);
-        jobs_skipped.add(skipped_idx.len() as u64);
-        for (_i, (_stem, outcome)) in &finished {
-            attempts.add(outcome.attempts as u64);
-            relaunches.add(outcome.attempts.saturating_sub(1) as u64);
-            wall.observe(outcome.wall.as_millis() as u64);
-            if outcome.last.degraded() {
-                jobs_degraded.inc();
-            }
-        }
-        worst_gauge.set(worst as u64);
-        write_atomic(&path, reg.render_text().as_bytes())
+        write_atomic(&path, m.text().as_bytes())
             .unwrap_or_else(|e| fail(&format!("write metrics {path}: {e}")));
     }
 
     // The per-batch summary: every job's fate in one artifact, including
     // the ones a fail-fast abort never launched.
     if batch {
-        let skipped: Vec<&String> = skipped_idx.iter().map(|&i| configs[i]).collect();
-        for cfg_path in &skipped {
-            let stem = std::path::Path::new(cfg_path.as_str())
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "job".to_string());
+        for &i in &skipped_idx {
             per_job.push(Json::obj(vec![
-                ("job", Json::from(stem.as_str())),
-                ("config", Json::from(cfg_path.as_str())),
+                ("job", Json::from(stems[i].as_str())),
+                ("config", Json::from(configs[i].as_str())),
                 ("status", Json::from("skipped")),
             ]));
         }
-        if !skipped.is_empty() {
+        if !skipped_idx.is_empty() {
             eprintln!(
                 "dcnrun: batch aborted after first failure; {} job(s) skipped \
                  (use --keep-going to run them all)",
-                skipped.len()
+                skipped_idx.len()
             );
         }
         let summary = Json::obj(vec![
             ("jobs", Json::from(configs.len() as u64)),
             ("ok", Json::from(counts.0)),
             ("failed", Json::from(counts.1)),
-            ("skipped", Json::from(skipped.len() as u64)),
+            ("skipped", Json::from(skipped_idx.len() as u64)),
             ("keep_going", Json::from(keep_going)),
             ("worst_exit", Json::from(worst as u64)),
             ("per_job", Json::Arr(per_job)),
@@ -383,7 +498,7 @@ fn supervisor(args: &[String], batch: bool) -> i32 {
             "dcnrun: batch: {} ok, {} failed, {} skipped -> {summary_path}",
             counts.0,
             counts.1,
-            skipped.len()
+            skipped_idx.len()
         );
     }
     worst

@@ -27,6 +27,8 @@
 //! unknown key, wrong type, fault event past the horizon) exit with a
 //! one-line `dcnsim: error: ...`.
 
+#![forbid(unsafe_code)]
+
 use beyond_fattrees::config::{load_experiment, EXAMPLE};
 use beyond_fattrees::prelude::*;
 use dcn_json::Json;

@@ -7,7 +7,6 @@
 //! dcnstat hist   <trace.jsonl>                FCT / queue-delay / flowlet-gap histograms
 //! dcnstat diff   <a/manifest.json> <b/manifest.json>   field-by-field manifest compare
 //! dcnstat bench  <BENCH_sim.json> [<other.json>]       perf baseline table / diff
-//! dcnstat top    (--tcp ADDR | --unix PATH)   live dcnserve stats, refreshing
 //! ```
 //!
 //! `queues` and `util` read the time-series JSONL a telemetry-enabled run
@@ -24,20 +23,13 @@
 //! below the CI floor, simulated-field drift, or a case on one side only)
 //! — so a perf trajectory of committed baselines stays readable across
 //! re-anchors.
-//!
-//! `top` polls a
-//! running `dcnserve`'s `stats` op and redraws a compact operational
-//! table every `--interval-ms` (default 1000), `--count N` times
-//! (default: until interrupted).
+
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::io::{self, IsTerminal, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
-use std::time::Duration;
+use std::io::{self, Write};
 
 use beyond_fattrees::prelude::*;
-use beyond_fattrees::serve::protocol::{read_frame, write_frame};
 use dcn_bench::perf;
 use dcn_json::Json;
 
@@ -49,8 +41,7 @@ fn fail(msg: &str) -> ! {
 const USAGE: &str = "usage: dcnstat queues <telemetry.jsonl> [--ch N] \
      | dcnstat util <telemetry.jsonl> | dcnstat hist <trace.jsonl> \
      | dcnstat diff <a/manifest.json> <b/manifest.json> \
-     | dcnstat bench <BENCH_sim.json> [<other.json>] \
-     | dcnstat top (--tcp ADDR | --unix PATH) [--interval-ms N] [--count N]";
+     | dcnstat bench <BENCH_sim.json> [<other.json>]";
 
 /// Parses every JSONL line of `path`.
 fn read_jsonl(path: &str) -> Vec<Json> {
@@ -311,182 +302,6 @@ fn bench_compare(old: &[Json], new: &[Json], out: &mut dyn Write) -> io::Result<
     Ok(bad)
 }
 
-// ------------------------------------------------------------------- top
-
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl io::Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// `--flag <value>` anywhere in `args`.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| fail(&format!("{flag} takes a value")))
-            .to_string()
-    })
-}
-
-/// One `stats` round-trip on a fresh connection; returns the envelope.
-/// I/O failures (refused connection, reset mid-frame) come back as `Err`
-/// so `top` can ride out a daemon restart; a daemon that *answers* with
-/// garbage or a non-ok status is still fatal — that is a bug, not churn.
-fn poll_stats(args: &[String]) -> io::Result<Json> {
-    let mut conn = if let Some(addr) = flag_value(args, "--tcp") {
-        let s = TcpStream::connect(&addr)?;
-        let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
-        let _ = s.set_write_timeout(Some(Duration::from_secs(10)));
-        Conn::Tcp(s)
-    } else if let Some(path) = flag_value(args, "--unix") {
-        let s = UnixStream::connect(&path)?;
-        let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
-        let _ = s.set_write_timeout(Some(Duration::from_secs(10)));
-        Conn::Unix(s)
-    } else {
-        fail("top needs --tcp ADDR or --unix PATH")
-    };
-    write_frame(&mut conn, br#"{"op": "stats"}"#)?;
-    let bytes = read_frame(&mut conn).map_err(|e| io::Error::other(e.to_string()))?;
-    let env = Json::parse(&String::from_utf8_lossy(&bytes))
-        .unwrap_or_else(|e| fail(&format!("parse stats response: {e}")));
-    if env.get("status").and_then(|s| s.as_str()) != Some("ok") {
-        fail(&format!("stats request failed: {env}"));
-    }
-    Ok(env)
-}
-
-/// One refresh of the `top` table from a stats envelope.
-fn render_stats(stats: &Json, out: &mut dyn Write) -> io::Result<()> {
-    let n = |k: &str| stats.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
-    let version = stats
-        .get("version")
-        .and_then(|v| v.get("crate"))
-        .and_then(|v| v.as_str())
-        .unwrap_or("?");
-    let errors = n("errors_config")
-        + n("errors_unknown_op")
-        + n("errors_crash")
-        + n("errors_ckpt_corrupt")
-        + n("errors_internal");
-    writeln!(
-        out,
-        "dcnserve {version}  up {:.1}s  conns {}  workers {} running / {} queued",
-        n("uptime_ms") as f64 / 1e3,
-        n("conns"),
-        n("workers_running"),
-        n("workers_queued"),
-    )?;
-    writeln!(
-        out,
-        "requests {}: ok {}  cached {}  coalesced {}  shed {}  deadline {}  errors {}",
-        n("requests"),
-        n("run_ok"),
-        n("served_cached"),
-        n("coalesced"),
-        n("overloaded"),
-        n("deadline_exceeded"),
-        errors,
-    )?;
-    writeln!(
-        out,
-        "cache: {} entries  {} bytes  hits {}  misses {}  stores {}  quarantined {}",
-        n("cache_entries"),
-        n("cache_bytes"),
-        n("cache_hits"),
-        n("cache_misses"),
-        n("cache_stores"),
-        n("cache_quarantined"),
-    )?;
-    writeln!(
-        out,
-        "relaunches {}  protocol_errors {}  disconnects {}  draining_refused {}",
-        n("worker_relaunches"),
-        n("protocol_errors"),
-        n("disconnects"),
-        n("draining_refused"),
-    )?;
-    Ok(())
-}
-
-/// `top`: poll a running dcnserve and redraw the table until `--count`
-/// refreshes have printed (0 = forever) or the pipe closes.
-fn cmd_top(args: &[String], out: &mut dyn Write) -> io::Result<()> {
-    let interval = Duration::from_millis(
-        flag_value(args, "--interval-ms")
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| fail("--interval-ms takes an integer"))
-            })
-            .unwrap_or(1000),
-    );
-    let count: u64 = flag_value(args, "--count")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail("--count takes an integer"))
-        })
-        .unwrap_or(0);
-    let tty = io::stdout().is_terminal();
-    let mut shown = 0u64;
-    // Bounded reconnect: a daemon restart (refused/reset for a few polls)
-    // should not kill a dashboard, but a daemon that stays down is an
-    // error, not something to spin on forever.
-    const MAX_CONSECUTIVE_FAILURES: u32 = 5;
-    let mut failures = 0u32;
-    loop {
-        match poll_stats(args) {
-            Ok(stats) => {
-                failures = 0;
-                if tty {
-                    // Home + clear: redraw in place on a live terminal;
-                    // plain appended blocks when piped (logs, CI).
-                    write!(out, "\x1b[H\x1b[2J")?;
-                }
-                render_stats(&stats, out)?;
-                out.flush()?;
-                shown += 1;
-                if count != 0 && shown >= count {
-                    return Ok(());
-                }
-            }
-            Err(e) => {
-                failures += 1;
-                if failures >= MAX_CONSECUTIVE_FAILURES {
-                    fail(&format!(
-                        "poll stats: {e} ({failures} consecutive failures, giving up)"
-                    ));
-                }
-                eprintln!("dcnstat: poll stats: {e} (retry {failures}/{MAX_CONSECUTIVE_FAILURES})");
-            }
-        }
-        std::thread::sleep(interval);
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { fail(USAGE) };
@@ -517,7 +332,6 @@ fn main() {
                 Some(b) => bench_compare(&a, &read_bench(b), &mut out).map(|d| drifted = d),
             }
         }
-        "top" => cmd_top(&args[1..], &mut out),
         other => fail(&format!("unknown subcommand \"{other}\"\n{USAGE}")),
     };
     match result.and_then(|_| out.flush()) {
@@ -639,27 +453,6 @@ mod tests {
         let s = Json::parse(r#"{"t": 100, "ev": "sample", "ch": [[3, 1, 1540, 3080]]}"#).unwrap();
         assert!(is_sample(&s));
         assert_eq!(sample_channels(&s), vec![(3, 1, 1540, 3080)]);
-    }
-
-    #[test]
-    fn top_table_renders_stats_envelope() {
-        let stats = Json::parse(
-            r#"{"status": "ok", "version": {"crate": "0.1.0"}, "uptime_ms": 2500,
-                "requests": 10, "run_ok": 7, "served_cached": 2, "coalesced": 1,
-                "overloaded": 0, "deadline_exceeded": 0, "errors_config": 1,
-                "errors_unknown_op": 1, "conns": 3, "workers_running": 2,
-                "workers_queued": 1, "cache_entries": 4, "cache_bytes": 4096,
-                "cache_hits": 2, "cache_misses": 8}"#,
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        render_stats(&stats, &mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("dcnserve 0.1.0  up 2.5s"), "{s}");
-        assert!(s.contains("workers 2 running / 1 queued"), "{s}");
-        assert!(s.contains("requests 10: ok 7  cached 2"), "{s}");
-        assert!(s.contains("errors 2"), "{s}");
-        assert!(s.contains("cache: 4 entries  4096 bytes"), "{s}");
     }
 
     fn tiny_manifest() -> Json {

@@ -1,19 +1,20 @@
-//! The supervised-worker job runner shared by `dcnrun` and `dcnserve`.
+//! The body of `dcnrun`'s hidden `worker` subcommand.
 //!
-//! Both binaries execute experiments in disposable worker processes so a
+//! `dcnrun` executes experiments in disposable worker processes so a
 //! crash, OOM kill, or live-lock loses at most one checkpoint interval.
-//! This module is the worker's body: drive a materialized
+//! This module is the worker: drive a materialized
 //! [`Experiment`](crate::config::Experiment) in simulated-time chunks,
 //! checkpoint full simulator state on a wall-clock cadence, resume
 //! automatically from an existing checkpoint, and render the final result
-//! as deterministic JSON bytes — a crashed-and-resumed job produces bytes
-//! identical to an uninterrupted one, which is what lets `dcnserve` cache
-//! results and serve them interchangeably with fresh computations.
+//! as deterministic JSON bytes. A crashed-and-resumed job produces bytes
+//! identical to an uninterrupted one, which is what lets the supervisor's
+//! result memo ([`crate::cache`]) serve a stored result in place of a
+//! fresh computation.
 //!
 //! Failures carry the `dcn_bench::supervise` exit-code taxonomy so the
-//! supervising parent (either binary) classifies them without parsing
-//! stderr: config problems are final, crashes are retryable, corrupt
-//! checkpoints break the resume chain and are final.
+//! supervising parent classifies them without parsing stderr: config
+//! problems are final, crashes are retryable, corrupt checkpoints break
+//! the resume chain and are final.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -35,9 +36,9 @@ pub struct CrashHooks {
 /// Why a job could not produce result bytes, carrying the exit code the
 /// worker process should die with.
 #[derive(Debug)]
-pub struct JobFailure {
-    pub exit_code: i32,
-    pub message: String,
+struct JobFailure {
+    exit_code: i32,
+    message: String,
 }
 
 impl JobFailure {
@@ -68,14 +69,14 @@ fn die_uncleanly() -> ! {
 /// Builds a fresh (non-resumed) simulator for `exp`, with the config's
 /// trace and telemetry destinations attached (a worker writes no
 /// manifest).
-fn fresh_simulator(tool: &str, exp: &Experiment) -> Result<Simulator, JobFailure> {
+fn fresh_simulator(exp: &Experiment) -> Result<Simulator, JobFailure> {
     let mut run = exp.run();
     let sinks = Sinks {
         manifest: None,
         ..exp.sinks.clone()
     };
     sinks
-        .attach(&mut run, tool, exp.seed)
+        .attach(&mut run, "dcnrun", exp.seed)
         .map_err(JobFailure::config)?;
     Ok(run.build())
 }
@@ -84,9 +85,9 @@ fn fresh_simulator(tool: &str, exp: &Experiment) -> Result<Simulator, JobFailure
 /// lost along the way (checkpoint writes failing — e.g. a full disk —
 /// downgrade the run to compute-without-persist instead of killing it).
 #[derive(Debug)]
-pub struct JobResult {
-    pub bytes: Vec<u8>,
-    pub degraded: bool,
+struct JobResult {
+    bytes: Vec<u8>,
+    degraded: bool,
 }
 
 /// Runs `exp` to completion with periodic checkpoints and returns the
@@ -104,8 +105,7 @@ pub struct JobResult {
 /// strictly better than losing the computation. A checkpoint that cannot
 /// be *loaded* is still fatal (`EXIT_CKPT_CORRUPT`): resuming from bad
 /// state could silently produce wrong bytes.
-pub fn run_job(
-    tool: &str,
+fn run_job(
     exp: &Experiment,
     ckpt_path: &str,
     every_ms: u64,
@@ -121,13 +121,13 @@ pub fn run_job(
         let s = Simulator::restore(&exp.topo, exp.routing.selector(&exp.topo), exp.sim, &ckpt)
             .map_err(|e| JobFailure::corrupt(format!("restore {ckpt_path}: {e}")))?;
         eprintln!(
-            "{tool}: resumed from {ckpt_path} at t={} ns ({} events)",
+            "dcnrun: resumed from {ckpt_path} at t={} ns ({} events)",
             s.now(),
             s.events_processed()
         );
         s
     } else {
-        fresh_simulator(tool, exp)?
+        fresh_simulator(exp)?
     };
 
     // Drive in simulated-time chunks; between chunks, checkpoint on the
@@ -162,7 +162,7 @@ pub fn run_job(
                     // an earlier save would rewind a resumed run, which
                     // is correct but wasteful; keep it.
                     eprintln!(
-                        "{tool}: warning: checkpoint save failed ({e}); \
+                        "dcnrun: warning: checkpoint save failed ({e}); \
                          continuing without crash protection"
                     );
                     degraded = true;
@@ -217,12 +217,11 @@ pub fn run_job(
     })
 }
 
-/// The full hidden-`worker`-subcommand body shared by `dcnrun` and
-/// `dcnserve`: load the config, run the job (resuming if a checkpoint
-/// exists), write the result atomically, clean up the checkpoint, and
-/// return the process exit code from the supervise taxonomy.
+/// The hidden `worker` subcommand: load the config, run the job
+/// (resuming if a checkpoint exists), write the result atomically, clean
+/// up the checkpoint, and return the process exit code from the
+/// supervise taxonomy.
 pub fn worker_main(
-    tool: &str,
     cfg_path: &str,
     result_path: &str,
     ckpt_path: &str,
@@ -232,19 +231,19 @@ pub fn worker_main(
     let exp = match crate::config::load_experiment(cfg_path) {
         Ok(e) => e,
         Err(e) => {
-            eprintln!("{tool}: error: {e}");
+            eprintln!("dcnrun: error: {e}");
             return EXIT_CONFIG;
         }
     };
-    let result = match run_job(tool, &exp, ckpt_path, every_ms, hooks) {
+    let result = match run_job(&exp, ckpt_path, every_ms, hooks) {
         Ok(r) => r,
         Err(f) => {
-            eprintln!("{tool}: error: {}", f.message);
+            eprintln!("dcnrun: error: {}", f.message);
             return f.exit_code;
         }
     };
     if let Err(e) = dcn_core::write_atomic(result_path, &result.bytes) {
-        eprintln!("{tool}: error: write result {result_path}: {e}");
+        eprintln!("dcnrun: error: write result {result_path}: {e}");
         return EXIT_CRASH;
     }
     let _ = std::fs::remove_file(ckpt_path); // job done; nothing to resume

@@ -38,10 +38,12 @@
 //! assert_eq!(metrics.completed, metrics.flows);
 //! ```
 
+#![forbid(unsafe_code)]
+
+pub mod cache;
 pub mod config;
 pub mod jobs;
 pub mod metrics;
-pub mod serve;
 
 pub use dcn_core as core;
 pub use dcn_flowsim as flowsim;

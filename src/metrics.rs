@@ -1,96 +1,30 @@
-//! A hermetic, hand-rolled metrics registry: counters, gauges, and
-//! histograms with Prometheus-style plaintext exposition — no
-//! dependencies, no background threads, no global state.
+//! A hermetic, write-once Prometheus text exposition builder: counters,
+//! gauges, and summaries appended in order from finished counts — no
+//! dependencies, no handles, no shared state.
 //!
-//! The service layer (`dcnserve`, `dcnrun`) records operational
-//! measurements through cheap cloneable handles ([`Counter`], [`Gauge`],
-//! [`Histogram`]); [`Registry::render_text`] walks every registered
-//! instrument and emits the standard text format:
+//! `dcnrun --metrics` renders one document at exit:
 //!
 //! ```text
-//! # HELP dcnserve_requests_total Requests received, any op.
-//! # TYPE dcnserve_requests_total counter
-//! dcnserve_requests_total 42
+//! # HELP dcnrun_jobs_total Jobs dispatched or skipped.
+//! # TYPE dcnrun_jobs_total counter
+//! dcnrun_jobs_total 42
 //! ```
 //!
-//! Histograms reuse [`StreamingHistogram`] — the same fixed-size
+//! Summaries read a [`StreamingHistogram`] — the same fixed-size
 //! log-bucketed sketch the simulator uses for FCT distributions — and
-//! expose as Prometheus *summaries* (quantiles + `_sum` + `_count`),
-//! which fits a sketch that answers percentile queries directly.
-//!
-//! Handles are `Arc`-backed: recording is an atomic add (counters,
-//! gauges) or a short mutex hold (histograms), so instruments can be
-//! shared freely across connection threads. Everything here is
-//! deterministic given the same sequence of recordings; only *what* the
-//! service records (wall time, arrival order) is nondeterministic.
+//! expose its quantiles plus `_sum` and `_count`, which fits a sketch
+//! that answers percentile queries directly.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::fmt::Write;
 
 use dcn_sim::StreamingHistogram;
 
-/// A monotonically increasing count. Cloning shares the underlying cell.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A value that can go up and down (queue depth, live connections).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A distribution sketch; exposed as a Prometheus summary.
-#[derive(Clone)]
-pub struct Histogram(Arc<Mutex<StreamingHistogram>>);
-
-impl Histogram {
-    pub fn observe(&self, v: u64) {
-        self.0.lock().unwrap().record(v);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.0.lock().unwrap().count()
-    }
-}
-
-enum Kind {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-struct Instrument {
-    name: String,
-    help: String,
-    kind: Kind,
-}
-
-/// The instrument directory: hands out handles and renders them all.
+/// One exposition document under construction. Each metric is rendered
+/// as it is added, in the order added.
 #[derive(Default)]
-pub struct Registry {
-    instruments: Mutex<Vec<Instrument>>,
+pub struct Exposition {
+    text: String,
+    names: Vec<String>,
 }
 
 /// Prometheus metric names: `[a-zA-Z_:][a-zA-Z0-9_:]*`.
@@ -103,75 +37,55 @@ fn valid_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-impl Registry {
-    pub fn new() -> Registry {
-        Registry::default()
+impl Exposition {
+    pub fn new() -> Exposition {
+        Exposition::default()
     }
 
-    fn register(&self, name: &str, help: &str, kind: Kind) {
+    /// Writes the `HELP`/`TYPE` header, refusing a malformed or repeated
+    /// name (a programming error, so it panics).
+    fn header(&mut self, name: &str, help: &str, ty: &str) {
         assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut list = self.instruments.lock().unwrap();
         assert!(
-            !list.iter().any(|i| i.name == name),
+            !self.names.iter().any(|n| n == name),
             "metric {name:?} registered twice"
         );
-        list.push(Instrument {
-            name: name.to_string(),
-            help: help.to_string(),
-            kind,
-        });
+        self.names.push(name.to_string());
+        let _ = writeln!(self.text, "# HELP {name} {help}\n# TYPE {name} {ty}");
     }
 
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let c = Counter::default();
-        self.register(name, help, Kind::Counter(c.clone()));
-        c
+    /// A monotonically increasing count.
+    pub fn counter(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
+        self.header(name, help, "counter");
+        let _ = writeln!(self.text, "{name} {value}");
+        self
     }
 
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let g = Gauge::default();
-        self.register(name, help, Kind::Gauge(g.clone()));
-        g
+    /// A value that can go up and down.
+    pub fn gauge(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
+        self.header(name, help, "gauge");
+        let _ = writeln!(self.text, "{name} {value}");
+        self
     }
 
-    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        let h = Histogram(Arc::new(Mutex::new(StreamingHistogram::new())));
-        self.register(name, help, Kind::Histogram(h.clone()));
-        h
-    }
-
-    /// The full exposition document, instruments in registration order.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for i in self.instruments.lock().unwrap().iter() {
-            let ty = match &i.kind {
-                Kind::Counter(_) => "counter",
-                Kind::Gauge(_) => "gauge",
-                Kind::Histogram(_) => "summary",
-            };
-            out.push_str(&format!("# HELP {} {}\n", i.name, i.help));
-            out.push_str(&format!("# TYPE {} {}\n", i.name, ty));
-            match &i.kind {
-                Kind::Counter(c) => out.push_str(&format!("{} {}\n", i.name, c.get())),
-                Kind::Gauge(g) => out.push_str(&format!("{} {}\n", i.name, g.get())),
-                Kind::Histogram(h) => {
-                    let sketch = h.0.lock().unwrap();
-                    if !sketch.is_empty() {
-                        for (label, p) in [("0.5", 0.50), ("0.9", 0.90), ("0.99", 0.99)] {
-                            out.push_str(&format!(
-                                "{}{{quantile=\"{}\"}} {}\n",
-                                i.name,
-                                label,
-                                sketch.value_at_percentile(p)
-                            ));
-                        }
-                    }
-                    out.push_str(&format!("{}_sum {}\n", i.name, sketch.sum()));
-                    out.push_str(&format!("{}_count {}\n", i.name, sketch.count()));
-                }
+    /// A distribution, as quantiles (omitted when empty), `_sum` and
+    /// `_count`.
+    pub fn summary(&mut self, name: &str, help: &str, sketch: &StreamingHistogram) -> &mut Self {
+        self.header(name, help, "summary");
+        if !sketch.is_empty() {
+            for (label, p) in [("0.5", 0.50), ("0.9", 0.90), ("0.99", 0.99)] {
+                let v = sketch.value_at_percentile(p);
+                let _ = writeln!(self.text, "{name}{{quantile=\"{label}\"}} {v}");
             }
         }
-        out
+        let _ = writeln!(self.text, "{name}_sum {}", sketch.sum());
+        let _ = writeln!(self.text, "{name}_count {}", sketch.count());
+        self
+    }
+
+    /// The document so far.
+    pub fn text(&self) -> &str {
+        &self.text
     }
 }
 
@@ -181,57 +95,58 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_render() {
-        let r = Registry::new();
-        let c = r.counter("requests_total", "Requests received.");
-        let g = r.gauge("queue_depth", "Requests waiting.");
-        c.inc();
-        c.add(2);
-        g.set(7);
-        let text = r.render_text();
-        assert!(text.contains("# TYPE requests_total counter"), "{text}");
-        assert!(text.contains("requests_total 3\n"), "{text}");
-        assert!(text.contains("# TYPE queue_depth gauge"), "{text}");
-        assert!(text.contains("queue_depth 7\n"), "{text}");
+        let mut e = Exposition::new();
+        e.counter("requests_total", "Requests received.", 3).gauge(
+            "queue_depth",
+            "Requests waiting.",
+            7,
+        );
+        let text = e.text();
+        assert_eq!(
+            text,
+            "# HELP requests_total Requests received.\n\
+             # TYPE requests_total counter\n\
+             requests_total 3\n\
+             # HELP queue_depth Requests waiting.\n\
+             # TYPE queue_depth gauge\n\
+             queue_depth 7\n"
+        );
     }
 
     #[test]
     fn histograms_render_as_summaries() {
-        let r = Registry::new();
-        let h = r.histogram("latency_ms", "Request latency.");
-        let empty = r.render_text();
-        assert!(empty.contains("latency_ms_count 0"), "{empty}");
-        assert!(!empty.contains("quantile"), "{empty}");
+        let mut h = StreamingHistogram::new();
+        let mut empty = Exposition::new();
+        empty.summary("latency_ms", "Request latency.", &h);
+        assert!(
+            empty.text().contains("latency_ms_count 0"),
+            "{}",
+            empty.text()
+        );
+        assert!(!empty.text().contains("quantile"), "{}", empty.text());
         for v in 1..=100 {
-            h.observe(v);
+            h.record(v);
         }
-        let text = r.render_text();
+        let mut e = Exposition::new();
+        e.summary("latency_ms", "Request latency.", &h);
+        let text = e.text();
         assert!(text.contains("# TYPE latency_ms summary"), "{text}");
         assert!(text.contains("latency_ms{quantile=\"0.5\"}"), "{text}");
+        assert!(text.contains("latency_ms_sum 5050\n"), "{text}");
         assert!(text.contains("latency_ms_count 100"), "{text}");
-        assert_eq!(h.count(), 100);
-    }
-
-    #[test]
-    fn handles_share_state_across_clones() {
-        let r = Registry::new();
-        let c = r.counter("shared_total", "Shared.");
-        let c2 = c.clone();
-        c2.add(5);
-        assert_eq!(c.get(), 5);
     }
 
     #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_names_are_rejected() {
-        let r = Registry::new();
-        let _a = r.counter("dup", "x");
-        let _b = r.gauge("dup", "y");
+        Exposition::new()
+            .counter("dup", "x", 1)
+            .gauge("dup", "y", 2);
     }
 
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn bad_names_are_rejected() {
-        let r = Registry::new();
-        let _ = r.counter("9starts-with-digit", "x");
+        Exposition::new().counter("9starts-with-digit", "x", 1);
     }
 }

@@ -209,3 +209,74 @@ fn keep_going_runs_every_job_despite_failures() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Two configs with one file stem would write the same
+/// `<stem>.result.json`/`.report.json`/`.ckpt`: the batch is refused
+/// with exit 1, naming both paths, before any job runs.
+#[test]
+fn colliding_job_stems_are_refused_before_dispatch() {
+    let dir = tmp_dir("collide");
+    for sub in ["a", "b"] {
+        std::fs::create_dir_all(dir.join(sub)).expect("create config dir");
+    }
+    let cfgs = vec![
+        write_cfg(&dir.join("a"), "job", &good_config(21)),
+        write_cfg(&dir.join("b"), "job", &good_config(22)),
+    ];
+
+    let out = dir.join("out");
+    let run = Command::new(env!("CARGO_BIN_EXE_dcnrun"))
+        .arg("batch")
+        .args(&cfgs)
+        .arg("--out-dir")
+        .arg(&out)
+        .args(["--jobs", "1"])
+        .output()
+        .expect("spawn dcnrun batch");
+    assert_eq!(run.status.code(), Some(1), "{run:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    for cfg in &cfgs {
+        assert!(stderr.contains(cfg.as_str()), "{cfg} not named: {stderr}");
+    }
+    assert!(
+        !out.join("job.result.json").exists() && !out.join("batch.summary.json").exists(),
+        "nothing may run or be summarized"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A config that parses but panics while materializing (a k=3 fat-tree)
+/// fails in its worker, never in the supervisor: the batch still runs
+/// its other jobs and writes its summary, with that one job failed.
+#[test]
+fn a_config_that_panics_in_its_constructor_fails_only_its_job() {
+    let dir = tmp_dir("ctorpanic");
+    let cfgs = vec![
+        write_cfg(
+            &dir,
+            "bad",
+            &good_config(31).replace("\"k\": 4", "\"k\": 3"),
+        ),
+        write_cfg(&dir, "ok", &good_config(32)),
+    ];
+
+    let out = dir.join("out").to_string_lossy().into_owned();
+    let run = Command::new(env!("CARGO_BIN_EXE_dcnrun"))
+        .arg("batch")
+        .args(&cfgs)
+        .args(["--out-dir", &out, "--retries", "0", "--keep-going"])
+        .output()
+        .expect("spawn dcnrun batch");
+    assert!(!run.status.success(), "{run:?}");
+
+    let summary = read_summary(&dir);
+    assert_eq!(summary.get("ok").and_then(|x| x.as_u64()), Some(1));
+    assert_eq!(summary.get("failed").and_then(|x| x.as_u64()), Some(1));
+    let rows = per_job(&summary);
+    assert_eq!(rows[0].0, "bad");
+    assert!(rows[0].1 != "ok" && rows[0].1 != "cached", "{rows:?}");
+    assert_eq!(rows[1], ("ok".to_string(), "ok".to_string()));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

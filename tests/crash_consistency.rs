@@ -13,7 +13,6 @@
 //! * a corrupt or unreadable cache entry is never served — it is
 //!   quarantined (or removed when even quarantine fails) and the next
 //!   store heals it;
-//! * a torn socket frame is never parsed as a message;
 //! * a failed worker spawn is retryable, not fatal.
 //!
 //! The final assertion is completeness: the matrix above must exercise
@@ -28,8 +27,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use beyond_fattrees::serve::cache::{ArtifactCache, CacheKey, Lookup};
-use beyond_fattrees::serve::protocol::{read_frame, write_frame, FrameError};
+use beyond_fattrees::cache::{ArtifactCache, CacheKey, Lookup};
 use dcn_bench::supervise::{self, Attempt, RetryPolicy, EXIT_CKPT_CORRUPT, EXIT_OK};
 use dcn_core::failpoint::{self, SITES};
 use dcn_core::write_atomic;
@@ -289,10 +287,8 @@ fn cache_matrix(covered: &mut BTreeSet<&'static str>) {
     let dir = scratch("cache");
     let cache = ArtifactCache::open(dir.join("cache")).expect("open cache");
     let key = CacheKey {
-        topo: 7,
-        sim_cfg: 8,
-        faults: 0,
-        request: 9,
+        build: 7,
+        config: 9,
     };
 
     // Store under ENOSPC: loud failure, no entry appears.
@@ -346,42 +342,6 @@ fn cache_matrix(covered: &mut BTreeSet<&'static str>) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// -------------------------------------------------------------- protocol
-
-/// Socket-site matrix: an injected EOF at a frame boundary is a clean
-/// `Closed`, and a torn frame write is never parseable as a message.
-fn protocol_matrix(covered: &mut BTreeSet<&'static str>) {
-    failpoint::configure("serve.sock_read", "1*eof");
-    let mut empty: &[u8] = b"";
-    match read_frame(&mut empty) {
-        Err(FrameError::Closed) => {}
-        other => panic!("EOF at frame boundary must be Closed, got {other:?}"),
-    }
-    failpoint::disarm("serve.sock_read");
-    covered.insert("serve.sock_read");
-
-    // Torn write: the peer sees a length prefix promising more bytes than
-    // ever arrive — reading it back must be Truncated, never a message.
-    failpoint::configure("serve.sock_write", "1*partial(3)");
-    let mut wire = Vec::new();
-    write_frame(&mut wire, b"a payload much longer than three bytes")
-        .expect_err("torn write must report failure");
-    assert_eq!(
-        wire.len(),
-        4 + 3,
-        "length prefix plus exactly 3 payload bytes"
-    );
-    match read_frame(&mut wire.as_slice()) {
-        Err(FrameError::Truncated) => {}
-        other => panic!("torn frame must read as Truncated, got {other:?}"),
-    }
-    failpoint::disarm("serve.sock_write");
-    let mut wire = Vec::new();
-    write_frame(&mut wire, b"whole again").expect("retry after torn write");
-    assert_eq!(read_frame(&mut wire.as_slice()).unwrap(), b"whole again");
-    covered.insert("serve.sock_write");
-}
-
 // ------------------------------------------------------------- supervise
 
 /// A failed spawn is a retryable attempt, not a crash of the supervisor:
@@ -413,7 +373,6 @@ fn every_failpoint_site_has_a_recovery_story() {
     fsio_matrix(&mut covered);
     checkpoint_matrix(&mut covered);
     cache_matrix(&mut covered);
-    protocol_matrix(&mut covered);
     supervise_matrix(&mut covered);
 
     failpoint::disarm_all();
