@@ -1,5 +1,5 @@
 //! Directed channels: pluggable output queues plus serializing
-//! transmitters, stored struct-of-arrays.
+//! transmitters.
 //!
 //! Every undirected topology link is two channels; every server has an
 //! up-channel (server→ToR) and a down-channel (ToR→server). *How* packets
@@ -10,13 +10,14 @@
 //!
 //! [`Channels`] keeps the immutable per-channel fields (endpoints, rates,
 //! precomputed serialization times) in dense `Vec`s indexed by channel
-//! id, and the mutable transmitter state in one [`ChanDyn`] record per
+//! id, and the mutable state — transmitter, fault state, counters, and
+//! the queue discipline itself, inline — in one [`ChanDyn`] record per
 //! channel. The serialization-time cache for the two wire sizes that
 //! dominate every run (full MTU data packets and ACKs) removes the float
 //! divide from the common case.
 
 use crate::slab::{PacketArena, PktId};
-use crate::switch::{EnqueueOutcome, QueueDiscipline};
+use crate::switch::{AnyQueue, EnqueueOutcome, QueueDiscipline};
 use crate::types::Ns;
 
 /// Result of offering a packet to a channel.
@@ -59,8 +60,10 @@ pub(crate) struct ChanDyn {
     pub(crate) up: bool,
     /// Gray-failure per-packet drop probability (0.0 = healthy).
     pub(crate) loss_prob: f64,
-    /// Cached `disc.queue_len()`, so the per-event path can check for an
-    /// empty queue without dereferencing the discipline's `Box<dyn>`.
+    /// Cached `disc.queue_len()`, kept by the channel layer from each
+    /// enqueue's outcome: the per-event path checks for an empty queue
+    /// without dispatching on the discipline (a virtual call for a
+    /// `Custom` one).
     pub(crate) qlen: u32,
     /// Congestion drops (tail or priority-evicted), for stats and tests.
     pub(crate) drops: u64,
@@ -75,8 +78,8 @@ pub(crate) struct ChanDyn {
     /// Gray-loss draw counter: each offered packet on a lossy channel
     /// bumps it, and the (seed, channel, counter) hash decides the drop.
     pub(crate) gray_ctr: u64,
-    /// The output queue feeding the transmitter.
-    pub(crate) disc: Box<dyn QueueDiscipline>,
+    /// The output queue feeding the transmitter, held by value.
+    pub(crate) disc: AnyQueue,
 }
 
 /// All directed channels of a fabric: dense static `Vec`s plus one
@@ -115,13 +118,7 @@ impl Channels {
     }
 
     /// Appends one channel and returns its id.
-    pub(crate) fn push(
-        &mut self,
-        to_node: u32,
-        gbps: f64,
-        prop_ns: Ns,
-        disc: Box<dyn QueueDiscipline>,
-    ) -> u32 {
+    pub(crate) fn push(&mut self, to_node: u32, gbps: f64, prop_ns: Ns, disc: AnyQueue) -> u32 {
         let id = self.to_node.len() as u32;
         let rate_bpns = gbps / 8.0;
         self.to_node.push(to_node);
@@ -348,9 +345,9 @@ impl Channels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::PathId;
     use crate::switch::TailDropEcn;
     use crate::types::Packet;
-    use std::sync::Arc;
 
     fn pkt(a: &mut PacketArena, bytes: u32) -> PktId {
         a.alloc(Packet {
@@ -363,7 +360,7 @@ mod tests {
             ts: 0,
             hop: 0,
             prio: 0,
-            path: Arc::new(vec![]),
+            path: PathId::default(),
         })
     }
 
@@ -397,7 +394,7 @@ mod tests {
             1,
             10.0,
             100,
-            Box::new(TailDropEcn::new(10 * 1500, 3 * 1500)),
+            AnyQueue::TailDropEcn(TailDropEcn::new(10 * 1500, 3 * 1500)),
         );
         c
     }
@@ -514,7 +511,7 @@ mod tests {
     #[test]
     fn serialization_uses_channel_rate_and_cache() {
         let mut c = Channels::new(1500, 40, 1);
-        c.push(0, 40.0, 0, Box::new(TailDropEcn::new(1, 1)));
+        c.push(0, 40.0, 0, AnyQueue::TailDropEcn(TailDropEcn::new(1, 1)));
         assert_eq!(c.ser_ns(0, 1500), 300); // cached MTU path, 4x faster than 10G
         assert_eq!(c.ser_ns(0, 40), 8); // cached ACK path
         assert_eq!(c.ser_ns(0, 777), 156); // uncached fallback: ceil(777/5)
@@ -525,7 +522,7 @@ mod tests {
         use crate::switch::PFabricQueue;
         let mut a = PacketArena::new();
         let mut c = Channels::new(1500, 40, 1);
-        c.push(1, 10.0, 100, Box::new(PFabricQueue::new(2 * 1500)));
+        c.push(1, 10.0, 100, AnyQueue::PFabric(PFabricQueue::new(2 * 1500)));
         offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
         let low = pkt(&mut a, 1500);
         a.get_mut(low).prio = 9;

@@ -26,9 +26,11 @@
 //! tracer and telemetry snapshots — written by `put` calls of the `Codec`
 //! trait in [`Simulator::checkpoint`] and read back by the matching `get`
 //! calls in [`Simulator::restore`]. Structs list their fields once, in
-//! wire order, in a `codec!` invocation; only the tagged enums and the
-//! calendar entries (whose `Deliver` packets live in the arena) are
-//! written by hand. All wire-order knowledge is in this file.
+//! wire order, in a `codec!` invocation; only the tagged enums, the
+//! calendar entries (whose `Deliver` packets live in the arena), and
+//! `Packet` are written by hand. A route ([`crate::path::PathId`])
+//! travels as its channel list and is re-interned on restore. All
+//! wire-order knowledge is in this file.
 //!
 //! The topology fingerprint is [`Topology::fingerprint`]; the config
 //! fingerprint hashes every behavior-relevant [`SimConfig`] field (floats
@@ -51,15 +53,16 @@ use crate::fault::{
     survivor_topology_from, FaultController, FaultEvent, FaultKind, RemappedSelector,
 };
 use crate::host::{Flow, FlowRx};
+use crate::path::{PathId, PathTable, MAX_PATH_CHANNELS};
 use crate::slab::PacketArena;
 use crate::stats::{ChannelCounters, DropCounters, TraceCounters};
+use crate::switch::QueueDiscipline;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::trace::TracerSnapshot;
 use crate::types::{Ns, Packet, SimConfig};
 use dcn_rng::Fnv1a;
 use dcn_routing::PathSelector;
 use dcn_topology::Topology;
-use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"DCNCKPT1";
 /// v5: lazy events under reserved keys — each channel carries its
@@ -102,32 +105,42 @@ fn fingerprint_at(cfg: &SimConfig, schedule_version: u32) -> u64 {
         reconverge_delay_ns,
         max_events,
     } = *cfg;
-    let mut e = Enc::default();
+    let no_paths = PathTable::default();
+    let mut e = Enc::new(Vec::new(), &no_paths);
     e.put(&(schedule_version, link_gbps, server_link_gbps, prop_delay_ns))
         .put(&(queue_pkts, ecn_k_pkts, flowlet_gap_ns, mtu, mss, ack_bytes))
         .put(&(init_cwnd_pkts, min_rto_ns, dctcp_g, host_queue_pkts))
         .put(&(transport.name().to_string(), queue_disc.name().to_string()))
         .put(&(pfabric_cwnd_pkts, reconverge_delay_ns, max_events));
-    Fnv1a::hash(&e.0)
+    Fnv1a::hash(&e.out)
 }
 
 // ---- the codec ----
 
-/// An image under construction.
-#[derive(Default)]
-struct Enc(Vec<u8>);
+/// An image under construction. Routes are written as their channel
+/// lists, looked up in the run's path table.
+struct Enc<'p> {
+    out: Vec<u8>,
+    paths: &'p PathTable,
+}
 
-impl Enc {
+impl<'p> Enc<'p> {
+    fn new(out: Vec<u8>, paths: &'p PathTable) -> Self {
+        Enc { out, paths }
+    }
+
     fn put<T: Codec>(&mut self, v: &T) -> &mut Self {
         v.put(self);
         self
     }
 }
 
-/// A cursor over an image's payload.
+/// A cursor over an image's payload. Routes read back are interned into
+/// the restored run's path table.
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    paths: &'a mut PathTable,
 }
 
 impl<'a> Dec<'a> {
@@ -164,7 +177,7 @@ macro_rules! int_codec {
     ($($t:ty),*) => {$(
         impl Codec for $t {
             fn put(&self, e: &mut Enc) {
-                e.0.extend_from_slice(&self.to_le_bytes());
+                e.out.extend_from_slice(&self.to_le_bytes());
             }
             fn get(d: &mut Dec) -> Result<Self, String> {
                 let b = d.take(std::mem::size_of::<$t>())?;
@@ -213,7 +226,7 @@ impl Codec for bool {
 impl Codec for String {
     fn put(&self, e: &mut Enc) {
         self.len().put(e);
-        e.0.extend_from_slice(self.as_bytes());
+        e.out.extend_from_slice(self.as_bytes());
     }
     fn get(d: &mut Dec) -> Result<Self, String> {
         let n = d.len()?;
@@ -249,13 +262,26 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
-/// The shared value itself; a restore gives each holder its own copy.
-impl<T: Codec> Codec for Arc<T> {
+/// A route travels as its length-prefixed channel list, so images do not
+/// depend on the order a run interned its routes in; restore re-interns
+/// it. An empty or over-long list is refused.
+impl Codec for PathId {
     fn put(&self, e: &mut Enc) {
-        (**self).put(e);
+        let chans = e.paths.channels(*self);
+        chans.len().put(e);
+        for c in chans {
+            c.put(e);
+        }
     }
     fn get(d: &mut Dec) -> Result<Self, String> {
-        Ok(Arc::new(d.get()?))
+        let chans: Vec<u32> = d.get()?;
+        if chans.is_empty() || chans.len() > MAX_PATH_CHANNELS {
+            return Err(format!(
+                "checkpoint corrupt: a path of {} channels",
+                chans.len()
+            ));
+        }
+        Ok(d.paths.intern(&chans))
     }
 }
 
@@ -280,10 +306,10 @@ macro_rules! tuple_codec {
 tuple_codec!(A B C D E F G H I J K);
 
 /// Implements [`Codec`] for a struct from one list of its fields, in wire
-/// order. `get` builds a struct literal, so a field that is neither
-/// listed nor `skip`ped (restored as `Default`) fails to compile.
+/// order. `get` builds a struct literal, so a field missing from the list
+/// fails to compile.
 macro_rules! codec {
-    ($ty:ident { $($f:ident),* $(,)? } $(skip { $($skip:ident),* })?) => {
+    ($ty:ident { $($f:ident),* $(,)? }) => {
         impl Codec for $ty {
             fn put(&self, e: &mut Enc) {
                 $(self.$f.put(e);)*
@@ -291,14 +317,39 @@ macro_rules! codec {
             fn get(d: &mut Dec) -> Result<Self, String> {
                 Ok($ty {
                     $($f: d.get()?,)*
-                    $($($skip: Default::default(),)*)?
                 })
             }
         }
     };
 }
 
-codec! { Packet { flow, seq, bytes, ecn_ce, is_ack, ack_ecn, ts, hop, prio, path } }
+/// Field by field in declaration order; `hop` keeps its `u16` wire width
+/// and must index a channel of the packet's route.
+impl Codec for Packet {
+    fn put(&self, e: &mut Enc) {
+        e.put(&(self.flow, self.seq, self.bytes, self.ecn_ce, self.is_ack))
+            .put(&(self.ack_ecn, self.ts, self.hop as u16, self.prio, self.path));
+    }
+    fn get(d: &mut Dec) -> Result<Self, String> {
+        let (flow, seq, bytes, ecn_ce, is_ack) = d.get()?;
+        let (ack_ecn, ts, hop, prio, path): (bool, Ns, u16, u32, PathId) = d.get()?;
+        if hop as usize >= d.paths.channels(path).len() {
+            return Err(format!("checkpoint corrupt: hop {hop} past the path's end"));
+        }
+        Ok(Packet {
+            flow,
+            seq,
+            bytes,
+            ecn_ce,
+            is_ack,
+            ack_ecn,
+            ts,
+            hop: hop as u8,
+            prio,
+            path,
+        })
+    }
+}
 // The sender half; the receiver half is a separate `FlowRx` record.
 codec! { Flow {
     src_server, dst_server, src_tor, dst_tor, size_bytes, start_ns, total_pkts, next_seq,
@@ -307,11 +358,9 @@ codec! { Flow {
     rto_live, last_send_ns, flowlet_count, cur_path, in_window, failed, fault_hit_ns,
     recovery_ns, path_salt,
 } }
-// `rev_cache` is a pure content-derived cache: restored as `None` and
-// refilled by the next data packet, with identical contents.
 codec! { FlowRx {
     total_pkts, dst_server, start_ns, in_window, rcv_bitmap, rcv_cum, finished_ns, failed
-} skip { rev_cache } }
+} }
 codec! { EventCounts { flow_start, tx_free, deliver, rto_fired, rto_stale } }
 codec! { CtrlEntry { t, seq, ev } }
 codec! { FaultEvent { at_ns, kind } }
@@ -595,7 +644,7 @@ impl Simulator {
                 .map_err(|e| format!("telemetry flush failed: {e}"))?;
         }
 
-        let mut e = Enc(MAGIC.to_vec());
+        let mut e = Enc::new(MAGIC.to_vec(), &self.paths);
         e.put(&VERSION)
             .put(&(self.topo.fingerprint(), config_fingerprint(&self.cfg)))
             .put(&(self.now, self.events_processed));
@@ -642,9 +691,9 @@ impl Simulator {
             .put(&tracer)
             .put(&telemetry);
 
-        let sum = Fnv1a::hash(&e.0);
+        let sum = Fnv1a::hash(&e.out);
         e.put(&sum);
-        Ok(Checkpoint { data: e.0 })
+        Ok(Checkpoint { data: e.out })
     }
 
     /// Rebuilds a simulator from a checkpoint taken on the same topology
@@ -681,6 +730,7 @@ impl Simulator {
         let mut d = Dec {
             buf: &ckpt.data[HEADER_LEN..ckpt.data.len() - 8],
             pos: 0,
+            paths: &mut sim.paths,
         };
         (sim.window, sim.window_remaining, sim.pkts_sent) = d.get()?;
         (sim.pkts_delivered, sim.telemetry_next) = d.get()?;

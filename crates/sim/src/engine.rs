@@ -7,10 +7,15 @@
 //!   therefore every run) deterministic,
 //! - **hosts** — [`Flow`] state driven by a pluggable
 //!   [`Transport`] (DCTCP by default; see [`crate::host`]),
-//! - **fabric** — directed channels ([`Channels`](crate::channel::Channels),
-//!   struct-of-arrays) with per-port
-//!   [`QueueDiscipline`](crate::switch::QueueDiscipline)s (see
+//! - **fabric** — directed channels ([`Channels`](crate::channel::Channels):
+//!   dense static arrays plus one mutable record per channel) with
+//!   per-port [`QueueDiscipline`](crate::switch::QueueDiscipline)s (see
 //!   [`crate::switch`]), degraded by the fault layer ([`crate::fault`]).
+//!
+//! The transport and every channel's discipline are held by value
+//! (`AnyTransport`, `AnyQueue`): [`Simulator::new`] builds no boxes,
+//! and the built-ins are called without a virtual dispatch. Only the
+//! constructors that take caller-supplied trait objects box them.
 //!
 //! # Event loop
 //!
@@ -55,8 +60,12 @@
 //! that did work.
 //!
 //! In-flight packets live in a [`PacketArena`] slab and travel through
-//! events and queues as dense [`PktId`]s — the per-packet path does no
-//! heap allocation and no pointer chasing.
+//! events and queues as dense [`PktId`]s. A packet is a 32-byte `Copy`
+//! value whose route is a [`PathId`](crate::path::PathId) into the run's
+//! path table: each flowlet interns its channel list once (with its
+//! reversal, which the flowlet's ACKs take), and a switch hop reads its
+//! next channel from one flat array — the per-packet path does no heap
+//! allocation and no reference counting.
 //!
 //! Servers are explicit endpoints attached to their ToR by a pair of host
 //! channels; switches are source-routed (the path is chosen per flowlet at
@@ -74,10 +83,11 @@ use crate::calendar::CalendarQueue;
 use crate::channel::Offer;
 use crate::counters::{EngineCounters, EventCounts};
 use crate::fault::{component_labels, gray_drop, FaultController, FaultPlan, RemappedSelector};
-use crate::host::{transport_for, ChannelPath, Flow, FlowRx, Transport};
+use crate::host::{AnyTransport, Flow, FlowRx, Transport};
+use crate::path::PathTable;
 use crate::slab::{PacketArena, PktId};
 use crate::stats::{DropCounters, FlowRecord, TraceCounters};
-use crate::switch::{DisciplineFactory, Fabric};
+use crate::switch::{AnyQueue, DisciplineFactory, Fabric};
 use crate::telemetry::{Sample, Telemetry};
 use crate::trace::{Conservation, NopTracer, TraceEvent, Tracer};
 use crate::types::{Ns, Packet, SimConfig, MS};
@@ -85,7 +95,6 @@ use dcn_routing::ecmp::hash3;
 use dcn_routing::{KspSelector, PathSelector};
 use dcn_topology::{NodeId, Topology};
 use dcn_workloads::FlowEvent;
-use std::sync::Arc;
 
 const HEADER_BYTES: u32 = 40;
 
@@ -139,7 +148,7 @@ pub struct Simulator {
     pub(crate) flows: Vec<Flow>,
     /// Receiver halves, same indexing.
     pub(crate) rx: Vec<FlowRx>,
-    pub(crate) transport: Box<dyn Transport>,
+    pub(crate) transport: AnyTransport,
     pub(crate) selector: Box<dyn PathSelector>,
     /// Congestion-oracle routing (§7.1 exploration): when set, flowlet
     /// paths are chosen as the least-queued of the k shortest paths,
@@ -154,6 +163,11 @@ pub struct Simulator {
     pub(crate) queue: CalendarQueue,
     /// Every in-flight packet (queued at a channel or on the wire).
     pub(crate) pkts: PacketArena,
+    /// Every route a flowlet has taken, interned; packets and flows hold
+    /// ids into it.
+    pub(crate) paths: PathTable,
+    /// Scratch buffer a new flowlet's route is built in before interning.
+    path_buf: Vec<u32>,
     /// Simulated time of the event being (or last) processed.
     pub(crate) now: Ns,
     /// Its `seq` (0 for control events): with `now`, the key a virtual
@@ -207,7 +221,14 @@ impl Simulator {
     /// tail-drop+ECN by default). Server count and placement come from the
     /// topology's per-switch server counts.
     pub fn new(topo: &Topology, selector: Box<dyn PathSelector>, cfg: SimConfig) -> Self {
-        Self::with_transport(topo, selector, cfg, transport_for(cfg.transport))
+        let kind = cfg.queue_disc;
+        Self::assemble(
+            topo,
+            selector,
+            cfg,
+            AnyTransport::of(cfg.transport),
+            &|cap, ecn| AnyQueue::of(kind, cap, ecn),
+        )
     }
 
     /// Like [`Simulator::new`] but with a caller-supplied [`Transport`]
@@ -219,9 +240,13 @@ impl Simulator {
         transport: Box<dyn Transport>,
     ) -> Self {
         let kind = cfg.queue_disc;
-        Self::with_parts(topo, selector, cfg, transport, &move |cap, ecn| {
-            kind.build(cap, ecn)
-        })
+        Self::assemble(
+            topo,
+            selector,
+            cfg,
+            AnyTransport::Custom(transport),
+            &|cap, ecn| AnyQueue::of(kind, cap, ecn),
+        )
     }
 
     /// Fully explicit constructor: caller-supplied transport *and* a
@@ -233,6 +258,22 @@ impl Simulator {
         cfg: SimConfig,
         transport: Box<dyn Transport>,
         disc: DisciplineFactory,
+    ) -> Self {
+        Self::assemble(
+            topo,
+            selector,
+            cfg,
+            AnyTransport::Custom(transport),
+            &|cap, ecn| AnyQueue::Custom(disc(cap, ecn)),
+        )
+    }
+
+    fn assemble(
+        topo: &Topology,
+        selector: Box<dyn PathSelector>,
+        cfg: SimConfig,
+        transport: AnyTransport,
+        disc: &dyn Fn(u64, u64) -> AnyQueue,
     ) -> Self {
         Simulator {
             fabric: Fabric::build(topo, &cfg, disc),
@@ -246,6 +287,8 @@ impl Simulator {
             trace_on: false,
             queue: CalendarQueue::new(),
             pkts: PacketArena::new(),
+            paths: PathTable::default(),
+            path_buf: Vec::new(),
             now: 0,
             now_seq: 0,
             window: (0, Ns::MAX),
@@ -897,10 +940,8 @@ impl Simulator {
     }
 
     fn on_deliver(&mut self, id: PktId) {
-        let (ch, flow, seq, is_ack) = {
-            let p = self.pkts.get(id);
-            (p.path[p.hop as usize], p.flow, p.seq, p.is_ack)
-        };
+        let p = *self.pkts.get(id);
+        let (ch, flow, seq, is_ack) = (self.paths.hop(p.path, p.hop), p.flow, p.seq, p.is_ack);
         let chans = &mut self.fabric.channels;
         if !chans.up(ch) {
             // The wire died while this packet was in flight (or queued
@@ -920,14 +961,10 @@ impl Simulator {
         }
         if chans.to_node[ch as usize] < self.fabric.num_switches {
             // Switch: source-routed forward onto the next channel.
-            let next = {
-                let p = self.pkts.get_mut(id);
-                p.hop += 1;
-                p.path[p.hop as usize]
-            };
+            self.pkts.get_mut(id).hop += 1;
+            let next = self.paths.hop(p.path, p.hop + 1);
             self.send_on(next, id);
         } else {
-            self.pkts.get_mut(id).hop += 1;
             self.pkts_delivered += 1;
             if self.trace_on {
                 self.trace(TraceEvent::Deliver { flow, seq, is_ack });
@@ -941,11 +978,14 @@ impl Simulator {
     }
 
     fn on_data(&mut self, id: PktId) {
-        let (fid, seq, ecn_ce, ts) = {
-            let p = self.pkts.get(id);
-            (p.flow, p.seq, p.ecn_ce, p.ts)
-        };
-        let path = self.pkts.get(id).path.clone();
+        let Packet {
+            flow: fid,
+            seq,
+            ecn_ce,
+            ts,
+            path,
+            ..
+        } = *self.pkts.get(id);
         // The data packet's arena slot is released before the ACK is
         // allocated, so (LIFO free list) the ACK usually reuses it.
         self.pkts.free(id);
@@ -954,7 +994,7 @@ impl Simulator {
             return;
         }
         debug_assert_eq!(self.fabric.num_switches + rx.dst_server, {
-            let last = *path.last().unwrap();
+            let last = *self.paths.channels(path).last().unwrap();
             self.fabric.channels.to_node[last as usize]
         });
         if rx.finished_ns.is_none() {
@@ -977,15 +1017,8 @@ impl Simulator {
             }
         }
         // Cumulative ACK retracing the data packet's route backwards.
-        let rev = match &rx.rev_cache {
-            Some((fwd, rev)) if Arc::ptr_eq(fwd, &path) => rev.clone(),
-            _ => {
-                let rev: ChannelPath = Arc::new(path.iter().rev().map(|c| c ^ 1).collect());
-                rx.rev_cache = Some((path.clone(), rev.clone()));
-                rev
-            }
-        };
-        let first = rev[0];
+        let rev = path.reversed();
+        let first = self.paths.hop(rev, 0);
         let ack_seq = rx.rcv_cum;
         let ack_bytes = self.cfg.ack_bytes;
         let ack = self.pkts.alloc(Packet {
@@ -1165,41 +1198,38 @@ impl Simulator {
                 0xF10_1E7,
             );
             let bytes_sent = f.next_seq as u64 * self.cfg.mss as u64;
-            let path = build_path(
+            let routed = build_path(
                 &self.fabric,
                 self.selector.as_ref(),
                 self.oracle.as_ref(),
                 f,
                 key,
                 bytes_sent,
+                &mut self.path_buf,
             );
             f.flowlet_count += 1;
             let flowlet = f.flowlet_count;
-            match path {
-                Some(p) => {
-                    let hops = p.len() as u32;
-                    f.cur_path = Some(Arc::new(p));
-                    if self.trace_on {
-                        self.trace(TraceEvent::FlowletSwitch {
-                            flow: fid,
-                            flowlet,
-                            hops,
-                        });
-                    }
+            if !routed {
+                // No route right now (selector rebuilt on a view where
+                // the pair is disconnected): drop at the source. The RTO
+                // rewinds and retries until a recovery restores the route
+                // or the flow is failed.
+                f.cur_path = None;
+                self.faults.noroute_drops += 1;
+                if self.trace_on {
+                    self.trace(TraceEvent::DropNoRoute { flow: fid });
                 }
-                None => {
-                    // No route right now (selector rebuilt on a view where
-                    // the pair is disconnected): drop at the source. The
-                    // RTO rewinds and retries until a recovery restores
-                    // the route or the flow is failed.
-                    f.cur_path = None;
-                    self.faults.noroute_drops += 1;
-                    if self.trace_on {
-                        self.trace(TraceEvent::DropNoRoute { flow: fid });
-                    }
-                    self.note_fault_hit(fid);
-                    return;
-                }
+                self.note_fault_hit(fid);
+                return;
+            }
+            let hops = self.path_buf.len() as u32;
+            f.cur_path = Some(self.paths.intern(&self.path_buf));
+            if self.trace_on {
+                self.trace(TraceEvent::FlowletSwitch {
+                    flow: fid,
+                    flowlet,
+                    hops,
+                });
             }
         }
         let f = &mut self.flows[fid as usize];
@@ -1211,8 +1241,8 @@ impl Simulator {
             self.cfg.mss
         };
         let prio = self.transport.priority(f, &self.cfg);
-        let path = f.cur_path.clone().unwrap();
-        let first = path[0];
+        let path = f.cur_path.expect("a flowlet route is set");
+        let first = self.paths.hop(path, 0);
         let bytes = payload + HEADER_BYTES;
         let id = self.pkts.alloc(Packet {
             flow: fid,
@@ -1267,8 +1297,9 @@ fn least_queued(
     best.expect("ksp returns at least one path").2.clone()
 }
 
-/// Builds the channel path server→…→server for a flowlet, or `None`
-/// when the selector has no route for the pair (post-fault view).
+/// Builds the channel path server→…→server for a flowlet into `path`;
+/// `false` when the selector has no route for the pair (post-fault
+/// view).
 fn build_path(
     fabric: &Fabric,
     selector: &dyn PathSelector,
@@ -1276,10 +1307,11 @@ fn build_path(
     f: &Flow,
     key: u64,
     bytes_sent: u64,
-) -> Option<Vec<u32>> {
+    path: &mut Vec<u32>,
+) -> bool {
     let up = fabric.host_ch_base + 2 * f.src_server;
     let down = fabric.host_ch_base + 2 * f.dst_server + 1;
-    let mut path = Vec::with_capacity(8);
+    path.clear();
     path.push(up);
     if f.src_tor != f.dst_tor {
         let links = match oracle {
@@ -1289,7 +1321,7 @@ fn build_path(
             }
         };
         if links.is_empty() {
-            return None;
+            return false;
         }
         let mut u = f.src_tor;
         for l in links {
@@ -1306,7 +1338,7 @@ fn build_path(
         debug_assert_eq!(u, f.dst_tor);
     }
     path.push(down);
-    Some(path)
+    true
 }
 
 #[cfg(test)]
@@ -1338,6 +1370,23 @@ mod tests {
         let t = FatTree::full(4).build();
         let suite = RoutingSuite::new(&t);
         Simulator::new(&t, Box::new(suite.ecmp()), SimConfig::default())
+    }
+
+    #[test]
+    fn path_table_grows_with_distinct_routes_not_flowlets() {
+        // A zero flowlet gap makes every send instant a new flowlet.
+        let t = FatTree::full(4).build();
+        let cfg = SimConfig {
+            flowlet_gap_ns: 0,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(&t, Box::new(RoutingSuite::new(&t).ecmp()), cfg);
+        sim.inject(&[flow(0.0, (0, 0), (12, 1), 3_000_000)]);
+        assert!(sim.run(SEC)[0].fct_ns.is_some());
+        assert!(sim.flow_ref(0).flowlet_count >= 1_000);
+        // The pods are joined by k²/4 = 4 equal-cost core routes; the ACKs
+        // ride their reversals, which add no entries.
+        assert_eq!(sim.paths.len(), 4);
     }
 
     #[test]

@@ -18,13 +18,12 @@
 //! The engine drives the trait: it delivers ACK/timeout events, then
 //! executes the returned [`AckActions`] (re-arm the RTO, retransmit a
 //! hole, pump the window) so all event scheduling stays in one place.
+//! It holds its transport by value as an `AnyTransport`, so the
+//! built-in ones are called without a virtual dispatch.
 
+use crate::path::PathId;
 use crate::types::{Ns, SimConfig, TransportKind};
 use dcn_topology::NodeId;
-use std::sync::Arc;
-
-/// A shared source-route: the channel ids a flowlet's packets traverse.
-pub(crate) type ChannelPath = Arc<Vec<u32>>;
 
 /// Per-flow sender + receiver state. The congestion-control fields are
 /// public so external [`Transport`] implementations can drive them; the
@@ -78,7 +77,9 @@ pub struct Flow {
     // --- flowlets ---
     pub(crate) last_send_ns: Ns,
     pub(crate) flowlet_count: u64,
-    pub(crate) cur_path: Option<ChannelPath>,
+    /// The current flowlet's route (`None` before the first flowlet and
+    /// after an RTO or a no-route drop).
+    pub(crate) cur_path: Option<PathId>,
     pub(crate) in_window: bool,
     // --- faults ---
     /// Terminated by the simulator: endpoints permanently disconnected,
@@ -177,9 +178,6 @@ pub(crate) struct FlowRx {
     /// Allocated lazily on the first data packet.
     pub(crate) rcv_bitmap: Vec<u64>,
     pub(crate) rcv_cum: u32,
-    /// Cache: forward path pointer → its reversed channels, so per-packet
-    /// ACKs reuse one allocation per flowlet.
-    pub(crate) rev_cache: Option<(ChannelPath, ChannelPath)>,
     pub(crate) finished_ns: Option<Ns>,
     /// Mirror of [`Flow::failed`].
     pub(crate) failed: bool,
@@ -194,7 +192,6 @@ impl FlowRx {
             in_window: flow.in_window,
             rcv_bitmap: Vec::new(),
             rcv_cum: 0,
-            rev_cache: None,
             finished_ns: None,
             failed: false,
         }
@@ -277,6 +274,74 @@ pub fn transport_for(kind: TransportKind) -> Box<dyn Transport> {
         TransportKind::Dctcp => Box::new(Dctcp),
         TransportKind::NewReno => Box::new(NewReno),
         TransportKind::PFabric => Box::new(PFabric),
+    }
+}
+
+/// The engine's transport, held by value: a built-in one, or a caller's
+/// behind a box (only [`crate::Simulator::with_transport`] and
+/// [`crate::Simulator::with_parts`] build the `Custom` arm).
+pub(crate) enum AnyTransport {
+    Dctcp(Dctcp),
+    NewReno(NewReno),
+    PFabric(PFabric),
+    Custom(Box<dyn Transport>),
+}
+
+impl AnyTransport {
+    pub(crate) fn of(kind: TransportKind) -> Self {
+        match kind {
+            TransportKind::Dctcp => AnyTransport::Dctcp(Dctcp),
+            TransportKind::NewReno => AnyTransport::NewReno(NewReno),
+            TransportKind::PFabric => AnyTransport::PFabric(PFabric),
+        }
+    }
+}
+
+/// Runs `$body` with `$t` bound to whichever transport `$any` holds.
+macro_rules! dispatch_transport {
+    ($any:expr, $t:ident => $body:expr) => {
+        match $any {
+            AnyTransport::Dctcp($t) => $body,
+            AnyTransport::NewReno($t) => $body,
+            AnyTransport::PFabric($t) => $body,
+            AnyTransport::Custom($t) => $body,
+        }
+    };
+}
+
+impl Transport for AnyTransport {
+    fn name(&self) -> &'static str {
+        dispatch_transport!(self, t => t.name())
+    }
+
+    fn initial_cwnd(&self, cfg: &SimConfig) -> f64 {
+        dispatch_transport!(self, t => t.initial_cwnd(cfg))
+    }
+
+    #[inline]
+    fn on_ack(
+        &self,
+        f: &mut Flow,
+        c: u32,
+        ack_ecn: bool,
+        rtt_ns: Ns,
+        cfg: &SimConfig,
+    ) -> AckActions {
+        dispatch_transport!(self, t => t.on_ack(f, c, ack_ecn, rtt_ns, cfg))
+    }
+
+    fn on_timeout(&self, f: &mut Flow, cfg: &SimConfig) {
+        dispatch_transport!(self, t => t.on_timeout(f, cfg))
+    }
+
+    #[inline]
+    fn on_send(&self, f: &mut Flow, seq: u32, cfg: &SimConfig) {
+        dispatch_transport!(self, t => t.on_send(f, seq, cfg))
+    }
+
+    #[inline]
+    fn priority(&self, f: &Flow, cfg: &SimConfig) -> u32 {
+        dispatch_transport!(self, t => t.priority(f, cfg))
     }
 }
 
@@ -637,8 +702,17 @@ mod tests {
 
     #[test]
     fn transport_factory_names() {
-        assert_eq!(transport_for(TransportKind::Dctcp).name(), "dctcp");
-        assert_eq!(transport_for(TransportKind::NewReno).name(), "newreno");
-        assert_eq!(transport_for(TransportKind::PFabric).name(), "pfabric");
+        for kind in [
+            TransportKind::Dctcp,
+            TransportKind::NewReno,
+            TransportKind::PFabric,
+        ] {
+            assert_eq!(transport_for(kind).name(), kind.name());
+            assert_eq!(AnyTransport::of(kind).name(), kind.name());
+        }
+        let custom = AnyTransport::Custom(Box::new(PFabric));
+        assert_eq!(custom.name(), "pfabric");
+        let cfg = SimConfig::default();
+        assert_eq!(custom.initial_cwnd(&cfg), PFabric.initial_cwnd(&cfg));
     }
 }

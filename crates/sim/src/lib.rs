@@ -7,7 +7,8 @@
 //! The simulator is layered (see `DESIGN.md` for the full contract):
 //!
 //! - [`engine`] — calendar event queue, clock, and dispatch loop
-//!   ([`Simulator`]), with in-flight packets in a [`PacketArena`] slab;
+//!   ([`Simulator`]), with in-flight packets in a [`PacketArena`] slab
+//!   and their routes interned as [`PathId`]s ([`path`]);
 //! - [`host`] — per-flow state behind the pluggable [`Transport`] trait
 //!   ([`Dctcp`] by default; [`NewReno`] and [`PFabric`] ship too);
 //! - [`switch`] — per-port queues behind the [`QueueDiscipline`] trait
@@ -68,6 +69,7 @@ pub mod engine;
 pub mod fault;
 pub mod host;
 pub mod net;
+pub mod path;
 pub mod slab;
 pub mod stats;
 pub mod switch;
@@ -80,6 +82,7 @@ pub use counters::{EngineCounters, EventCounts};
 pub use engine::{Simulator, SCHEDULE_VERSION};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RemappedSelector};
 pub use host::{AckActions, Dctcp, Flow, NewReno, PFabric, Transport};
+pub use path::PathId;
 pub use slab::{PacketArena, PktId};
 pub use stats::{
     compute_metrics, compute_metrics_with_dists, percentile, ChannelCounters, DropCounters,

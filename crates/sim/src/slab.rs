@@ -81,8 +81,8 @@ impl PacketArena {
                     debug_assert!(!self.live[id as usize], "alloc into a live slot");
                     self.live[id as usize] = true;
                 }
-                // Overwrite in place; the old packet (and its path Arc)
-                // drops here.
+                // Overwrite in place: a packet is a plain `Copy` value,
+                // so the old one needs no drop.
                 self.slots[id as usize] = p;
                 id
             }
@@ -130,7 +130,7 @@ impl Default for PacketArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::path::PathId;
 
     fn pkt(flow: u32) -> Packet {
         Packet {
@@ -143,7 +143,7 @@ mod tests {
             ts: 0,
             hop: 0,
             prio: 0,
-            path: Arc::new(vec![]),
+            path: PathId::default(),
         }
     }
 

@@ -24,6 +24,9 @@
 //!   first; when full, evict from the tail of the *lowest*-priority flow
 //!   (or reject the newcomer if it is itself the least urgent).
 //!
+//! Each channel holds its discipline by value as an `AnyQueue`: a
+//! built-in one inline, or a caller's behind a box.
+//!
 //! [`Fabric`] bundles the channel table, the link→channel numbering, and
 //! the server↔rack maps — the static substrate the engine routes over
 //! and the fault layer degrades.
@@ -95,6 +98,72 @@ pub trait QueueDiscipline: Send {
 /// A factory producing one [`QueueDiscipline`] instance per channel;
 /// called with the channel's byte capacity and ECN threshold.
 pub type DisciplineFactory<'a> = &'a dyn Fn(u64, u64) -> Box<dyn QueueDiscipline>;
+
+/// One channel's discipline, held by value: a built-in one, or a
+/// caller's behind a box (only [`crate::Simulator::with_parts`] builds
+/// the `Custom` arm).
+pub(crate) enum AnyQueue {
+    TailDropEcn(TailDropEcn),
+    PFabric(PFabricQueue),
+    Custom(Box<dyn QueueDiscipline>),
+}
+
+impl AnyQueue {
+    /// The built-in discipline of `kind`, as [`QueueDiscKind::build`]
+    /// makes it but unboxed.
+    pub(crate) fn of(kind: QueueDiscKind, cap_bytes: u64, ecn_bytes: u64) -> Self {
+        match kind {
+            QueueDiscKind::TailDropEcn => {
+                AnyQueue::TailDropEcn(TailDropEcn::new(cap_bytes, ecn_bytes))
+            }
+            QueueDiscKind::PFabric => AnyQueue::PFabric(PFabricQueue::new(cap_bytes)),
+        }
+    }
+}
+
+/// Runs `$body` with `$q` bound to whichever discipline `$any` holds.
+macro_rules! dispatch_queue {
+    ($any:expr, $q:ident => $body:expr) => {
+        match $any {
+            AnyQueue::TailDropEcn($q) => $body,
+            AnyQueue::PFabric($q) => $body,
+            AnyQueue::Custom($q) => $body,
+        }
+    };
+}
+
+impl QueueDiscipline for AnyQueue {
+    #[inline]
+    fn enqueue(&mut self, id: PktId, pool: &mut PacketArena) -> EnqueueOutcome {
+        dispatch_queue!(self, q => q.enqueue(id, pool))
+    }
+
+    #[inline]
+    fn dequeue(&mut self) -> Option<PktId> {
+        dispatch_queue!(self, q => q.dequeue())
+    }
+
+    #[inline]
+    fn queue_bytes(&self) -> u64 {
+        dispatch_queue!(self, q => q.queue_bytes())
+    }
+
+    fn queue_len(&self) -> usize {
+        dispatch_queue!(self, q => q.queue_len())
+    }
+
+    fn name(&self) -> &'static str {
+        dispatch_queue!(self, q => q.name())
+    }
+
+    fn snapshot_queue(&self, pool: &PacketArena) -> Option<Vec<Packet>> {
+        dispatch_queue!(self, q => q.snapshot_queue(pool))
+    }
+
+    fn restore_queue(&mut self, pkts: Vec<Packet>, pool: &mut PacketArena) {
+        dispatch_queue!(self, q => q.restore_queue(pkts, pool))
+    }
+}
 
 impl QueueDiscKind {
     /// Builds one queue instance of this kind for a channel with the given
@@ -185,7 +254,7 @@ impl QueueDiscipline for TailDropEcn {
     }
 
     fn snapshot_queue(&self, pool: &PacketArena) -> Option<Vec<Packet>> {
-        Some(self.queue.iter().map(|e| pool.get(e.id).clone()).collect())
+        Some(self.queue.iter().map(|e| *pool.get(e.id)).collect())
     }
 
     fn restore_queue(&mut self, pkts: Vec<Packet>, pool: &mut PacketArena) {
@@ -314,7 +383,7 @@ impl QueueDiscipline for PFabricQueue {
     }
 
     fn snapshot_queue(&self, pool: &PacketArena) -> Option<Vec<Packet>> {
-        Some(self.queue.iter().map(|e| pool.get(e.id).clone()).collect())
+        Some(self.queue.iter().map(|e| *pool.get(e.id)).collect())
     }
 
     fn restore_queue(&mut self, pkts: Vec<Packet>, pool: &mut PacketArena) {
@@ -352,10 +421,15 @@ pub struct Fabric {
 
 impl Fabric {
     /// Builds the channel table for `topo` under `cfg`, one
-    /// queue-discipline instance per channel from `disc`. Channel
-    /// numbering: link `l`'s a→b direction is channel `2l`, b→a is `2l+1`;
-    /// after [`Fabric::host_ch_base`] come per-server (up, down) pairs.
-    pub(crate) fn build(topo: &Topology, cfg: &SimConfig, disc: DisciplineFactory) -> Self {
+    /// queue-discipline instance per channel from `disc` (called with the
+    /// channel's byte capacity and ECN threshold). Channel numbering:
+    /// link `l`'s a→b direction is channel `2l`, b→a is `2l+1`; after
+    /// [`Fabric::host_ch_base`] come per-server (up, down) pairs.
+    pub(crate) fn build(
+        topo: &Topology,
+        cfg: &SimConfig,
+        disc: &dyn Fn(u64, u64) -> AnyQueue,
+    ) -> Self {
         let mtu = cfg.mtu as u64;
         let link_cap = cfg.queue_pkts as u64 * mtu;
         let ecn_at = cfg.ecn_k_pkts as u64 * mtu;
@@ -464,7 +538,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::path::PathId;
 
     fn pkt(a: &mut PacketArena, bytes: u32, prio: u32) -> PktId {
         a.alloc(Packet {
@@ -477,7 +551,7 @@ mod tests {
             ts: 0,
             hop: 0,
             prio,
-            path: Arc::new(vec![]),
+            path: PathId::default(),
         })
     }
 
@@ -617,10 +691,11 @@ mod tests {
 
     #[test]
     fn kind_builds_matching_discipline() {
-        assert_eq!(
-            QueueDiscKind::TailDropEcn.build(1, 1).name(),
-            "tail_drop_ecn"
-        );
-        assert_eq!(QueueDiscKind::PFabric.build(1, 1).name(), "pfabric");
+        for kind in [QueueDiscKind::TailDropEcn, QueueDiscKind::PFabric] {
+            assert_eq!(kind.build(1, 1).name(), kind.name());
+            assert_eq!(AnyQueue::of(kind, 1, 1).name(), kind.name());
+        }
+        let custom = AnyQueue::Custom(QueueDiscKind::PFabric.build(1, 1));
+        assert_eq!(custom.name(), "pfabric");
     }
 }

@@ -1,6 +1,6 @@
 //! Core simulator types: time, packets, configuration.
 
-use std::sync::Arc;
+use crate::path::PathId;
 
 /// Simulation time in integer nanoseconds.
 pub type Ns = u64;
@@ -11,7 +11,11 @@ pub const SEC: Ns = 1_000_000_000;
 
 /// A packet in flight. Data packets carry `seq` = packet index within the
 /// flow; ACKs carry `seq` = cumulative packets received in order.
-#[derive(Clone, Debug)]
+///
+/// A plain 32-byte value: the route is an id into the run's path table
+/// (see [`crate::path`]), so copying a packet touches no heap and no
+/// reference count.
+#[derive(Clone, Copy, Debug)]
 pub struct Packet {
     pub flow: u32,
     pub seq: u32,
@@ -26,14 +30,17 @@ pub struct Packet {
     /// Send timestamp of the data packet this (or its ACK) measures.
     pub ts: Ns,
     /// Index of the next channel to traverse in `path`.
-    pub hop: u16,
+    pub hop: u8,
     /// Scheduling priority for priority-aware queue disciplines; lower is
     /// more urgent. pFabric stamps the flow's remaining size in packets;
     /// FIFO disciplines ignore it. ACKs are always priority 0.
     pub prio: u32,
-    /// Directed channel ids from source server to destination server.
-    pub path: Arc<Vec<u32>>,
+    /// The route: directed channel ids from source server to
+    /// destination server, interned in the run's path table.
+    pub path: PathId,
 }
+
+const _: () = assert!(std::mem::size_of::<Packet>() <= 32);
 
 /// Congestion-control flavor — the built-in [`crate::host::Transport`]
 /// implementations selectable from a [`SimConfig`].

@@ -4,7 +4,10 @@
 
 use dcn_rng::Rng;
 use dcn_routing::RoutingSuite;
-use dcn_sim::{CountingTracer, FaultPlan, SimConfig, Simulator, MS, SEC};
+use dcn_sim::{
+    AckActions, CountingTracer, EnqueueOutcome, FaultPlan, Flow, SimConfig, Simulator, Transport,
+    MS, SEC,
+};
 use dcn_topology::fattree::FatTree;
 use dcn_topology::xpander::Xpander;
 use dcn_workloads::tm::Endpoint;
@@ -312,7 +315,6 @@ fn pfabric_evicts_only_when_full() {
 #[test]
 fn pfabric_queue_matches_srpt_model() {
     use dcn_sim::{PFabricQueue, Packet, PacketArena, QueueDiscipline};
-    use std::sync::Arc;
 
     let mk = |pool: &mut PacketArena, prio: u32, seq: u32| {
         pool.alloc(Packet {
@@ -325,7 +327,7 @@ fn pfabric_queue_matches_srpt_model() {
             ts: 0,
             hop: 0,
             prio,
-            path: Arc::new(vec![]),
+            path: Default::default(),
         })
     };
 
@@ -422,4 +424,104 @@ fn empty_fault_plan_is_identity() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(false), run(true));
+}
+
+/// A queue discipline behind a forwarding box, the shape an external
+/// observer (a timing wrapper, say) plugs in through `with_parts`.
+struct FwdQueue(Box<dyn dcn_sim::QueueDiscipline>);
+
+impl dcn_sim::QueueDiscipline for FwdQueue {
+    fn enqueue(&mut self, id: dcn_sim::PktId, pool: &mut dcn_sim::PacketArena) -> EnqueueOutcome {
+        self.0.enqueue(id, pool)
+    }
+    fn dequeue(&mut self) -> Option<dcn_sim::PktId> {
+        self.0.dequeue()
+    }
+    fn queue_bytes(&self) -> u64 {
+        self.0.queue_bytes()
+    }
+    fn queue_len(&self) -> usize {
+        self.0.queue_len()
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn snapshot_queue(&self, pool: &dcn_sim::PacketArena) -> Option<Vec<dcn_sim::Packet>> {
+        self.0.snapshot_queue(pool)
+    }
+    fn restore_queue(&mut self, pkts: Vec<dcn_sim::Packet>, pool: &mut dcn_sim::PacketArena) {
+        self.0.restore_queue(pkts, pool)
+    }
+}
+
+/// A transport behind a forwarding box.
+struct FwdTransport(Box<dyn Transport>);
+
+impl Transport for FwdTransport {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn initial_cwnd(&self, cfg: &SimConfig) -> f64 {
+        self.0.initial_cwnd(cfg)
+    }
+    fn on_ack(&self, f: &mut Flow, c: u32, ecn: bool, rtt_ns: u64, cfg: &SimConfig) -> AckActions {
+        self.0.on_ack(f, c, ecn, rtt_ns, cfg)
+    }
+    fn on_timeout(&self, f: &mut Flow, cfg: &SimConfig) {
+        self.0.on_timeout(f, cfg)
+    }
+    fn on_send(&self, f: &mut Flow, seq: u32, cfg: &SimConfig) {
+        self.0.on_send(f, seq, cfg)
+    }
+    fn priority(&self, f: &Flow, cfg: &SimConfig) -> u32 {
+        self.0.priority(f, cfg)
+    }
+}
+
+/// The engine holds the built-in transports and disciplines by value;
+/// the same ones boxed behind forwarding wrappers through `with_parts`
+/// must run the identical simulation: flow records, event count,
+/// conservation, and the checkpoint image at a mid-run pause.
+#[test]
+fn boxed_and_by_value_parts_agree() {
+    use dcn_sim::host::transport_for;
+    let t = FatTree::full(4).build();
+    let pattern = AllToAll::new(&t, t.tors_with_servers());
+    let mut flows = generate_flows(&pattern, &PFabricWebSearch::new(), 3_000.0, 0.006, 17);
+    flows[0].bytes = 4_000_000;
+    // Shallow queues, so every pair drops packets as well as queueing them.
+    let shallow = SimConfig {
+        queue_pkts: 8,
+        ..SimConfig::default()
+    };
+    for cfg in [shallow, shallow.with_newreno(), shallow.with_pfabric()] {
+        let ecmp = || Box::new(RoutingSuite::new(&t).ecmp());
+        let by_value = Simulator::new(&t, ecmp(), cfg);
+        let kind = cfg.queue_disc;
+        let boxed = Simulator::with_parts(
+            &t,
+            ecmp(),
+            cfg,
+            Box::new(FwdTransport(transport_for(cfg.transport))),
+            &|cap, ecn| Box::new(FwdQueue(kind.build(cap, ecn))),
+        );
+        let outcome = |mut sim: Simulator| {
+            sim.set_window(0, 5 * MS);
+            sim.inject(&flows);
+            assert!(!sim.run_until(3 * MS), "run must pause mid-flight");
+            let image = sim.checkpoint().expect("checkpoint").as_bytes().to_vec();
+            let records = sim.run(SEC);
+            (records, sim.events_processed(), sim.conservation(), image)
+        };
+        let (a, b) = (outcome(by_value), outcome(boxed));
+        let name = cfg.transport.name();
+        assert!(a.2.dropped > 0, "{name}: the load must overflow a queue");
+        assert_eq!(a.0, b.0, "{name}: flow records differ");
+        assert_eq!(
+            (a.1, a.2),
+            (b.1, b.2),
+            "{name}: events or conservation differ"
+        );
+        assert!(a.3 == b.3, "{name}: mid-run checkpoint images differ");
+    }
 }

@@ -139,10 +139,13 @@ dcnrun() { cargo run --release --quiet --bin dcnrun -- "$@"; }
 # Uninterrupted supervised run.
 dcnrun run "$run_dir/job.json" --out-dir "$run_dir/straight" --checkpoint-every-ms 0
 # Worker SIGKILLs itself after the 2nd checkpoint; the retry resumes from
-# it and the final result must be byte-identical.
+# it and the final result must be byte-identical. The report must show
+# the second attempt: a job that finished before its 2nd checkpoint
+# never crashed, and its cmp would prove nothing about resume.
 dcnrun run "$run_dir/job.json" --out-dir "$run_dir/crashed" \
   --checkpoint-every-ms 0 --die-after-checkpoints 2
 cmp "$run_dir/straight/job.result.json" "$run_dir/crashed/job.result.json"
+grep -q '"attempts": 2' "$run_dir/crashed/job.report.json"
 # Hung worker with no retry budget: the watchdog must kill it, the exit
 # code must say timeout (3), and the report must salvage the checkpoint.
 set +e
