@@ -18,13 +18,17 @@
 //! engine regression, not CI machine jitter). Re-baseline deliberate
 //! engine changes with `--bless` so the perf trajectory is reviewed next
 //! to the code that moved it; `dcnstat bench` diffs two baselines.
+//! `--bless` runs the suite five times and writes each case's median-rate
+//! run, refusing when the runs disagree on a simulated field.
 //!
 //! `--out <path>` overrides the baseline location (default
 //! `BENCH_sim.json` in the working directory — the repo root under CI).
 
 #![forbid(unsafe_code)]
 
-use dcn_bench::perf::{check_perf, perf_cases, run_perf_suite, write_table};
+use dcn_bench::perf::{
+    check_perf, median_runs, perf_cases, run_perf_suite, write_table, BLESS_RUNS,
+};
 use dcn_json::Json;
 
 fn fail(msg: &str) -> ! {
@@ -70,7 +74,17 @@ fn main() {
         fail("--bless and --check are mutually exclusive");
     }
 
-    let report = run_perf_suite(seed);
+    let report = if bless {
+        let runs: Vec<Json> = (1..=BLESS_RUNS)
+            .map(|i| {
+                eprintln!("bench: bless run {i}/{BLESS_RUNS}");
+                run_perf_suite(seed)
+            })
+            .collect();
+        median_runs(&runs).unwrap_or_else(|e| fail(&format!("refusing to bless:\n{e}")))
+    } else {
+        run_perf_suite(seed)
+    };
     let cases = perf_cases(&report).unwrap_or_else(|e| fail(&e));
     write_table(cases, &mut std::io::stdout().lock())
         .unwrap_or_else(|e| fail(&format!("write table: {e}")));

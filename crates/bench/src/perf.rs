@@ -30,7 +30,10 @@
 //! [`compare_cases`] is the one comparer: `--check` ([`check_perf`]) and
 //! `dcnstat bench old new` both read its verdicts. Re-bless with
 //! `bench perf --bless` after a deliberate engine change and the diff
-//! shows up in review next to the code that caused it.
+//! shows up in review next to the code that caused it. A bless runs the
+//! suite [`BLESS_RUNS`] times and keeps each case's median-rate run
+//! ([`median_runs`]), so the baseline records the code more than the
+//! machine's spell.
 
 use std::hint::black_box;
 use std::io::{self, Write};
@@ -56,6 +59,10 @@ pub const PERF_SCHEMA: &str = "dcn-bench-perf-v1";
 /// `--check` fails when a case's measured rate drops below this fraction
 /// of the blessed baseline.
 pub const PERF_RATE_FLOOR: f64 = 0.5;
+
+/// Suite runs a bless takes each case's median from. Single runs of a
+/// case spread by about ±20% on a 2-vCPU box.
+pub const BLESS_RUNS: usize = 5;
 
 /// An engine or set-up case repeats its run until the timed runs add up
 /// to this much wall time, and reports the fastest. A multi-second case
@@ -484,11 +491,6 @@ impl Verdict {
 /// fields), and keeps both rates for the floor. Blessed cases come first
 /// in baseline order, then cases only the fresh run has.
 pub fn compare_cases(current: &[Json], blessed: &[Json]) -> Vec<Verdict> {
-    let rate = |c: &Json| {
-        c.get("events_per_sec_wall")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0)
-    };
     let mut verdicts: Vec<Verdict> = blessed
         .iter()
         .map(|b| {
@@ -518,6 +520,59 @@ pub fn compare_cases(current: &[Json], blessed: &[Json]) -> Vec<Verdict> {
         }
     }
     verdicts
+}
+
+/// A case's measured rate (0 when it has none).
+fn rate(case: &Json) -> f64 {
+    case.get("events_per_sec_wall")
+        .and_then(|v| v.as_f64())
+        .unwrap_or(0.0)
+}
+
+/// The baseline `--bless` writes from several runs of the suite: each
+/// case of the first run, as the run with that case's median rate (the
+/// upper median of an even count) reported it. Refuses, listing why,
+/// when the runs do not share their cases or disagree on any simulated
+/// field, since then no run speaks for the others.
+pub fn median_runs(runs: &[Json]) -> Result<Json, String> {
+    let runs: Vec<&[Json]> = runs.iter().map(perf_cases).collect::<Result<_, _>>()?;
+    let Some(&first) = runs.first() else {
+        return Err("no runs to bless from".to_string());
+    };
+    let mut errs = Vec::new();
+    for (i, run) in runs.iter().enumerate().skip(1) {
+        for v in compare_cases(run, first) {
+            if v.current.is_none() || v.blessed.is_none() {
+                errs.push(format!(
+                    "{}: case is in only one of runs 1 and {}",
+                    v.label,
+                    i + 1
+                ));
+            }
+            for d in &v.drift {
+                errs.push(format!("{}: runs 1 and {} differ on {d}", v.label, i + 1));
+            }
+        }
+    }
+    if !errs.is_empty() {
+        return Err(errs.join("\n"));
+    }
+    let picked = first
+        .iter()
+        .map(|case| {
+            let label = case_label(case);
+            let mut rows: Vec<&Json> = runs
+                .iter()
+                .filter_map(|run| run.iter().find(|c| case_label(c) == label))
+                .collect();
+            rows.sort_by(|a, b| rate(a).total_cmp(&rate(b)));
+            rows[rows.len() / 2].clone()
+        })
+        .collect();
+    Ok(Json::obj(vec![
+        ("schema", Json::from(PERF_SCHEMA)),
+        ("cases", Json::Arr(picked)),
+    ]))
 }
 
 /// Compares a fresh run against the blessed baseline: every simulated
@@ -586,6 +641,71 @@ mod tests {
                 ])]),
             ),
         ])
+    }
+
+    /// Two cases whose rates order the runs differently: each case keeps
+    /// its own median run, whole (its `wall_ms` comes along).
+    #[test]
+    fn bless_keeps_each_cases_median_run() {
+        let run = |a: u64, b: u64| {
+            let row = |transport: &str, rate: u64| {
+                Json::obj(vec![
+                    ("topology", Json::from("fat_tree_k4")),
+                    ("transport", Json::from(transport)),
+                    ("events", Json::from(100u64)),
+                    ("wall_ms", Json::from(rate * 10)),
+                    ("events_per_sec_wall", Json::from(rate)),
+                ])
+            };
+            Json::obj(vec![
+                ("schema", Json::from(PERF_SCHEMA)),
+                ("cases", Json::Arr(vec![row("dctcp", a), row("newreno", b)])),
+            ])
+        };
+        let runs = [run(5, 1), run(1, 9), run(4, 3), run(2, 7), run(3, 5)];
+        let blessed = median_runs(&runs).unwrap();
+        let cases = perf_cases(&blessed).unwrap();
+        let got: Vec<(String, f64, u64)> = cases
+            .iter()
+            .map(|c| {
+                let wall = c.get("wall_ms").and_then(|v| v.as_u64()).unwrap();
+                (case_label(c), rate(c), wall)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("fat_tree_k4/dctcp".to_string(), 3.0, 30),
+                ("fat_tree_k4/newreno".to_string(), 5.0, 50),
+            ]
+        );
+        assert!(check_perf(&runs[4], &blessed).is_empty());
+        // An even count takes the upper median.
+        let two = median_runs(&runs[..2]).unwrap();
+        assert_eq!(rate(&perf_cases(&two).unwrap()[0]), 5.0);
+    }
+
+    #[test]
+    fn bless_refuses_runs_that_disagree() {
+        let errs = median_runs(&[doc(100, 1000), doc(100, 900), doc(101, 950)]).unwrap_err();
+        assert_eq!(
+            errs,
+            "fat_tree_k4/dctcp: runs 1 and 3 differ on events: 100 vs 101"
+        );
+        let case = |d: Json| perf_cases(&d).unwrap()[0].clone();
+        let extra = Json::obj(vec![
+            ("schema", Json::from(PERF_SCHEMA)),
+            (
+                "cases",
+                Json::Arr(vec![case(doc(100, 1000)), case(failpoint_doc(5))]),
+            ),
+        ]);
+        let errs = median_runs(&[doc(100, 1000), extra]).unwrap_err();
+        assert!(
+            errs.contains("case is in only one of runs 1 and 2"),
+            "{errs}"
+        );
+        assert!(median_runs(&[]).is_err());
     }
 
     #[test]

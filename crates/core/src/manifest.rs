@@ -9,8 +9,8 @@
 //! the same-seed zero-drift check CI performs on every commit.
 //!
 //! All simulated quantities are deterministic: a same-seed run reproduces
-//! every field except `wall_ms` / `events_per_sec_wall` and any caller
-//! supplied output paths ([`WALL_CLOCK_FIELDS`]).
+//! every field except `wall_ms` / `events_per_sec_wall` / `peak_rss_mb`
+//! and any caller supplied output paths ([`WALL_CLOCK_FIELDS`]).
 
 use std::io;
 use std::time::Duration;
@@ -25,11 +25,13 @@ use dcn_sim::{
 use dcn_topology::Topology;
 
 /// Manifest fields that legitimately differ between two identical-seed
-/// runs: wall-clock measurements and caller-chosen output paths.
-/// `dcnstat diff` skips exactly these (at any nesting depth).
+/// runs: wall-clock and memory measurements of the machine, and
+/// caller-chosen output paths. `dcnstat diff` skips exactly these (at any
+/// nesting depth).
 pub const WALL_CLOCK_FIELDS: &[&str] = &[
     "wall_ms",
     "events_per_sec_wall",
+    "peak_rss_mb",
     "trace_path",
     "telemetry_path",
 ];
@@ -90,6 +92,15 @@ pub struct RunManifest {
 /// string: a JSON number cannot hold every `u64` exactly.
 pub fn hex64(v: u64) -> Json {
     Json::from(format!("{v:016x}"))
+}
+
+/// The process's peak resident set so far (`VmHWM`), in MB of 2^20
+/// bytes; `None` where `/proc/self/status` is absent or lacks it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn opt_str(s: &Option<String>) -> Json {
@@ -247,6 +258,7 @@ impl RunManifest {
                 ("peak_heap", Json::from(inp.peak_heap)),
                 ("wall_ms", Json::from(wall_ms)),
                 ("events_per_sec_wall", Json::from(eps_wall)),
+                ("peak_rss_mb", peak_rss_mb().map_or(Json::Null, Json::from)),
                 ("trace_path", opt_str(&inp.spec.trace_path)),
                 (
                     "telemetry_path",
@@ -346,8 +358,22 @@ mod tests {
 
     #[test]
     fn wall_clock_fields_cover_paths() {
-        for f in ["wall_ms", "events_per_sec_wall", "trace_path"] {
+        for f in [
+            "wall_ms",
+            "events_per_sec_wall",
+            "peak_rss_mb",
+            "trace_path",
+        ] {
             assert!(WALL_CLOCK_FIELDS.contains(&f));
+        }
+    }
+
+    /// Linux has `/proc`, and a process that has run holds some memory.
+    #[test]
+    fn peak_rss_is_read_where_proc_exists() {
+        match peak_rss_mb() {
+            Some(mb) => assert!(mb > 0.0 && mb.is_finite(), "{mb}"),
+            None => assert!(std::fs::metadata("/proc/self/status").is_err()),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! scale proof (d=31, 32 servers per switch) and walks one path.
 //!
 //! CI runs this under a `ulimit -v` ceiling to pin the table's memory
-//! footprint: a 2048² hop-distance matrix is 16 MiB, and the
+//! footprint: a 2048² hop-distance matrix of bytes is 4 MiB, and the
 //! bit-parallel kernel that fills it holds two 512 KiB bitsets while it
 //! runs. The kernel splits its rows over one thread per core. On a 2-vCPU
 //! Intel Xeon VM, twelve fresh runs took 28–77 ms, alternated with the

@@ -3,7 +3,7 @@
 //! hashing a flow(let) onto one of its equal-cost ports.
 //!
 //! The table stores the n×n hop-distance matrix of
-//! [`Topology::hop_distances`] (4·n² bytes) and a flat copy of the
+//! [`Topology::hop_distances`] (n² bytes) and a flat copy of the
 //! adjacency; next hops are derived per walk. At node `u`
 //! toward `dst` the equal-cost choices are `u`'s neighbours `v` with
 //! `dist(v, dst) + 1 == dist(u, dst)`, in adjacency order.
@@ -16,7 +16,7 @@ use dcn_topology::{HopDistances, LinkId, NodeId, Topology};
 /// them load-balances parallel links too.
 pub struct EcmpTable {
     /// Hop distances; row `dst` holds every node's distance to `dst`
-    /// (the matrix is symmetric). `u32::MAX` = unreachable.
+    /// (the matrix is symmetric), one byte per pair.
     dist: HopDistances,
     /// CSR adjacency: `node`'s `(neighbour, link)` pairs are
     /// `adj[offsets[node]..offsets[node + 1]]`, in topology order.
@@ -26,7 +26,7 @@ pub struct EcmpTable {
 
 impl EcmpTable {
     /// Builds the table from the bit-parallel all-pairs kernel:
-    /// O(D·(V+2E)·V/64) time for diameter D, 4·V² bytes of distances.
+    /// O(D·(V+2E)·V/64) time for diameter D, V² bytes of distances.
     pub fn new(t: &Topology) -> Self {
         let n = t.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -58,14 +58,14 @@ impl EcmpTable {
     ) -> impl Iterator<Item = (NodeId, LinkId)> + '_ {
         let row = self.dist.row(dst);
         let du = row[node as usize];
-        let nbrs = if du == 0 || du == u32::MAX {
+        let nbrs = if du == 0 || du == HopDistances::UNREACHABLE {
             &[][..]
         } else {
             self.neighbors(node)
         };
         nbrs.iter()
             .copied()
-            .filter(move |&(v, _)| row[v as usize] + 1 == du)
+            .filter(move |&(v, _)| row[v as usize] == du - 1)
     }
 
     /// Hop distance from `node` to `dst`.

@@ -6,9 +6,13 @@
 //!
 //! - **ring** — `num_slots` buckets of `2^WIDTH_BITS` ns (1024 ns ≈ the
 //!   serialization time of an MTU packet at 10 Gbps, the link-latency
-//!   horizon most events land in). A bucket is an unsorted `Vec`; pushing
-//!   a near-future event is an O(1) append plus one bit in an occupancy
-//!   bitset.
+//!   horizon most events land in). A bucket is an unsorted list of
+//!   fixed-size blocks of [`BLOCK`] entries, drawn from one pool shared
+//!   by every slot; pushing a near-future event is an O(1) append to the
+//!   slot's tail block plus one bit in an occupancy bitset. Draining a
+//!   slot returns its blocks to the pool's free list, so ring memory
+//!   follows the events pending in the ring, not the largest burst each
+//!   slot ever held.
 //! - **current bucket** — when the cursor reaches an occupied bucket its
 //!   events are scattered into `2^SUB_BITS` *sub-buckets* (32 ns each).
 //!   Each sub-bucket is sorted once when the sub-cursor reaches it
@@ -98,6 +102,12 @@ const SUB_COUNT: usize = 1 << SUB_BITS;
 const SUB_SHIFT: u32 = WIDTH_BITS - SUB_BITS;
 /// Sentinel for "no sub-bucket active" (freshly advanced bucket).
 const NO_SUB: u32 = u32::MAX;
+/// Entries per ring block. Small enough that the ~one partly filled tail
+/// block per occupied slot costs little, large enough that the link
+/// chase and allocation are amortized over many appends.
+const BLOCK: usize = 32;
+/// End of a block list.
+const NIL: u32 = u32::MAX;
 
 /// One scheduled event: fires at `t`, with `seq` breaking same-`t` ties
 /// in schedule order.
@@ -134,6 +144,46 @@ impl CalEntry {
     }
 }
 
+/// A pool block: up to [`BLOCK`] entries of one ring slot, in push order,
+/// and the index of the slot's next block (or of the next free block).
+#[derive(Clone, Copy)]
+struct Block {
+    items: [CalEntry; BLOCK],
+    next: u32,
+}
+
+/// One ring slot: a list of pool blocks, all full but the tail, which
+/// holds the last `(len - 1) % BLOCK + 1` entries.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+    len: 0,
+};
+
+impl Slot {
+    /// The slot's entries, block by block, in push order.
+    fn chunks(self, blocks: &[Block]) -> impl Iterator<Item = &[CalEntry]> {
+        let (mut b, mut left) = (self.head, self.len as usize);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let blk = &blocks[b as usize];
+            let k = left.min(BLOCK);
+            left -= k;
+            b = blk.next;
+            Some(&blk.items[..k])
+        })
+    }
+}
+
 /// The event queue: earliest timestamp first, insertion order (`seq`)
 /// breaking ties, so identical schedules replay identically. See the
 /// module docs for the bucket/ladder layout.
@@ -143,8 +193,13 @@ pub(crate) struct CalendarQueue {
     /// `num_slots - 1` (num_slots is a power of two).
     mask: u64,
     /// Ring buckets, unsorted; slot `s` holds the single in-horizon
-    /// absolute bucket with `abs % num_slots == s`.
-    slots: Vec<Vec<CalEntry>>,
+    /// absolute bucket with `abs % num_slots == s`, as a list of `blocks`.
+    slots: Vec<Slot>,
+    /// The block pool behind every ring slot.
+    blocks: Vec<Block>,
+    /// Head of the pool's free list (LIFO, linked through `Block::next`),
+    /// or [`NIL`].
+    free: u32,
     /// One bit per slot: slot is non-empty.
     occupied: Vec<u64>,
     /// The activated sub-bucket, sorted descending by `(t, seq)` so the
@@ -201,7 +256,9 @@ impl CalendarQueue {
         CalendarQueue {
             shift: WIDTH_BITS,
             mask: num_slots as u64 - 1,
-            slots: (0..num_slots).map(|_| Vec::new()).collect(),
+            slots: vec![EMPTY_SLOT; num_slots],
+            blocks: Vec::new(),
+            free: NIL,
             occupied: vec![0u64; num_slots / 64],
             cur: Vec::new(),
             incoming: BinaryHeap::new(),
@@ -284,8 +341,21 @@ impl CalendarQueue {
             .iter()
             .chain(self.incoming.iter())
             .chain(self.subs.iter().flatten())
-            .chain(self.slots.iter().flatten())
+            .chain(
+                self.slots
+                    .iter()
+                    .flat_map(|sl| sl.chunks(&self.blocks))
+                    .flatten(),
+            )
             .chain(self.overflow.iter())
+    }
+
+    /// Entries the ring's block pool has reserved, in use or free: the
+    /// ring's memory footprint (tests bound it by the live ring
+    /// population).
+    #[cfg(test)]
+    pub(crate) fn ring_reserved(&self) -> usize {
+        self.blocks.len() * BLOCK
     }
 
     /// Schedules `ev` at `t` under a fresh key: the next `seq`.
@@ -350,12 +420,64 @@ impl CalendarQueue {
     /// ladder.
     fn place(&mut self, e: CalEntry, abs: u64) {
         if abs - self.cur_abs <= self.slots.len() as u64 {
-            let s = (abs & self.mask) as usize;
-            self.slots[s].push(e);
-            self.occupied[s >> 6] |= 1 << (s & 63);
-            self.ring_len += 1;
+            self.append(abs, e);
         } else {
             self.overflow.push(e);
+        }
+    }
+
+    /// Appends an in-horizon entry to the tail of bucket `abs`'s slot,
+    /// opening a fresh block when the tail is full.
+    #[inline]
+    fn append(&mut self, abs: u64, e: CalEntry) {
+        let s = (abs & self.mask) as usize;
+        let Slot { tail, len, .. } = self.slots[s];
+        let i = len as usize % BLOCK;
+        let tail = if i == 0 {
+            let b = self.alloc_block();
+            if len == 0 {
+                self.slots[s].head = b;
+            } else {
+                self.blocks[tail as usize].next = b;
+            }
+            b
+        } else {
+            tail
+        };
+        self.blocks[tail as usize].items[i] = e;
+        self.slots[s].tail = tail;
+        self.slots[s].len = len + 1;
+        self.occupied[s >> 6] |= 1 << (s & 63);
+        self.ring_len += 1;
+    }
+
+    /// Takes a block off the free list, or carves a new one.
+    fn alloc_block(&mut self) -> u32 {
+        if self.free != NIL {
+            let b = self.free;
+            self.free = self.blocks[b as usize].next;
+            self.blocks[b as usize].next = NIL;
+            return b;
+        }
+        let e = CalEntry {
+            t: 0,
+            seq: 0,
+            ev: Ev::FlowStart(0),
+        };
+        self.blocks.push(Block {
+            items: [e; BLOCK],
+            next: NIL,
+        });
+        (self.blocks.len() - 1) as u32
+    }
+
+    /// Empties slot `s`, returning its blocks to the free list whole (the
+    /// head block, the likeliest to be cached, is the next one handed out).
+    fn release(&mut self, s: usize) {
+        let sl = std::mem::replace(&mut self.slots[s], EMPTY_SLOT);
+        if sl.len > 0 {
+            self.blocks[sl.tail as usize].next = self.free;
+            self.free = sl.head;
         }
     }
 
@@ -368,11 +490,14 @@ impl CalendarQueue {
             return;
         }
         let mut all: Vec<CalEntry> = Vec::with_capacity(self.ring_len + self.overflow.len());
-        for s in self.slots.iter_mut() {
-            all.append(s);
+        for sl in &self.slots {
+            all.extend(sl.chunks(&self.blocks).flatten());
+        }
+        for s in 0..self.slots.len() {
+            self.release(s);
         }
         all.extend(std::mem::take(&mut self.overflow).into_vec());
-        self.slots = (0..new_slots).map(|_| Vec::new()).collect();
+        self.slots = vec![EMPTY_SLOT; new_slots];
         self.occupied = vec![0u64; new_slots / 64];
         self.mask = new_slots as u64 - 1;
         self.ring_len = 0;
@@ -547,22 +672,24 @@ impl CalendarQueue {
             self.cur_abs += self.next_occupied_offset();
             let s = (self.cur_abs & self.mask) as usize;
             self.occupied[s >> 6] &= !(1 << (s & 63));
-            // Drain the slot into sub-buckets, recycling its buffer so
-            // steady state allocates nothing. Every entry here shares
-            // `abs == cur_abs` (a slot is drained exactly when the cursor
-            // reaches it, and `place` admits at most one ring-turn ahead),
-            // and no sub-bucket is active yet, so the scatter is just the
+            // Drain the slot's blocks, in push order, into sub-buckets,
+            // then hand the blocks back to the pool: steady state
+            // allocates nothing, and a burst's blocks serve whichever
+            // slot fills next. Every entry here shares `abs == cur_abs`
+            // (a slot is drained exactly when the cursor reaches it, and
+            // `place` admits at most one ring-turn ahead), and no
+            // sub-bucket is active yet, so the scatter is just the
             // sub-bucket bits of `t` — no clamping needed.
-            let mut bucket = std::mem::take(&mut self.slots[s]);
-            self.ring_len -= bucket.len();
-            self.bucket_len += bucket.len();
-            for e in bucket.drain(..) {
+            let sl = self.slots[s];
+            self.ring_len -= sl.len as usize;
+            self.bucket_len += sl.len as usize;
+            for e in sl.chunks(&self.blocks).flatten() {
                 debug_assert_eq!(e.t >> self.shift, self.cur_abs);
                 let rel = (e.t >> SUB_SHIFT) as usize & (SUB_COUNT - 1);
-                self.subs[rel].push(e);
+                self.subs[rel].push(*e);
                 self.sub_occ |= 1 << rel;
             }
-            self.slots[s] = bucket;
+            self.release(s);
         }
         // Ladder spill: everything now within the ring horizon files into
         // its bucket (or a sub-bucket after a jump). Slots passed over by
@@ -578,10 +705,7 @@ impl CalendarQueue {
             if abs == self.cur_abs {
                 self.file_current(e);
             } else {
-                let s = (abs & self.mask) as usize;
-                self.slots[s].push(e);
-                self.occupied[s >> 6] |= 1 << (s & 63);
-                self.ring_len += 1;
+                self.append(abs, e);
             }
         }
         debug_assert!(self.bucket_len > 0);
@@ -942,6 +1066,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A ~1,000-event burst into each of 1,100 successive buckets, each
+    /// drained before the next: every ring slot sees the burst once, yet
+    /// the ring reserves only a few blocks beyond the largest population
+    /// it ever held at once (a buffer per slot sized by its burst would
+    /// hold ~1,024 × 1,000 entries).
+    #[test]
+    fn ring_storage_follows_the_live_population() {
+        let mut q = CalendarQueue::new();
+        let (mut id, mut peak_ring) = (0u32, 0usize);
+        for b in 1..=1_100u64 {
+            let burst = 990 + (b % 20) as usize;
+            for i in 0..burst {
+                // Bucket `b` is one ahead of the cursor: a ring slot.
+                q.push((b << WIDTH_BITS) + (i as u64 % 1_024), Ev::FlowStart(id));
+                id += 1;
+            }
+            peak_ring = peak_ring.max(q.ring_len);
+            let mut last = (0, 0);
+            for _ in 0..burst {
+                let e = q.pop().expect("the burst is pending");
+                assert_eq!(e.t >> WIDTH_BITS, b);
+                assert!(e.key() > last);
+                last = e.key();
+            }
+            assert_eq!(q.len(), 0);
+        }
+        assert_eq!(q.num_slots(), MIN_SLOTS);
+        assert_eq!(peak_ring, 1_009);
+        let reserved = q.ring_reserved();
+        assert!(
+            reserved >= peak_ring && reserved <= peak_ring + 2 * BLOCK,
+            "ring reserved {reserved} entries for a peak of {peak_ring}"
+        );
     }
 
     #[test]

@@ -242,6 +242,10 @@ impl Topology {
     /// Links are undirected, so the result is symmetric. Graphs of 512 or
     /// more switches split each level's rows over one thread per core; the
     /// result does not depend on the split.
+    ///
+    /// # Panics
+    /// If some pair is 255 or more hops apart: distances are stored as
+    /// `u8`, with `u8::MAX` reserved for unreachable pairs.
     pub fn hop_distances(&self) -> HopDistances {
         self.hop_distances_on(setup_workers(self.num_nodes()))
     }
@@ -253,11 +257,11 @@ impl Topology {
     /// matrix is allocated zeroed (the diagonal is already right) and the
     /// blocks write each reached pair once, so its pages are first touched
     /// in parallel; pairs still unreached after the last level are set to
-    /// `u32::MAX` from the final reach sets.
+    /// [`HopDistances::UNREACHABLE`] from the final reach sets.
     pub(crate) fn hop_distances_on(&self, workers: usize) -> HopDistances {
         let n = self.num_nodes();
         let w = n.div_ceil(64);
-        let mut d = vec![0u32; n * n];
+        let mut d = vec![0u8; n * n];
         if n == 0 {
             return HopDistances { n, d };
         }
@@ -267,7 +271,10 @@ impl Topology {
             cur[v * w + v / 64] = 1 << (v % 64);
         }
         let rows = n.div_ceil(workers.max(1));
-        for k in 1.. {
+        for k in 1u32.. {
+            // Level 255 is only written if some pair is that far apart,
+            // and then the assert below refuses the matrix.
+            let level = k.min(HopDistances::UNREACHABLE as u32) as u8;
             let blocks: Vec<_> = next
                 .chunks_mut(rows * w)
                 .zip(d.chunks_mut(rows * n))
@@ -291,7 +298,7 @@ impl Topology {
                         let mut fresh = now & !was;
                         grew |= fresh != 0;
                         while fresh != 0 {
-                            dv[i * 64 + fresh.trailing_zeros() as usize] = k;
+                            dv[i * 64 + fresh.trailing_zeros() as usize] = level;
                             fresh &= fresh - 1;
                         }
                     }
@@ -301,6 +308,11 @@ impl Topology {
             if !grew.contains(&true) {
                 break;
             }
+            assert!(
+                level != HopDistances::UNREACHABLE,
+                "{}: hop distances of 255 or more do not fit the u8 matrix",
+                self.name()
+            );
             std::mem::swap(&mut cur, &mut next);
         }
         for (row, dv) in cur.chunks(w).zip(d.chunks_mut(n)) {
@@ -311,7 +323,7 @@ impl Topology {
                     if j >= n {
                         break; // padding bits of the last word
                     }
-                    dv[j] = u32::MAX;
+                    dv[j] = HopDistances::UNREACHABLE;
                     miss &= miss - 1;
                 }
             }
@@ -615,28 +627,36 @@ impl std::fmt::Display for DisconnectedError {
 impl std::error::Error for DisconnectedError {}
 
 /// All-pairs hop distances of a [`Topology`] as a flat row-major n×n
-/// matrix, from [`Topology::hop_distances`]. `u32::MAX` = unreachable.
+/// matrix of bytes (n² bytes), from [`Topology::hop_distances`].
+/// [`HopDistances::UNREACHABLE`] marks unreachable pairs in rows;
+/// [`HopDistances::get`] widens it to `u32::MAX`.
 #[derive(Clone, Debug)]
 pub struct HopDistances {
     n: usize,
-    d: Vec<u32>,
+    d: Vec<u8>,
 }
 
 impl HopDistances {
+    /// The row entry of an unreachable pair.
+    pub const UNREACHABLE: u8 = u8::MAX;
+
     /// Hop distances from `v` to every node; by symmetry also from every
     /// node to `v`.
-    pub fn row(&self, v: NodeId) -> &[u32] {
+    pub fn row(&self, v: NodeId) -> &[u8] {
         let v = v as usize;
         &self.d[v * self.n..(v + 1) * self.n]
     }
 
-    /// Hop distance from `a` to `b`.
+    /// Hop distance from `a` to `b`, `u32::MAX` when unreachable.
     pub fn get(&self, a: NodeId, b: NodeId) -> u32 {
-        self.d[a as usize * self.n + b as usize]
+        match self.d[a as usize * self.n + b as usize] {
+            Self::UNREACHABLE => u32::MAX,
+            d => d as u32,
+        }
     }
 
     /// Every entry, row by row.
-    pub fn as_slice(&self) -> &[u32] {
+    pub fn as_slice(&self) -> &[u8] {
         &self.d
     }
 }
@@ -889,7 +909,15 @@ mod tests {
             assert_eq!(hd.as_slice().len(), t.num_nodes() * t.num_nodes());
             for s in t.nodes() {
                 let bfs = &bfs[s as usize];
-                assert_eq!(hd.row(s), &bfs[..], "{name}: row {s}");
+                let widened: Vec<u32> = hd
+                    .row(s)
+                    .iter()
+                    .map(|&d| match d {
+                        HopDistances::UNREACHABLE => u32::MAX,
+                        d => d as u32,
+                    })
+                    .collect();
+                assert_eq!(widened, *bfs, "{name}: row {s}");
                 for (v, &d) in bfs.iter().enumerate() {
                     assert_eq!(hd.get(s, v as u32), d, "{name}: ({s}, {v})");
                 }
@@ -979,10 +1007,31 @@ mod tests {
             for &v in &isolated {
                 assert_eq!(survivor.degree(v), 0);
                 assert_eq!(hd.get(v, v), 0);
-                let unreachable = hd.row(v).iter().filter(|&&d| d == u32::MAX).count();
+                let unreachable = hd
+                    .row(v)
+                    .iter()
+                    .filter(|&&d| d == HopDistances::UNREACHABLE)
+                    .count();
                 assert_eq!(unreachable, t.num_nodes() - 1);
             }
             assert!(hd.get(1, 2) < u32::MAX);
         }
+    }
+
+    /// The `u8` matrix's boundary: a 508-node ring (diameter 254, the
+    /// largest storable distance) matches BFS, split or not.
+    #[test]
+    fn hop_distances_hold_diameter_254() {
+        let t = ring_with_chords(508, 0, 0);
+        assert_hop_distances_match_bfs(&t);
+        assert_eq!(t.hop_distances().get(0, 254), 254);
+    }
+
+    /// A 510-node ring has diameter 255, which would collide with the
+    /// unreachable marker.
+    #[test]
+    #[should_panic(expected = "hop distances of 255 or more do not fit the u8 matrix")]
+    fn hop_distances_refuse_diameter_255() {
+        ring_with_chords(510, 0, 0).hop_distances();
     }
 }

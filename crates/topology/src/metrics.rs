@@ -1,7 +1,7 @@
 //! Topology-level metrics: path statistics, degree audits, and the cabling
 //! / floor-plan accounting behind the paper's Fig 3 and Table 1.
 
-use crate::graph::{NodeId, Topology};
+use crate::graph::{HopDistances, NodeId, Topology};
 use std::collections::BTreeMap;
 
 /// Summary of a topology's shortest-path structure.
@@ -22,7 +22,11 @@ pub fn path_stats(t: &Topology) -> PathStats {
     let mut histogram: Vec<u64> = Vec::new();
     let mut sum = 0u64;
     for (i, &d) in dist.as_slice().iter().enumerate() {
-        assert!(d != u32::MAX, "topology disconnected at node {}", i % n);
+        assert!(
+            d != HopDistances::UNREACHABLE,
+            "topology disconnected at node {}",
+            i % n
+        );
         if histogram.len() <= d as usize {
             histogram.resize(d as usize + 1, 0);
         }

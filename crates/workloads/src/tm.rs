@@ -504,7 +504,7 @@ pub fn longest_matching(
     assert!(racks.len() >= 2);
     let want = (((racks.len() as f64 * fraction) / 2.0).round() as usize).max(1);
     let dist = t.hop_distances();
-    let mut pairs: Vec<(u32, usize, usize)> = Vec::new();
+    let mut pairs: Vec<(u8, usize, usize)> = Vec::new();
     for (i, &ri) in racks.iter().enumerate() {
         let row = dist.row(ri);
         for (j, &rj) in racks.iter().enumerate().skip(i + 1) {

@@ -279,13 +279,28 @@ cargo run --release -p dcn-bench --bin bench -- perf --check > /dev/null
 cargo run --release --quiet --bin dcnstat -- bench BENCH_sim.json BENCH_sim.json > /dev/null
 
 echo "==> ECMP table memory guard (2048-switch Xpander under a 128 MiB ceiling)"
-# The table is a 2048x2048 hop-distance matrix (16 MiB); the all-pairs
-# kernel that fills it adds two 2048x32-word bitsets (1 MiB) while it runs.
-# The whole example fits in ~24 MiB of address space. A table that stores
-# next-hop lists per (destination, node) needs over 512 MiB for this graph:
-# the ceiling keeps that layout from coming back.
+# The table is a 2048x2048 hop-distance matrix of one byte per pair
+# (4 MiB); the all-pairs kernel that fills it adds two 2048x32-word
+# bitsets (1 MiB) while it runs. The whole example fits in ~26 MiB of
+# address space on a 2-vCPU box. A table that stores next-hop lists per
+# (destination, node) needs over 512 MiB for this graph: the ceiling
+# keeps that layout from coming back.
 cargo build --release --quiet -p dcn-routing --example ecmp_table_2048
 (ulimit -v 131072 && ./target/release/examples/ecmp_table_2048)
+
+echo "==> packet-run memory guard (65,536-host Xpander under HYB, peak RSS <= 96 MB)"
+# A packet run's memory should follow its fabric and its in-flight
+# packets. Calendar ring slots that each kept a buffer sized by their
+# largest burst, plus u32 hop distances, made this run peak at 149 MB;
+# pooled ring blocks and u8 distances bring it to ~46 MB. The manifest's
+# peak_rss_mb is the dcnsim process's VmHWM.
+mem_dir="$(mktemp -d)"
+cargo run --release --quiet --bin dcnsim -- examples/configs/scale65k_xpander.json \
+  --manifest "$mem_dir/man.json" > /dev/null
+rss="$(sed -n 's/^ *"peak_rss_mb": \([0-9.]*\),$/\1/p' "$mem_dir/man.json")"
+test -n "$rss"
+awk -v rss="$rss" 'BEGIN { if (rss > 96) { print "peak RSS " rss " MB > 96 MB"; exit 1 } }'
+rm -rf "$mem_dir"
 
 echo "==> flow-level golden (fig15_large_scale --scale small, byte-identical stdout)"
 # Pins dcn-flowsim's results across solver changes. Re-bless only for a

@@ -94,6 +94,16 @@ fn flag_u64(args: &[String], flag: &str) -> Option<u64> {
     })
 }
 
+/// A crash or hang hook's checkpoint count. A hook fires right after a
+/// checkpoint is written, so 0 could never fire and is refused.
+fn hook_flag(args: &[String], flag: &str) -> Option<u64> {
+    let n = flag_u64(args, flag);
+    if n == Some(0) {
+        fail(&format!("{flag} must be at least 1"));
+    }
+    n
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
@@ -120,8 +130,8 @@ fn worker(args: &[String]) -> i32 {
     let ckpt_path = flag_value(args, "--ckpt").unwrap_or_else(|| fail("worker needs --ckpt"));
     let every_ms = flag_u64(args, "--checkpoint-every-ms").unwrap_or(1000);
     let hooks = CrashHooks {
-        die_after_checkpoints: flag_u64(args, "--die-after-checkpoints"),
-        stall_after_checkpoints: flag_u64(args, "--stall-after-checkpoints"),
+        die_after_checkpoints: hook_flag(args, "--die-after-checkpoints"),
+        stall_after_checkpoints: hook_flag(args, "--stall-after-checkpoints"),
     };
     jobs::worker_main(cfg_path, &result_path, &ckpt_path, every_ms, hooks)
 }
@@ -229,8 +239,8 @@ fn supervisor(args: &[String], batch: bool) -> i32 {
     let retries = flag_u64(args, "--retries").unwrap_or(2) as u32;
     let backoff = Duration::from_millis(flag_u64(args, "--backoff-ms").unwrap_or(200));
     let every_ms = flag_u64(args, "--checkpoint-every-ms").unwrap_or(1000);
-    let die_after = flag_u64(args, "--die-after-checkpoints");
-    let stall_after = flag_u64(args, "--stall-after-checkpoints");
+    let die_after = hook_flag(args, "--die-after-checkpoints");
+    let stall_after = hook_flag(args, "--stall-after-checkpoints");
     let slots = match flag_u64(args, "--jobs") {
         Some(0) => fail("--jobs must be at least 1"),
         Some(n) => n as usize,

@@ -182,6 +182,20 @@ fn run_job(
     if !done {
         sim.run_until(exp.max_time);
     }
+    // A hook that never fired injected nothing: the caller asked for a
+    // crash or hang this job cannot reach, and a quiet success would read
+    // as a survived one.
+    for (flag, n) in [
+        ("--die-after-checkpoints", hooks.die_after_checkpoints),
+        ("--stall-after-checkpoints", hooks.stall_after_checkpoints),
+    ] {
+        if let Some(n) = n.filter(|&n| n > written) {
+            return Err(JobFailure::config(format!(
+                "{flag} {n}: the job finished after writing {written} checkpoint(s), \
+                 so the hook never fired"
+            )));
+        }
+    }
     let records = sim.finish();
     let m = compute_metrics(&records, exp.window.0, exp.window.1);
     let drops = sim.drop_breakdown();

@@ -170,6 +170,40 @@ fn memo_of_a_killed_and_resumed_run_equals_a_straight_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash or hang hook that the job finishes before reaching is a
+/// config error naming the hook and the checkpoints written, not a quiet
+/// success: at [`LIGHT`] and seed 10 the job ends before its first
+/// checkpoint. A hook count of 0 is refused up front.
+#[test]
+fn a_hook_the_job_cannot_reach_is_a_config_error() {
+    let dir = tmp_dir("unreached");
+    let cfgs = vec![write_cfg(&dir, "job", &config(10, LIGHT))];
+    for flag in ["--die-after-checkpoints", "--stall-after-checkpoints"] {
+        let out = dir.join(&flag[2..]);
+        let run = batch(&cfgs, &out, &[flag, "1", "--timeout-s", "60"], &[]);
+        assert_eq!(run.status.code(), Some(1), "{flag}: {run:?}");
+        assert_eq!(
+            status_and_attempts(&out, "job"),
+            ("config_error".to_string(), 1),
+            "{flag}: never retried"
+        );
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        let want = format!("{flag} 1: the job finished after writing 0 checkpoint(s)");
+        assert!(stderr.contains(&want), "{flag}: {stderr}");
+        assert!(!out.join("job.result.json").exists());
+        assert!(memo_entries(&out).is_empty());
+        // A count of 0 could never fire: refused before any job runs.
+        let zero = batch(&cfgs, &dir.join("zero"), &[flag, "0"], &[]);
+        assert_eq!(zero.status.code(), Some(1), "{flag} 0: {zero:?}");
+        let stderr = String::from_utf8_lossy(&zero.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} must be at least 1")),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A truncated entry is moved to `cache/quarantine/` and recomputed to
 /// the same bytes; the recomputed result is memoized again.
 #[test]
