@@ -10,11 +10,33 @@
 //!
 //! [`Channels`] keeps the immutable per-channel fields (endpoints, rates,
 //! precomputed serialization times) in dense `Vec`s indexed by channel
-//! id, and the mutable state — transmitter, fault state, counters, and
-//! the queue discipline itself, inline — in one [`ChanDyn`] record per
-//! channel. The serialization-time cache for the two wire sizes that
-//! dominate every run (full MTU data packets and ACKs) removes the float
-//! divide from the common case.
+//! id, and the mutable state in three places: one hot [`ChanDyn`] record
+//! per channel (the transmitter clock, the queue length and the queue
+//! discipline itself, inline), dense counter `Vec`s that only drops and
+//! marks touch, and a fault table ([`ChanFault`]) that stays empty — and
+//! unread — until a fault plan first changes a channel. The
+//! serialization-time cache for the two wire sizes that dominate every
+//! run (full MTU data packets and ACKs) removes the float divide from the
+//! common case.
+//!
+//! # Two transmitter models
+//!
+//! A FIFO port (the run's `queue_disc` is tail-drop) neither reorders nor
+//! evicts, so a packet's transmission start is known the moment it is
+//! accepted: the end of the one ahead of it. Such a channel keeps a
+//! *departure clock* — `cur_end`, when the transmission in progress ends,
+//! and `tx_end`, when the last scheduled one ends — and
+//! [`Channels::offer_fifo`] hands back each accepted packet's
+//! transmission end, so the engine pushes its Deliver at once and no
+//! `TxFree` event exists. [`Channels::catch_up`] retires the packets
+//! whose transmission has begun by a given time, so the discipline holds
+//! exactly the packets still waiting and tail-drop and ECN decisions see
+//! the same backlog an event-driven transmitter would.
+//!
+//! A reordering port (pFabric) cannot know which packet goes next until
+//! the transmitter frees, so it keeps the event-driven model:
+//! [`Channels::offer`], [`Channels::begin_tx`], [`Channels::arm_tx_free`]
+//! and [`Channels::tx_done`] around a lazily pushed `TxFree`.
 
 use crate::slab::{PacketArena, PktId};
 use crate::switch::{AnyQueue, EnqueueOutcome, QueueDiscipline};
@@ -23,67 +45,82 @@ use crate::types::Ns;
 /// Result of offering a packet to a channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Offer {
-    /// Channel idle: caller must reserve the transmission's TxFree key
-    /// (`now + ser`, next `seq`), record it with
-    /// [`Channels::begin_tx`], and schedule Deliver(now + ser + prop).
-    /// The TxFree itself is pushed only once a packet queues behind it.
+    /// Channel idle: the transmission starts now. On a reordering port
+    /// the caller must reserve the transmission's TxFree key (`now + ser`,
+    /// next `seq`), record it with [`Channels::begin_tx`], and schedule
+    /// Deliver(now + ser + prop); the TxFree itself is pushed only once a
+    /// packet queues behind it.
     StartTx,
-    /// Queued behind the current transmission (caller pushes the TxFree
-    /// under its reserved key if [`Channels::arm_tx_free`] says it is
-    /// still virtual).
+    /// Queued behind the current transmission. On a FIFO port its
+    /// transmission is already scheduled; on a reordering port the caller
+    /// pushes the TxFree under its reserved key if
+    /// [`Channels::arm_tx_free`] says it is still virtual.
     Queued,
     /// The offered packet was dropped by the queue discipline (and its
     /// arena slot freed).
     Dropped,
 }
 
-/// The mutable half of one channel.
+/// The hot, mutable half of one channel: what every hop reads.
 pub(crate) struct ChanDyn {
-    /// A transmission started whose TxFree has not run yet. With nothing
-    /// queued behind it that TxFree stays virtual (never pushed): the
-    /// channel is then really busy only until the engine's clock passes
-    /// `(free_at, free_seq)`, which [`Channels::offer`] checks.
-    pub(crate) busy: bool,
-    /// Key `(t, seq)` reserved for the current transmission's TxFree —
-    /// where the eager engine would have pushed it.
-    pub(crate) free_at: Ns,
-    pub(crate) free_seq: u64,
-    /// The TxFree is in the calendar under that key. Armed whenever
-    /// packets are queued (see [`Channels::tx_done`] for the one way the
-    /// queue can empty under an armed TxFree).
-    pub(crate) armed: bool,
-    /// Fault state: a hard-failed channel delivers nothing. The fault layer
-    /// flips this (never the channel layer itself) and the engine drops
-    /// packets at the offer and delivery points, so queued packets drain
-    /// onto the dead wire and are lost — "in-flight packets are lost on
-    /// failure".
-    pub(crate) up: bool,
-    /// Gray-failure per-packet drop probability (0.0 = healthy).
-    pub(crate) loss_prob: f64,
+    /// When the transmission in progress ends. On a reordering port: the
+    /// `t` of the key reserved for that transmission's TxFree.
+    pub(crate) cur_end: Ns,
+    /// FIFO ports: when the last scheduled transmission ends; the
+    /// channel is idle from then on. A reordering port keeps the `seq`
+    /// of its TxFree key here.
+    pub(crate) tx_end: u64,
     /// Cached `disc.queue_len()`, kept by the channel layer from each
     /// enqueue's outcome: the per-event path checks for an empty queue
     /// without dispatching on the discipline (a virtual call for a
     /// `Custom` one).
     pub(crate) qlen: u32,
-    /// Congestion drops (tail or priority-evicted), for stats and tests.
-    pub(crate) drops: u64,
-    /// ECN marks applied.
-    pub(crate) marks: u64,
-    /// Packets lost to hard or gray faults on the channel.
-    pub(crate) fault_drops: u64,
-    /// Queued packets evicted by the discipline to admit more urgent
-    /// ones — a subset of `drops`, split out so drops can be reported by
-    /// cause.
-    pub(crate) evictions: u64,
-    /// Gray-loss draw counter: each offered packet on a lossy channel
-    /// bumps it, and the (seed, channel, counter) hash decides the drop.
-    pub(crate) gray_ctr: u64,
-    /// The output queue feeding the transmitter, held by value.
+    /// Reordering ports: a transmission started whose TxFree has not run
+    /// yet. With nothing queued behind it that TxFree stays virtual
+    /// (never pushed): the channel is then really busy only until the
+    /// engine's clock passes `(cur_end, tx_end)`, which
+    /// [`Channels::offer`] checks.
+    pub(crate) busy: bool,
+    /// Reordering ports: the TxFree is in the calendar under that key.
+    /// Armed whenever packets are queued (see [`Channels::tx_done`] for
+    /// the one way the queue can empty under an armed TxFree).
+    pub(crate) armed: bool,
+    /// The output queue feeding the transmitter, held by value. On a FIFO
+    /// port it holds the packets whose transmission has not begun; each
+    /// of them also has its Deliver in the calendar already.
     pub(crate) disc: AnyQueue,
 }
 
+const _: () = assert!(std::mem::size_of::<ChanDyn>() <= 80);
+
+/// One channel's fault state.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct ChanFault {
+    /// A hard-failed channel delivers nothing. The fault layer flips this
+    /// (never the channel layer itself) and the engine drops packets at
+    /// the offer and delivery points, so queued packets drain onto the
+    /// dead wire and are lost — "in-flight packets are lost on failure".
+    pub(crate) up: bool,
+    /// Gray-failure per-packet drop probability (0.0 = healthy).
+    pub(crate) loss_prob: f64,
+    /// Gray-loss draw counter: each offered packet on a lossy channel
+    /// bumps it, and the (seed, channel, counter) hash decides the drop.
+    pub(crate) gray_ctr: u64,
+    /// Packets lost to hard or gray faults on the channel.
+    pub(crate) drops: u64,
+}
+
+impl ChanFault {
+    const HEALTHY: ChanFault = ChanFault {
+        up: true,
+        loss_prob: 0.0,
+        gray_ctr: 0,
+        drops: 0,
+    };
+}
+
 /// All directed channels of a fabric: dense static `Vec`s plus one
-/// [`ChanDyn`] record per channel.
+/// [`ChanDyn`] record per channel and the cold side tables.
 pub struct Channels {
     /// Node (switch or server, in the simulator's global id space) that
     /// packets *leaving* the channel arrive at.
@@ -96,6 +133,22 @@ pub struct Channels {
     /// Precomputed [`Channels::ser_ns`] for an ACK.
     ser_ack_ns: Vec<Ns>,
     pub(crate) state: Vec<ChanDyn>,
+    /// Congestion drops (tail or priority-evicted), per channel.
+    pub(crate) drops: Vec<u64>,
+    /// ECN marks applied, per channel.
+    pub(crate) marks: Vec<u64>,
+    /// Queued packets evicted by the discipline to admit more urgent
+    /// ones — a subset of `drops`, split out so drops can be reported by
+    /// cause.
+    pub(crate) evictions: Vec<u64>,
+    /// Per-channel fault state: empty (every channel up and lossless)
+    /// until the fault layer first changes a channel, then one entry per
+    /// channel.
+    pub(crate) faults: Vec<ChanFault>,
+    /// Whether every channel's discipline departs in FIFO order and so
+    /// runs on the departure clock (decided by the run's
+    /// [`crate::types::QueueDiscKind`]).
+    pub(crate) fifo: bool,
     mtu_bytes: u32,
     ack_bytes: u32,
 }
@@ -103,8 +156,8 @@ pub struct Channels {
 impl Channels {
     /// An empty table with room for `capacity` channels; `mtu_bytes`/
     /// `ack_bytes` are the two wire sizes the serialization-time cache
-    /// covers.
-    pub(crate) fn new(mtu_bytes: u32, ack_bytes: u32, capacity: usize) -> Self {
+    /// covers, and `fifo` selects the departure clock for every channel.
+    pub(crate) fn new(mtu_bytes: u32, ack_bytes: u32, capacity: usize, fifo: bool) -> Self {
         Channels {
             to_node: Vec::with_capacity(capacity),
             rate_bpns: Vec::with_capacity(capacity),
@@ -112,6 +165,11 @@ impl Channels {
             ser_mtu_ns: Vec::with_capacity(capacity),
             ser_ack_ns: Vec::with_capacity(capacity),
             state: Vec::with_capacity(capacity),
+            drops: Vec::with_capacity(capacity),
+            marks: Vec::with_capacity(capacity),
+            evictions: Vec::with_capacity(capacity),
+            faults: Vec::new(),
+            fifo,
             mtu_bytes,
             ack_bytes,
         }
@@ -129,20 +187,16 @@ impl Channels {
         self.ser_ack_ns
             .push((self.ack_bytes as f64 / rate_bpns).ceil() as Ns);
         self.state.push(ChanDyn {
-            busy: false,
-            free_at: 0,
-            free_seq: 0,
-            armed: false,
-            up: true,
-            loss_prob: 0.0,
+            cur_end: 0,
+            tx_end: 0,
             qlen: 0,
-            drops: 0,
-            marks: 0,
-            fault_drops: 0,
-            evictions: 0,
-            gray_ctr: 0,
+            busy: false,
+            armed: false,
             disc,
         });
+        self.drops.push(0);
+        self.marks.push(0);
+        self.evictions.push(0);
         id
     }
 
@@ -160,52 +214,52 @@ impl Channels {
         &mut self.state[ch as usize]
     }
 
+    /// Whether some channel's fault state has ever been set: until then
+    /// every channel is up and lossless and the engine skips its fault
+    /// checks.
+    #[inline]
+    pub(crate) fn faulty(&self) -> bool {
+        !self.faults.is_empty()
+    }
+
+    /// The fault table, filled with healthy entries on first use.
+    fn fault_mut(&mut self, ch: u32) -> &mut ChanFault {
+        if self.faults.is_empty() {
+            self.faults = vec![ChanFault::HEALTHY; self.len()];
+        }
+        &mut self.faults[ch as usize]
+    }
+
     #[inline]
     pub(crate) fn up(&self, ch: u32) -> bool {
-        self.d(ch).up
+        self.faults.get(ch as usize).is_none_or(|f| f.up)
     }
 
     pub(crate) fn set_up(&mut self, ch: u32, up: bool) {
-        self.d_mut(ch).up = up;
+        self.fault_mut(ch).up = up;
     }
 
     #[inline]
     pub(crate) fn loss_prob(&self, ch: u32) -> f64 {
-        self.d(ch).loss_prob
+        self.faults.get(ch as usize).map_or(0.0, |f| f.loss_prob)
     }
 
     pub(crate) fn set_loss_prob(&mut self, ch: u32, p: f64) {
-        self.d_mut(ch).loss_prob = p;
-    }
-
-    pub(crate) fn drops(&self, ch: u32) -> u64 {
-        self.d(ch).drops
-    }
-
-    pub(crate) fn marks(&self, ch: u32) -> u64 {
-        self.d(ch).marks
-    }
-
-    pub(crate) fn evictions(&self, ch: u32) -> u64 {
-        self.d(ch).evictions
-    }
-
-    pub(crate) fn fault_drops(&self, ch: u32) -> u64 {
-        self.d(ch).fault_drops
+        self.fault_mut(ch).loss_prob = p;
     }
 
     /// Counts a packet lost on channel `ch` to a fault, at the offer point
     /// or on arrival over a wire that died in flight.
     pub(crate) fn add_fault_drop(&mut self, ch: u32) {
-        self.d_mut(ch).fault_drops += 1;
+        self.fault_mut(ch).drops += 1;
     }
 
     /// Bumps and returns the channel's gray-loss draw counter (at the
     /// offer point).
     pub(crate) fn gray_bump(&mut self, ch: u32) -> u64 {
-        let d = self.d_mut(ch);
-        d.gray_ctr += 1;
-        d.gray_ctr
+        let f = self.fault_mut(ch);
+        f.gray_ctr += 1;
+        f.gray_ctr
     }
 
     /// Serialization time for `bytes` on channel `ch`. MTU-sized packets
@@ -223,13 +277,101 @@ impl Channels {
         }
     }
 
-    /// Offers packet `id` to channel `ch` while the engine processes the
-    /// event with key `now`. On [`Offer::StartTx`] the caller owns the
-    /// in-flight transmission (the id stays live); on [`Offer::Queued`]
-    /// the discipline holds it (possibly evicting less urgent packets —
-    /// those count into `drops` and are freed); on [`Offer::Dropped`] the
-    /// id has been freed. The returned [`EnqueueOutcome`] carries the mark
-    /// flag and eviction victims for the observability layer.
+    /// Counts an enqueue's drops, evictions and mark on channel `ch`.
+    #[inline]
+    fn count(&mut self, ch: u32, out: &EnqueueOutcome) {
+        let i = ch as usize;
+        if out.dropped > 0 {
+            self.drops[i] += out.dropped as u64;
+            self.evictions[i] += out.evicted.len() as u64;
+        }
+        if out.marked {
+            self.marks[i] += 1;
+        }
+    }
+
+    /// FIFO ports: retires every queued packet whose transmission has
+    /// begun by `t` — a transmission that begins at `t` has begun — and
+    /// calls `on_start` with each one's wire bytes. Afterwards the
+    /// discipline holds exactly the packets still waiting at `t`.
+    #[inline]
+    pub(crate) fn catch_up(
+        &mut self,
+        ch: u32,
+        t: Ns,
+        pool: &PacketArena,
+        mut on_start: impl FnMut(u32),
+    ) {
+        let d = &self.state[ch as usize];
+        if d.qlen == 0 || d.cur_end > t {
+            return;
+        }
+        loop {
+            let d = &mut self.state[ch as usize];
+            let bytes = d.disc.dequeue_fifo(pool);
+            d.qlen -= 1;
+            let left = d.qlen;
+            let ser = self.ser_ns(ch, bytes);
+            let d = &mut self.state[ch as usize];
+            d.cur_end += ser;
+            on_start(bytes);
+            if left == 0 || d.cur_end > t {
+                return;
+            }
+        }
+    }
+
+    /// FIFO ports: offers packet `id` of `bytes` wire bytes to channel
+    /// `ch` at time `now`, after [`Channels::catch_up`] to `now`. An idle
+    /// channel (its last transmission ended by `now`) starts it at once
+    /// ([`Offer::StartTx`]); otherwise the discipline decides, and an
+    /// accepted packet ([`Offer::Queued`]) starts when the last scheduled
+    /// transmission ends. Either way the id stays live and the returned
+    /// time is when its transmission ends. On [`Offer::Dropped`] the id
+    /// has been freed and the time is meaningless.
+    #[inline]
+    pub(crate) fn offer_fifo(
+        &mut self,
+        ch: u32,
+        id: PktId,
+        bytes: u32,
+        pool: &mut PacketArena,
+        now: Ns,
+    ) -> (Offer, Ns, EnqueueOutcome) {
+        let ser = self.ser_ns(ch, bytes);
+        let d = self.d_mut(ch);
+        if d.tx_end <= now {
+            debug_assert_eq!(d.qlen, 0, "a caught-up idle port has no backlog");
+            d.cur_end = now + ser;
+            d.tx_end = d.cur_end;
+            let out = EnqueueOutcome {
+                accepted: true,
+                ..Default::default()
+            };
+            return (Offer::StartTx, d.cur_end, out);
+        }
+        let out = d.disc.enqueue(id, pool);
+        let offer = if out.accepted {
+            d.qlen += 1;
+            d.tx_end += ser;
+            Offer::Queued
+        } else {
+            pool.free(id);
+            Offer::Dropped
+        };
+        let end = d.tx_end;
+        self.count(ch, &out);
+        (offer, end, out)
+    }
+
+    /// Reordering ports: offers packet `id` to channel `ch` while the
+    /// engine processes the event with key `now`. On [`Offer::StartTx`]
+    /// the caller owns the in-flight transmission (the id stays live); on
+    /// [`Offer::Queued`] the discipline holds it (possibly evicting less
+    /// urgent packets — those count into `drops` and are freed); on
+    /// [`Offer::Dropped`] the id has been freed. The returned
+    /// [`EnqueueOutcome`] carries the mark flag and eviction victims for
+    /// the observability layer.
     ///
     /// A virtual TxFree whose key lies before `now` has already happened
     /// in the eager schedule, so the channel counts as idle.
@@ -241,7 +383,7 @@ impl Channels {
         now: (Ns, u64),
     ) -> (Offer, EnqueueOutcome) {
         let d = self.d_mut(ch);
-        if d.busy && !d.armed && (d.free_at, d.free_seq) < now {
+        if d.busy && !d.armed && (d.cur_end, d.tx_end) < now {
             d.busy = false;
         }
         if !d.busy {
@@ -254,35 +396,32 @@ impl Channels {
         }
         let out = d.disc.enqueue(id, pool);
         d.qlen = d.qlen + out.accepted as u32 - out.evicted.len() as u32;
-        d.drops += out.dropped as u64;
-        d.evictions += out.evicted.len() as u64;
-        if out.marked {
-            d.marks += 1;
-        }
-        if out.accepted {
-            (Offer::Queued, out)
+        let offer = if out.accepted {
+            Offer::Queued
         } else {
             pool.free(id);
-            (Offer::Dropped, out)
-        }
+            Offer::Dropped
+        };
+        self.count(ch, &out);
+        (offer, out)
     }
 
-    /// Records the TxFree key `(free_at, free_seq)` reserved for the
-    /// transmission just started on `ch`. Returns whether packets are
-    /// queued behind it, in which case the caller pushes the TxFree now;
-    /// otherwise it stays virtual.
+    /// Reordering ports: records the TxFree key `(free_at, free_seq)`
+    /// reserved for the transmission just started on `ch`. Returns
+    /// whether packets are queued behind it, in which case the caller
+    /// pushes the TxFree now; otherwise it stays virtual.
     pub(crate) fn begin_tx(&mut self, ch: u32, free_at: Ns, free_seq: u64) -> bool {
         let d = self.d_mut(ch);
         debug_assert!(d.busy);
-        d.free_at = free_at;
-        d.free_seq = free_seq;
+        d.cur_end = free_at;
+        d.tx_end = free_seq;
         d.armed = d.qlen > 0;
         d.armed
     }
 
-    /// Called after a packet queued on `ch`: if the transmitter's TxFree
-    /// is still virtual, marks it armed and returns its reserved key for
-    /// the caller to push.
+    /// Reordering ports: called after a packet queued on `ch`; if the
+    /// transmitter's TxFree is still virtual, marks it armed and returns
+    /// its reserved key for the caller to push.
     pub(crate) fn arm_tx_free(&mut self, ch: u32) -> Option<(Ns, u64)> {
         let d = self.d_mut(ch);
         debug_assert!(d.busy);
@@ -290,15 +429,16 @@ impl Channels {
             return None;
         }
         d.armed = true;
-        Some((d.free_at, d.free_seq))
+        Some((d.cur_end, d.tx_end))
     }
 
-    /// Called when channel `ch`'s armed TxFree fires: dequeues the next
-    /// packet to transmit (the caller starts it). A TxFree is armed only
-    /// behind a queued packet, so one is there — unless a discipline's
-    /// enqueue evicted the whole queue and still refused the newcomer
-    /// (the built-in ones cannot: an empty queue admits any packet up to
-    /// the MTU); the channel then goes idle, as in the eager schedule.
+    /// Reordering ports: called when channel `ch`'s armed TxFree fires:
+    /// dequeues the next packet to transmit (the caller starts it). A
+    /// TxFree is armed only behind a queued packet, so one is there —
+    /// unless a discipline's enqueue evicted the whole queue and still
+    /// refused the newcomer (the built-in ones cannot: an empty queue
+    /// admits any packet up to the MTU); the channel then goes idle, as
+    /// in the eager schedule.
     pub(crate) fn tx_done(&mut self, ch: u32) -> Option<PktId> {
         let d = self.d_mut(ch);
         debug_assert!(d.busy && d.armed);
@@ -313,10 +453,13 @@ impl Channels {
         id
     }
 
+    /// Bytes queued at `ch`. On a FIFO port, the packets still waiting as
+    /// of its last [`Channels::catch_up`].
     pub(crate) fn queue_bytes(&self, ch: u32) -> u64 {
         self.d(ch).disc.queue_bytes()
     }
 
+    /// Packets queued at `ch`, as [`Channels::queue_bytes`] counts them.
     pub(crate) fn queue_len(&self, ch: u32) -> usize {
         let d = self.d(ch);
         debug_assert_eq!(d.qlen as usize, d.disc.queue_len());
@@ -326,19 +469,19 @@ impl Channels {
     // --- whole-table sums (stats) ---
 
     pub(crate) fn sum_drops(&self) -> u64 {
-        (0..self.len() as u32).map(|c| self.drops(c)).sum()
+        self.drops.iter().sum()
     }
 
     pub(crate) fn sum_evictions(&self) -> u64 {
-        (0..self.len() as u32).map(|c| self.evictions(c)).sum()
+        self.evictions.iter().sum()
     }
 
     pub(crate) fn sum_fault_drops(&self) -> u64 {
-        (0..self.len() as u32).map(|c| self.fault_drops(c)).sum()
+        self.faults.iter().map(|f| f.drops).sum()
     }
 
     pub(crate) fn sum_marks(&self) -> u64 {
-        (0..self.len() as u32).map(|c| self.marks(c)).sum()
+        self.marks.iter().sum()
     }
 }
 
@@ -364,9 +507,140 @@ mod tests {
         })
     }
 
+    /// 10 Gbps (1,200 ns per 1,500 B), 100 ns prop, 10-packet queue, ECN
+    /// at 3 packets.
+    fn chan(fifo: bool) -> Channels {
+        let mut c = Channels::new(1500, 40, 1, fifo);
+        c.push(
+            1,
+            10.0,
+            100,
+            AnyQueue::TailDropEcn(TailDropEcn::new(10 * 1500, 3 * 1500)),
+        );
+        c
+    }
+
+    /// Offers on the departure clock at `now`, catching up first as the
+    /// engine does.
+    fn offer_at(c: &mut Channels, id: PktId, a: &mut PacketArena, now: Ns) -> (Offer, Ns) {
+        c.catch_up(0, now, a, |_| {});
+        let bytes = a.get(id).bytes;
+        let (o, end, _) = c.offer_fifo(0, id, bytes, a, now);
+        (o, end)
+    }
+
+    /// Offers everything at the start of time.
+    fn offer(c: &mut Channels, id: PktId, a: &mut PacketArena) -> Offer {
+        offer_at(c, id, a, 0).0
+    }
+
+    #[test]
+    fn departure_clock_schedules_each_packet_behind_the_last() {
+        let mut a = PacketArena::new();
+        let mut c = chan(true);
+        let p = pkt(&mut a, 1500);
+        assert_eq!(offer_at(&mut c, p, &mut a, 0), (Offer::StartTx, 1_200));
+        let q1 = pkt(&mut a, 1500);
+        let q2 = pkt(&mut a, 40);
+        assert_eq!(offer_at(&mut c, q1, &mut a, 500), (Offer::Queued, 2_400));
+        assert_eq!(offer_at(&mut c, q2, &mut a, 600), (Offer::Queued, 2_432));
+        assert_eq!((c.queue_len(0), c.queue_bytes(0)), (2, 1540));
+        // A transmission that begins at `t` has begun: q1 leaves the
+        // queue at 1,200 exactly, q2 at 2,400.
+        let mut started = Vec::new();
+        c.catch_up(0, 1_199, &a, |b| started.push(b));
+        assert_eq!(c.queue_len(0), 2);
+        c.catch_up(0, 1_200, &a, |b| started.push(b));
+        assert_eq!((c.queue_len(0), c.state[0].cur_end), (1, 2_400));
+        c.catch_up(0, 9_999, &a, |b| started.push(b));
+        assert_eq!(started, vec![1500, 40]);
+        assert_eq!((c.queue_len(0), c.state[0].cur_end), (0, 2_432));
+        assert_eq!(
+            a.live_count(),
+            3,
+            "retired packets stay live for their Deliver"
+        );
+        // Idle from the last transmission's end on, ties included.
+        let p = pkt(&mut a, 1500);
+        assert_eq!(offer_at(&mut c, p, &mut a, 2_432), (Offer::StartTx, 3_632));
+    }
+
+    #[test]
+    fn tail_drop_when_full_frees_the_id() {
+        let mut a = PacketArena::new();
+        let mut c = chan(true);
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
+        for _ in 0..10 {
+            let p = pkt(&mut a, 1500);
+            assert_eq!(offer(&mut c, p, &mut a), Offer::Queued);
+        }
+        let live = a.live_count();
+        let p = pkt(&mut a, 1500);
+        assert_eq!(offer(&mut c, p, &mut a), Offer::Dropped);
+        assert_eq!(c.drops[0], 1);
+        assert_eq!(a.live_count(), live, "dropped packet must be freed");
+        // Once the head's successor has begun, there is room again.
+        let p = pkt(&mut a, 1500);
+        assert_eq!(offer_at(&mut c, p, &mut a, 1_200).0, Offer::Queued);
+    }
+
+    #[test]
+    fn ecn_marks_above_threshold() {
+        let mut a = PacketArena::new();
+        let mut c = chan(true);
+        let ids: Vec<PktId> = (0..5).map(|_| pkt(&mut a, 1500)).collect();
+        offer(&mut c, ids[0], &mut a); // in flight, queue empty
+        offer(&mut c, ids[1], &mut a); // queue -> 1500
+        offer(&mut c, ids[2], &mut a); // queue -> 3000
+        offer(&mut c, ids[3], &mut a); // queue -> 4500 (at 3000 < 4500 thresh)
+        assert_eq!(c.marks[0], 0);
+        offer(&mut c, ids[4], &mut a); // enqueued seeing 4500 >= 4500 → marked
+        assert_eq!(c.marks[0], 1);
+        assert!(a.get(ids[4]).ecn_ce && !a.get(ids[3]).ecn_ce);
+    }
+
+    #[test]
+    fn acks_never_marked() {
+        let mut a = PacketArena::new();
+        let mut c = chan(true);
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
+        for _ in 0..3 {
+            offer(&mut c, pkt(&mut a, 1500), &mut a); // queue reaches the 4500 B threshold
+        }
+        assert_eq!(c.marks[0], 0);
+        let ack = pkt(&mut a, 40);
+        a.get_mut(ack).is_ack = true;
+        offer(&mut c, ack, &mut a); // sees queue ≥ threshold but is an ACK
+        assert_eq!(c.marks[0], 0);
+        offer(&mut c, pkt(&mut a, 1500), &mut a); // a data packet here *is* marked
+        assert_eq!(c.marks[0], 1);
+    }
+
+    #[test]
+    fn serialization_uses_channel_rate_and_cache() {
+        let mut c = Channels::new(1500, 40, 1, true);
+        c.push(0, 40.0, 0, AnyQueue::TailDropEcn(TailDropEcn::new(1, 1)));
+        assert_eq!(c.ser_ns(0, 1500), 300); // cached MTU path, 4x faster than 10G
+        assert_eq!(c.ser_ns(0, 40), 8); // cached ACK path
+        assert_eq!(c.ser_ns(0, 777), 156); // uncached fallback: ceil(777/5)
+    }
+
+    #[test]
+    fn fault_table_stays_empty_until_a_fault_sets_it() {
+        let mut c = chan(true);
+        assert!(!c.faulty() && c.up(0) && c.loss_prob(0) == 0.0);
+        c.set_loss_prob(0, 0.5);
+        assert!(c.faulty() && c.up(0) && c.loss_prob(0) == 0.5);
+        assert_eq!((c.gray_bump(0), c.gray_bump(0)), (1, 2));
+        c.add_fault_drop(0);
+        assert_eq!(c.sum_fault_drops(), 1);
+    }
+
+    // --- reordering ports: the event-driven transmitter ---
+
     /// Offers at the start of time, arming the TxFree when the packet
     /// queues, as the engine does.
-    fn offer(c: &mut Channels, id: PktId, a: &mut PacketArena) -> (Offer, EnqueueOutcome) {
+    fn offer_lazy(c: &mut Channels, id: PktId, a: &mut PacketArena) -> (Offer, EnqueueOutcome) {
         let (o, out) = c.offer(0, id, a, (0, 0));
         match o {
             Offer::StartTx => assert!(!c.begin_tx(0, 1_200, 1)),
@@ -387,24 +661,12 @@ mod tests {
         id
     }
 
-    fn chan() -> Channels {
-        // 10 Gbps, 100ns prop, 10-packet queue, ECN at 3 packets.
-        let mut c = Channels::new(1500, 40, 1);
-        c.push(
-            1,
-            10.0,
-            100,
-            AnyQueue::TailDropEcn(TailDropEcn::new(10 * 1500, 3 * 1500)),
-        );
-        c
-    }
-
     #[test]
     fn idle_channel_starts_tx() {
         let mut a = PacketArena::new();
-        let mut c = chan();
+        let mut c = chan(false);
         let p = pkt(&mut a, 1500);
-        let (o, _) = offer(&mut c, p, &mut a);
+        let (o, _) = offer_lazy(&mut c, p, &mut a);
         assert_eq!(o, Offer::StartTx);
         assert!(c.state[0].busy);
         assert_eq!(a.live_count(), 1, "StartTx leaves the id live");
@@ -413,15 +675,15 @@ mod tests {
     #[test]
     fn busy_channel_queues_then_drains_fifo() {
         let mut a = PacketArena::new();
-        let mut c = chan();
+        let mut c = chan(false);
         let head = pkt(&mut a, 1500);
-        offer(&mut c, head, &mut a);
+        offer_lazy(&mut c, head, &mut a);
         let q1 = pkt(&mut a, 100);
         a.get_mut(q1).seq = 1;
         let q2 = pkt(&mut a, 100);
         a.get_mut(q2).seq = 2;
-        assert_eq!(offer(&mut c, q1, &mut a).0, Offer::Queued);
-        assert_eq!(offer(&mut c, q2, &mut a).0, Offer::Queued);
+        assert_eq!(offer_lazy(&mut c, q1, &mut a).0, Offer::Queued);
+        assert_eq!(offer_lazy(&mut c, q2, &mut a).0, Offer::Queued);
         assert_eq!(c.queue_len(0), 2);
         let n1 = tx_done(&mut c).unwrap();
         assert_eq!(a.get(n1).seq, 1);
@@ -429,14 +691,14 @@ mod tests {
         assert_eq!(a.get(n2).seq, 2);
         // Nothing queued behind the last packet: its TxFree stays virtual.
         let d = &c.state[0];
-        assert_eq!((d.free_at, d.free_seq, d.armed), (2_400, 2, false));
+        assert_eq!((d.cur_end, d.tx_end, d.armed), (2_400, 2, false));
         assert!(d.busy);
     }
 
     #[test]
     fn virtual_tx_free_ends_the_transmission_at_its_key() {
         let mut a = PacketArena::new();
-        let mut c = chan();
+        let mut c = chan(false);
         let head = pkt(&mut a, 1500);
         assert_eq!(c.offer(0, head, &mut a, (0, 0)).0, Offer::StartTx);
         assert!(
@@ -457,85 +719,24 @@ mod tests {
     }
 
     #[test]
-    fn tail_drop_when_full_frees_the_id() {
-        let mut a = PacketArena::new();
-        let mut c = chan();
-        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
-        for _ in 0..10 {
-            let p = pkt(&mut a, 1500);
-            assert_eq!(offer(&mut c, p, &mut a).0, Offer::Queued);
-        }
-        let live = a.live_count();
-        let p = pkt(&mut a, 1500);
-        assert_eq!(offer(&mut c, p, &mut a).0, Offer::Dropped);
-        assert_eq!(c.drops(0), 1);
-        assert_eq!(a.live_count(), live, "dropped packet must be freed");
-    }
-
-    #[test]
-    fn ecn_marks_above_threshold() {
-        let mut a = PacketArena::new();
-        let mut c = chan();
-        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight, queue empty
-        offer(&mut c, pkt(&mut a, 1500), &mut a); // queue -> 1500
-        offer(&mut c, pkt(&mut a, 1500), &mut a); // queue -> 3000
-        offer(&mut c, pkt(&mut a, 1500), &mut a); // queue -> 4500 (at 3000 < 4500 thresh)
-        assert_eq!(c.marks(0), 0);
-        offer(&mut c, pkt(&mut a, 1500), &mut a); // enqueued seeing 4500 >= 4500 → marked
-        assert_eq!(c.marks(0), 1);
-        // Drain: the marked packet is the last one.
-        tx_done(&mut c);
-        tx_done(&mut c);
-        tx_done(&mut c);
-        let marked = tx_done(&mut c).unwrap();
-        assert!(a.get(marked).ecn_ce);
-    }
-
-    #[test]
-    fn acks_never_marked() {
-        let mut a = PacketArena::new();
-        let mut c = chan();
-        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
-        for _ in 0..3 {
-            offer(&mut c, pkt(&mut a, 1500), &mut a); // queue reaches the 4500 B threshold
-        }
-        assert_eq!(c.marks(0), 0);
-        let ack = pkt(&mut a, 40);
-        a.get_mut(ack).is_ack = true;
-        offer(&mut c, ack, &mut a); // sees queue ≥ threshold but is an ACK
-        assert_eq!(c.marks(0), 0);
-        offer(&mut c, pkt(&mut a, 1500), &mut a); // a data packet here *is* marked
-        assert_eq!(c.marks(0), 1);
-    }
-
-    #[test]
-    fn serialization_uses_channel_rate_and_cache() {
-        let mut c = Channels::new(1500, 40, 1);
-        c.push(0, 40.0, 0, AnyQueue::TailDropEcn(TailDropEcn::new(1, 1)));
-        assert_eq!(c.ser_ns(0, 1500), 300); // cached MTU path, 4x faster than 10G
-        assert_eq!(c.ser_ns(0, 40), 8); // cached ACK path
-        assert_eq!(c.ser_ns(0, 777), 156); // uncached fallback: ceil(777/5)
-    }
-
-    #[test]
     fn eviction_counts_as_channel_drop() {
         use crate::switch::PFabricQueue;
         let mut a = PacketArena::new();
-        let mut c = Channels::new(1500, 40, 1);
+        let mut c = Channels::new(1500, 40, 1, false);
         c.push(1, 10.0, 100, AnyQueue::PFabric(PFabricQueue::new(2 * 1500)));
-        offer(&mut c, pkt(&mut a, 1500), &mut a); // in flight
+        offer_lazy(&mut c, pkt(&mut a, 1500), &mut a); // in flight
         let low = pkt(&mut a, 1500);
         a.get_mut(low).prio = 9;
-        offer(&mut c, low, &mut a);
-        offer(&mut c, pkt(&mut a, 1500), &mut a);
+        offer_lazy(&mut c, low, &mut a);
+        offer_lazy(&mut c, pkt(&mut a, 1500), &mut a);
         let urgent = pkt(&mut a, 1500);
         a.get_mut(urgent).prio = 1;
         a.get_mut(urgent).seq = 7;
         let live = a.live_count();
-        let (o, out) = offer(&mut c, urgent, &mut a);
+        let (o, out) = offer_lazy(&mut c, urgent, &mut a);
         assert_eq!(o, Offer::Queued, "urgent packet must win");
-        assert_eq!(c.drops(0), 1, "the prio-9 victim is a congestion drop");
-        assert_eq!(c.evictions(0), 1, "and is attributed to eviction");
+        assert_eq!(c.drops[0], 1, "the prio-9 victim is a congestion drop");
+        assert_eq!(c.evictions[0], 1, "and is attributed to eviction");
         assert_eq!(out.evicted.len(), 1);
         assert_eq!(a.live_count(), live - 1, "the victim's id must be freed");
     }

@@ -41,12 +41,14 @@
 //!
 //! Not checkpointable (checkpoint returns `Err`, nothing is written):
 //! oracle routing (its selector is deliberately not rebuilt on restore),
-//! tracers and telemetry over arbitrary in-memory sinks, and a queue
-//! discipline whose
+//! tracers and telemetry over arbitrary in-memory sinks, and a
+//! reordering port's queue discipline whose
 //! [`QueueDiscipline::snapshot_queue`](crate::switch::QueueDiscipline)
-//! returns `None` (both built-in ones always snapshot).
+//! returns `None` (both built-in ones always snapshot; a FIFO port's
+//! queue travels in its packets' `Deliver` entries instead).
 
 use crate::calendar::{CalEntry, CalendarQueue};
+use crate::channel::{ChanFault, Channels};
 use crate::counters::EventCounts;
 use crate::engine::{CtrlEntry, CtrlEv, Ev, Simulator, SCHEDULE_VERSION};
 use crate::fault::{
@@ -54,7 +56,7 @@ use crate::fault::{
 };
 use crate::host::{Flow, FlowRx};
 use crate::path::{PathId, PathTable, MAX_PATH_CHANNELS};
-use crate::slab::PacketArena;
+use crate::slab::{PacketArena, PktId};
 use crate::stats::{ChannelCounters, DropCounters, TraceCounters};
 use crate::switch::QueueDiscipline;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
@@ -65,12 +67,14 @@ use dcn_routing::PathSelector;
 use dcn_topology::Topology;
 
 const MAGIC: &[u8; 8] = b"DCNCKPT1";
-/// v5: lazy events under reserved keys — each channel carries its
-/// transmission's TxFree key and whether that event is in the calendar,
-/// each flow its RTO deadline and live-event keys (replacing v4's timer
-/// epoch, which `Rto` events no longer carry), and the calendar section
-/// the per-kind event counts. Everything else is as in v4.
-pub const VERSION: u32 = 5;
+/// v6: the departure clock. A FIFO port's waiting packets are written
+/// once, in their pending `Deliver` entries, and its channel record
+/// carries the clock (`cur_end`, `tx_end`) and the queue length instead
+/// of a copy of the queue; a reordering port's record is v5's TxFree key
+/// and queue. The per-channel counters follow each record, and the fault
+/// table (empty until a fault first changed a channel) follows the
+/// channels. Everything else is as in v5.
+pub const VERSION: u32 = 6;
 /// magic + version + topo fp + cfg fp + now + events_processed.
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
@@ -378,6 +382,7 @@ codec! { TraceCounters {
     flows_failed, per_channel,
 } }
 codec! { TelemetrySnapshot { every_ns, path, samples, bytes, tx_bytes, tx_total } }
+codec! { ChanFault { up, loss_prob, gray_ctr, drops } }
 
 impl Codec for CtrlEv {
     fn put(&self, e: &mut Enc) {
@@ -453,7 +458,8 @@ impl Codec for TracerSnapshot {
 
 /// One calendar entry. In-flight packets are serialized by value — the
 /// wire format carries packets, not arena ids, so images are independent
-/// of the arena's slot layout — and decode into `pkts`.
+/// of the arena's slot layout. A packet waiting at a FIFO port is written
+/// here too, and only here.
 fn put_entry(e: &mut Enc, c: &CalEntry, pkts: &PacketArena) {
     e.put(&(c.t, c.seq));
     match c.ev {
@@ -464,16 +470,98 @@ fn put_entry(e: &mut Enc, c: &CalEntry, pkts: &PacketArena) {
     };
 }
 
-fn get_entry(d: &mut Dec, pkts: &mut PacketArena) -> Result<CalEntry, String> {
+/// A decoded calendar entry; a `Deliver`'s packet gets its arena slot
+/// once the channels are known (see [`Simulator::restore`]).
+enum Pending {
+    Ev(Ev),
+    Deliver(Packet),
+}
+
+fn get_entry(d: &mut Dec) -> Result<(Ns, u64, Pending), String> {
     let (t, seq) = d.get()?;
     let ev = match d.get::<u8>()? {
-        0 => Ev::FlowStart(d.get()?),
-        1 => Ev::TxFree(d.get()?),
-        2 => Ev::Deliver(pkts.alloc(d.get()?)),
-        3 => Ev::Rto(d.get()?),
+        0 => Pending::Ev(Ev::FlowStart(d.get()?)),
+        1 => Pending::Ev(Ev::TxFree(d.get()?)),
+        2 => Pending::Deliver(d.get()?),
+        3 => Pending::Ev(Ev::Rto(d.get()?)),
         t => return Err(format!("checkpoint corrupt: unknown event tag {t}")),
     };
-    Ok(CalEntry { t, seq, ev })
+    Ok((t, seq, ev))
+}
+
+/// Gives every decoded `Deliver` packet its arena slot. On a FIFO port
+/// the waiting packets are the ones whose transmission ends after the
+/// one in progress (`cur_end`), in the order their Deliveries fall;
+/// [`QueueDiscipline::restore_queue`] re-queues them, and their Deliver
+/// entries take the ids it allocates. Every other packet is on a wire
+/// and gets a fresh slot.
+fn place_deliveries(
+    pending: Vec<(Ns, u64, Pending)>,
+    paths: &PathTable,
+    chs: &mut Channels,
+    pkts: &mut PacketArena,
+) -> Result<Vec<CalEntry>, String> {
+    // (channel, Deliver time, index into `pending`) of each waiting packet.
+    let mut waiting = Vec::new();
+    for (i, (t, _, ev)) in pending.iter().enumerate() {
+        if let Pending::Deliver(p) = ev {
+            let ch = paths.hop(p.path, p.hop);
+            let Some(c) = chs.state.get(ch as usize) else {
+                return Err(format!("checkpoint corrupt: a packet on channel {ch}"));
+            };
+            let departs = c.cur_end.saturating_add(chs.prop_ns[ch as usize]);
+            if chs.fifo && c.qlen > 0 && *t > departs {
+                waiting.push((ch, *t, i));
+            }
+        }
+    }
+    waiting.sort_unstable();
+    let mut ids: Vec<Option<PktId>> = vec![None; pending.len()];
+    for run in waiting.chunk_by(|a, b| a.0 == b.0) {
+        let ch = run[0].0;
+        let c = &mut chs.state[ch as usize];
+        if run.len() != c.qlen as usize || run.windows(2).any(|w| w[0].1 == w[1].1) {
+            return Err(format!(
+                "checkpoint corrupt: channel {ch}'s queue does not match its deliveries"
+            ));
+        }
+        let queue: Vec<Packet> = run
+            .iter()
+            .map(|&(_, _, i)| match pending[i].2 {
+                Pending::Deliver(p) => p,
+                Pending::Ev(_) => unreachable!("only deliveries wait"),
+            })
+            .collect();
+        // Restore only allocates, so the discipline's allocations take
+        // the next slots in order.
+        let base = pkts.live_count() as PktId;
+        c.disc.restore_queue(queue.clone(), pkts);
+        let in_order = pkts.live_count() == base as usize + queue.len()
+            && (queue.iter().enumerate()).all(|(k, p)| pkts.get(base + k as PktId) == p);
+        if !in_order {
+            return Err("a FIFO discipline's restore_queue must allocate in queue order".into());
+        }
+        for (k, &(_, _, i)) in run.iter().enumerate() {
+            ids[i] = Some(base + k as PktId);
+        }
+    }
+    // Each run matched its channel's length; together they must cover
+    // every waiting packet the channels count.
+    let queued: u64 = chs.state.iter().map(|c| c.qlen as u64).sum();
+    if chs.fifo && queued != waiting.len() as u64 {
+        return Err("checkpoint corrupt: a FIFO queue without its deliveries".into());
+    }
+    Ok(pending
+        .into_iter()
+        .zip(ids)
+        .map(|((t, seq, ev), id)| {
+            let ev = match ev {
+                Pending::Ev(ev) => ev,
+                Pending::Deliver(p) => Ev::Deliver(id.unwrap_or_else(|| pkts.alloc(p))),
+            };
+            CalEntry { t, seq, ev }
+        })
+        .collect())
 }
 
 // ---- the checkpoint image ----
@@ -628,6 +716,10 @@ impl Simulator {
         if self.oracle.is_some() {
             return Err("oracle routing cannot be checkpointed".into());
         }
+        // The image holds each FIFO port's state at `now`: the packets
+        // still waiting, and telemetry credited with every transmission
+        // begun. Catching up early changes nothing the run later does.
+        self.catch_up_all(self.now);
         let tracer = self
             .tracer
             .snapshot()
@@ -669,18 +761,28 @@ impl Simulator {
         for rx in &self.rx {
             e.put(rx);
         }
-        // Channels: transmitter, counters, and fault state, then the queue.
-        let chs = &self.fabric.channels.state;
+        // Channels: transmitter and counters, then the queue — on a FIFO
+        // port only its length, its packets being in the calendar above —
+        // then the fault table.
+        let chs = &self.fabric.channels;
         e.put(&chs.len());
-        for c in chs {
-            let queue = c
-                .disc
-                .snapshot_queue(&self.pkts)
-                .ok_or("a channel's queue discipline does not support checkpointing")?;
-            e.put(&(c.busy, c.free_at, c.free_seq, c.armed, c.drops, c.marks))
-                .put(&(c.up, c.loss_prob, c.fault_drops, c.evictions, c.gray_ctr))
-                .put(&queue);
+        for (i, c) in chs.state.iter().enumerate() {
+            e.put(&(c.cur_end, c.tx_end, c.busy, c.armed)).put(&(
+                chs.drops[i],
+                chs.marks[i],
+                chs.evictions[i],
+            ));
+            if chs.fifo {
+                e.put(&c.qlen);
+            } else {
+                let queue = c
+                    .disc
+                    .snapshot_queue(&self.pkts)
+                    .ok_or("a channel's queue discipline does not support checkpointing")?;
+                e.put(&queue);
+            }
         }
+        e.put(&chs.faults);
         // The fault controller, then the control-plane schedule still to
         // run (fault firings and reconvergence completions).
         e.put(&self.faults);
@@ -736,35 +838,46 @@ impl Simulator {
         (sim.pkts_delivered, sim.telemetry_next) = d.get()?;
         (sim.plan_seed, sim.ctrl_seq) = d.get()?;
 
-        // The calendar; Deliver packets decode into the fresh arena.
+        // The calendar; Deliver packets get their arena slots below.
         let (seq, peak, ladder_spills, scatter_fallbacks) = d.get()?;
         sim.pkts.set_high_water(d.get()?);
         sim.event_counts = d.get()?;
         let (num_slots, cursor) = d.get()?;
         let n = d.len()?;
-        let items = (0..n)
-            .map(|_| get_entry(&mut d, &mut sim.pkts))
-            .collect::<Result<_, _>>()?;
-        sim.queue = CalendarQueue::from_items(seq, peak, items, cursor, num_slots)
-            .map_err(|e| format!("checkpoint corrupt: {e}"))?;
-        sim.queue.ladder_spills = ladder_spills;
-        sim.queue.scatter_fallbacks = scatter_fallbacks;
+        let pending = (0..n)
+            .map(|_| get_entry(&mut d))
+            .collect::<Result<Vec<_>, _>>()?;
 
         sim.flows = d.get()?;
         sim.rx = (0..sim.flows.len())
             .map(|_| d.get())
             .collect::<Result<_, _>>()?;
 
-        if d.len()? != sim.fabric.channels.state.len() {
+        let chs = &mut sim.fabric.channels;
+        if d.len()? != chs.len() {
             return Err("checkpoint corrupt: channel count mismatch".into());
         }
-        for c in &mut sim.fabric.channels.state {
-            (c.busy, c.free_at, c.free_seq, c.armed, c.drops, c.marks) = d.get()?;
-            (c.up, c.loss_prob, c.fault_drops, c.evictions, c.gray_ctr) = d.get()?;
-            let queue: Vec<Packet> = d.get()?;
-            c.qlen = queue.len() as u32;
-            c.disc.restore_queue(queue, &mut sim.pkts);
+        for i in 0..chs.len() {
+            let c = &mut chs.state[i];
+            (c.cur_end, c.tx_end, c.busy, c.armed) = d.get()?;
+            (chs.drops[i], chs.marks[i], chs.evictions[i]) = d.get()?;
+            if chs.fifo {
+                c.qlen = d.get()?;
+            } else {
+                let queue: Vec<Packet> = d.get()?;
+                c.qlen = queue.len() as u32;
+                c.disc.restore_queue(queue, &mut sim.pkts);
+            }
         }
+        chs.faults = d.get()?;
+        if !chs.faults.is_empty() && chs.faults.len() != chs.len() {
+            return Err("checkpoint corrupt: fault table size mismatch".into());
+        }
+        let items = place_deliveries(pending, d.paths, chs, &mut sim.pkts)?;
+        sim.queue = CalendarQueue::from_items(seq, peak, items, cursor, num_slots)
+            .map_err(|e| format!("checkpoint corrupt: {e}"))?;
+        sim.queue.ladder_spills = ladder_spills;
+        sim.queue.scatter_fallbacks = scatter_fallbacks;
 
         let want = (sim.faults.down_links.len(), sim.faults.down_sw.len());
         sim.faults = d.get()?;
@@ -828,8 +941,12 @@ mod tests {
     }
 
     fn faulty_sim(t: &Topology) -> Simulator {
+        faulty_sim_with(t, SimConfig::default())
+    }
+
+    fn faulty_sim_with(t: &Topology, cfg: SimConfig) -> Simulator {
         let suite = RoutingSuite::new(t);
-        let mut sim = Simulator::new(t, Box::new(suite.ecmp()), SimConfig::default());
+        let mut sim = Simulator::new(t, Box::new(suite.ecmp()), cfg);
         sim.inject(&[
             flow(0.0, (0, 0), (12, 0), 8_000_000),
             flow(0.0005, (4, 1), (8, 1), 300_000),
@@ -874,7 +991,7 @@ mod tests {
         sim.run_until(2 * MS);
         let ckpt = sim.checkpoint().unwrap();
         let meta = ckpt.meta();
-        assert_eq!(meta.version, 5);
+        assert_eq!(meta.version, 6);
         assert_eq!(meta.topo_fingerprint, t.fingerprint());
         assert_eq!(
             meta.cfg_fingerprint,
@@ -1004,23 +1121,27 @@ mod tests {
         assert_eq!(straight.engine_counters(), resumed.engine_counters());
     }
 
-    /// A pause point where some channel's TxFree is virtual (reserved,
-    /// never pushed, still ahead of the clock) and some flow's live RTO
-    /// event sits short of a later deadline: both must survive the image,
-    /// and the resumed run must match the straight one byte for byte —
-    /// flow records, the JSONL trace, and every engine counter.
-    #[test]
-    fn resume_with_virtual_tx_free_and_deferred_rto_is_byte_identical() {
+    /// Runs [`faulty_sim_with`] traced, pausing every 50 µs until `pick`
+    /// finds the state under test (a channel index), checkpoints there,
+    /// and holds the restored run to the straight one byte for byte —
+    /// flow records, the JSONL trace, and every engine counter. `recheck`
+    /// sees the restored simulator and the picked channel.
+    fn resume_matches_straight(
+        cfg: SimConfig,
+        leg: &str,
+        pick: impl Fn(&mut Simulator) -> Option<usize>,
+        recheck: impl Fn(&Simulator, usize),
+    ) {
         let t = FatTree::full(4).build();
         let dir = std::env::temp_dir();
-        let path = |leg: &str| {
-            dir.join(format!("ckpt_lazy_{}_{leg}.jsonl", std::process::id()))
+        let path = |run: &str| {
+            dir.join(format!("ckpt_{leg}_{}_{run}.jsonl", std::process::id()))
                 .to_string_lossy()
                 .into_owned()
         };
-        let traced = |leg: &str| {
-            let mut sim = faulty_sim(&t);
-            sim.set_tracer(Box::new(JsonlTracer::create(&path(leg)).unwrap()));
+        let traced = |run: &str| {
+            let mut sim = faulty_sim_with(&t, cfg);
+            sim.set_tracer(Box::new(JsonlTracer::create(&path(run)).unwrap()));
             sim
         };
         let mut straight = traced("straight");
@@ -1028,33 +1149,19 @@ mod tests {
 
         let mut sim = traced("resumed");
         let mut pause = 0;
-        let (ch, fid) = loop {
+        let ch = loop {
             pause += 50_000;
-            assert!(!sim.run_until(pause), "no pause point with both states");
-            let now = (sim.now, u64::MAX);
-            let chs = &sim.fabric.channels;
-            let virt = chs
-                .state
-                .iter()
-                .position(|c| c.busy && !c.armed && (c.free_at, c.free_seq) > now);
-            let deferred = sim
-                .flows
-                .iter()
-                .position(|f| f.rto_live.1 != 0 && f.rto_live < f.rto_deadline);
-            if let (Some(c), Some(f)) = (virt, deferred) {
-                break (c, f);
+            assert!(!sim.run_until(pause), "no pause point with the state");
+            if let Some(ch) = pick(&mut sim) {
+                break ch;
             }
         };
         let ckpt = sim.checkpoint().expect("checkpoint");
         drop(sim);
         let suite = RoutingSuite::new(&t);
         let mut resumed =
-            Simulator::restore(&t, Box::new(suite.ecmp()), SimConfig::default(), &ckpt)
-                .expect("restore");
-        let c = &resumed.fabric.channels.state[ch];
-        assert!(c.busy && !c.armed && (c.free_at, c.free_seq) > (pause, 0));
-        let f = &resumed.flows[fid];
-        assert!(f.rto_live.1 != 0 && f.rto_live < f.rto_deadline);
+            Simulator::restore(&t, Box::new(suite.ecmp()), cfg, &ckpt).expect("restore");
+        recheck(&resumed, ch);
 
         let got = resumed.run(10 * SEC);
         assert_eq!(got, want);
@@ -1063,6 +1170,72 @@ mod tests {
         let (a, b) = (path("straight"), path("resumed"));
         assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
         let _ = (std::fs::remove_file(a), std::fs::remove_file(b));
+    }
+
+    /// Some flow's live RTO event sits short of a later deadline.
+    fn deferred_rto(sim: &Simulator) -> bool {
+        (sim.flows.iter()).any(|f| f.rto_live.1 != 0 && f.rto_live < f.rto_deadline)
+    }
+
+    /// A reordering port paused with a virtual TxFree (reserved, never
+    /// pushed, still ahead of the clock) and a deferred RTO: both must
+    /// survive the image.
+    #[test]
+    fn resume_with_virtual_tx_free_and_deferred_rto_is_byte_identical() {
+        let virtual_tx_free = |sim: &Simulator, ch: usize, now: (Ns, u64)| {
+            let c = &sim.fabric.channels.state[ch];
+            c.busy && !c.armed && (c.cur_end, c.tx_end) > now
+        };
+        resume_matches_straight(
+            SimConfig::default().with_pfabric(),
+            "lazy",
+            |sim| {
+                let now = (sim.now, u64::MAX);
+                let n = sim.fabric.channels.len();
+                let ch = (0..n).find(|&ch| virtual_tx_free(sim, ch, now))?;
+                deferred_rto(sim).then_some(ch)
+            },
+            |sim, ch| {
+                assert!(virtual_tx_free(sim, ch, (sim.now, u64::MAX)));
+                assert!(deferred_rto(sim));
+            },
+        );
+    }
+
+    /// A FIFO port paused with a deep queue, each waiting packet's
+    /// Deliver already in the calendar: the image holds every packet
+    /// once, and the restored queue and calendar share the arena slots.
+    #[test]
+    fn resume_with_deep_fifo_queues_and_pending_deliveries_is_byte_identical() {
+        let delivers_on = |sim: &Simulator, ch: usize| {
+            (sim.queue.iter())
+                .filter(|e| match e.ev {
+                    Ev::Deliver(id) => {
+                        let p = sim.pkts.get(id);
+                        sim.paths.hop(p.path, p.hop) as usize == ch
+                    }
+                    _ => false,
+                })
+                .count()
+        };
+        resume_matches_straight(
+            SimConfig::default(),
+            "fifo",
+            |sim| {
+                sim.catch_up_all(sim.now);
+                let chs = &sim.fabric.channels;
+                let ch = (0..chs.len()).find(|&ch| chs.queue_len(ch as u32) >= 8)?;
+                deferred_rto(sim).then_some(ch)
+            },
+            |sim, ch| {
+                let chs = &sim.fabric.channels;
+                let qlen = chs.queue_len(ch as u32);
+                assert!(qlen >= 8);
+                assert!(delivers_on(sim, ch) > qlen, "waiting and on-wire packets");
+                assert_eq!(sim.pkts.live_count() as u64, sim.packets_in_flight());
+                assert!(deferred_rto(sim));
+            },
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Pins the checkpoint wire format (v5) byte for byte.
+//! Pins the checkpoint wire format (v6) byte for byte.
 //!
 //! Three images taken at fixed mid-run pauses cover every section
 //! variant between them, and each is held to the FNV-1a digest and
@@ -6,7 +6,8 @@
 //!
 //! - (a) DCTCP over `TailDropEcn` under a fault plan that has already
 //!   reconverged (`routing_down` is `Some`), with control entries still
-//!   pending and a gray link, traced by a `CountingTracer`;
+//!   pending and a gray link, traced by a `CountingTracer`, and packets
+//!   waiting at FIFO ports whose Deliveries are already scheduled;
 //! - (b) pFabric over `PFabricQueue` with non-empty queues and in-flight
 //!   `Deliver` events, under the `NopTracer`;
 //! - (c) NewReno with a JSONL file tracer and file telemetry at fixed
@@ -21,19 +22,20 @@ use crate::engine::{Ev, Simulator};
 use crate::fault::FaultPlan;
 use crate::telemetry::{Telemetry, DEFAULT_SAMPLE_EVERY_NS};
 use crate::trace::{CountingTracer, JsonlTracer};
-use crate::types::{SimConfig, MS};
+use crate::types::{SimConfig, MS, US};
 use dcn_rng::Fnv1a;
 use dcn_routing::RoutingSuite;
 use dcn_topology::fattree::FatTree;
 use dcn_topology::Topology;
 use dcn_workloads::{generate_flows, AllToAll, PFabricWebSearch};
 
-/// `(length, FNV-1a)` of each pinned image, recorded under format v5.
-const PIN_A: (usize, u64) = (15_626, 0x2a57_fe89_02a8_c914);
-const PIN_B: (usize, u64) = (20_048, 0xe55a_03a5_ed3e_f44c);
-const PIN_C: (usize, u64) = (7_896, 0xfbbe_342f_06a3_eb5b);
+/// `(length, FNV-1a)` of each pinned image, recorded under format v6
+/// and `SCHEDULE_VERSION` 4.
+const PIN_A: (usize, u64) = (17_514, 0x50a9_e805_67ba_8869);
+const PIN_B: (usize, u64) = (17_656, 0x9b8f_9275_7f90_3b14);
+const PIN_C: (usize, u64) = (5_120, 0x668d_c14b_e112_1dc6);
 /// `config_fingerprint(&SimConfig::default())`.
-const PIN_CFG: u64 = 0xd480_6a4c_f84f_4d80;
+const PIN_CFG: u64 = 0x6ad2_a5af_9cd3_f62b;
 
 const TRACE_C: &str = "ckpt_pin_c.trace.jsonl";
 const TEL_C: &str = "ckpt_pin_c.tel.jsonl";
@@ -76,7 +78,9 @@ fn image_a(t: &Topology) -> (Simulator, Vec<u8>) {
             .link_up(6 * MS, 2),
     );
     s.set_tracer(Box::new(CountingTracer::new()));
-    paused(s, 3 * MS)
+    // Mid-burst: FIFO ports hold waiting packets whose Deliveries are
+    // already in the calendar.
+    paused(s, 2_900 * US)
 }
 
 fn image_b(t: &Topology) -> (Simulator, Vec<u8>) {
@@ -99,7 +103,7 @@ fn check(t: &Topology, cfg: SimConfig, img: &[u8], pin: (usize, u64)) {
     assert_eq!(
         (img.len(), Fnv1a::hash(img)),
         pin,
-        "checkpoint image drifted from the pinned v5 bytes"
+        "checkpoint image drifted from the pinned v6 bytes"
     );
     let ckpt = Checkpoint::from_bytes(img.to_vec()).expect("valid image");
     let mut resumed = restore(t, cfg, &ckpt).expect("restore");
@@ -123,6 +127,7 @@ fn checkpoint_pin_faults_and_counting_tracer() {
     assert!(s.ctrl_pos < s.ctrl.len(), "control entries must be pending");
     let chs = &s.fabric.channels;
     assert!((0..chs.len() as u32).any(|c| chs.loss_prob(c) > 0.0));
+    assert!((0..chs.len() as u32).any(|c| chs.queue_len(c) > 0));
     drop(s);
     check(&t, SimConfig::default(), &img, PIN_A);
 }

@@ -42,8 +42,10 @@ pub struct EngineCounters {
 pub struct EventCounts {
     /// Flow arrivals.
     pub flow_start: u64,
-    /// Transmitter frees. The engine pushes one only behind a queued
-    /// packet, so every one of them starts the next transmission.
+    /// Transmitter frees on reordering ports (pFabric). The engine pushes
+    /// one only behind a queued packet, so every one of them starts the
+    /// next transmission. FIFO ports run on the departure clock and push
+    /// none, so a tail-drop run counts 0.
     pub tx_free: u64,
     /// Packet arrivals at the far end of a channel.
     pub deliver: u64,

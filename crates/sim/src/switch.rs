@@ -89,9 +89,11 @@ pub trait QueueDiscipline: Send {
     fn snapshot_queue(&self, pool: &PacketArena) -> Option<Vec<Packet>>;
 
     /// Reinstates packets captured by [`QueueDiscipline::snapshot_queue`]
-    /// in the same order, allocating fresh arena ids and bypassing
-    /// admission entirely (no marking, drops, or evictions — the packets
-    /// already carry their marks).
+    /// in the same order, allocating one fresh arena id per packet in
+    /// that order and bypassing admission entirely (no marking, drops, or
+    /// evictions — the packets already carry their marks). A FIFO port's
+    /// restore relies on the allocation order: the packets' pending
+    /// Deliveries take the same ids.
     fn restore_queue(&mut self, pkts: Vec<Packet>, pool: &mut PacketArena);
 }
 
@@ -117,6 +119,24 @@ impl AnyQueue {
                 AnyQueue::TailDropEcn(TailDropEcn::new(cap_bytes, ecn_bytes))
             }
             QueueDiscKind::PFabric => AnyQueue::PFabric(PFabricQueue::new(cap_bytes)),
+        }
+    }
+}
+
+impl AnyQueue {
+    /// Dequeues the head of a FIFO port's queue, whose transmission has
+    /// begun, and returns its wire bytes; the id itself stays with the
+    /// packet's pending Deliver. The built-in FIFO keeps the size in its
+    /// entry; any other discipline is asked through the trait and the
+    /// size read from the arena.
+    #[inline]
+    pub(crate) fn dequeue_fifo(&mut self, pool: &PacketArena) -> u32 {
+        match self {
+            AnyQueue::TailDropEcn(q) => q.pop_front(),
+            q => {
+                let id = q.dequeue().expect("a FIFO port's qlen counts its queue");
+                pool.get(id).bytes
+            }
         }
     }
 }
@@ -202,6 +222,16 @@ impl TailDropEcn {
             cap_bytes,
             ecn_threshold_bytes,
         }
+    }
+}
+
+impl TailDropEcn {
+    /// Removes the head entry and returns its bytes.
+    #[inline]
+    fn pop_front(&mut self) -> u32 {
+        let e = self.queue.pop_front().expect("pop_front on an empty queue");
+        self.bytes -= e.bytes as u64;
+        e.bytes
     }
 }
 
@@ -434,8 +464,13 @@ impl Fabric {
         let link_cap = cfg.queue_pkts as u64 * mtu;
         let ecn_at = cfg.ecn_k_pkts as u64 * mtu;
         let servers = topo.num_servers();
-        let mut channels =
-            Channels::new(cfg.mtu, cfg.ack_bytes, 2 * topo.num_links() + 2 * servers);
+        let fifo = cfg.queue_disc == QueueDiscKind::TailDropEcn;
+        let mut channels = Channels::new(
+            cfg.mtu,
+            cfg.ack_bytes,
+            2 * topo.num_links() + 2 * servers,
+            fifo,
+        );
         for l in topo.links() {
             let gbps = cfg.link_gbps * l.capacity;
             channels.push(l.b, gbps, cfg.prop_delay_ns, disc(link_cap, ecn_at));

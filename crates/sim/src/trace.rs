@@ -23,7 +23,9 @@
 //! Channel ids (`ch`) use the fabric numbering (link `l` → channels `2l`
 //! and `2l+1`, then per-server up/down pairs); `flow` is the injection
 //! index; `seq` is the packet index within the flow (for ACKs, the
-//! cumulative count carried).
+//! cumulative count carried). A `dequeue` whose transmission begins
+//! after its `t` names the begin time as `start`, so `t` never runs
+//! backwards.
 
 use crate::engine::Simulator;
 use crate::stats::TraceCounters;
@@ -67,13 +69,19 @@ pub enum TraceEvent {
         qlen: u32,
         qbytes: u64,
     },
-    /// The packet began serializing. Packets offered to an idle channel
-    /// dequeue immediately without a matching enqueue.
+    /// The packet's transmission was scheduled to begin at `start`.
+    /// Packets offered to an idle channel dequeue immediately (`start` is
+    /// the record's own `t`) without a matching enqueue. A FIFO port
+    /// schedules a queued packet when it is enqueued, so its record
+    /// follows the `enqueue` at the same `t` and carries the later
+    /// `start`; a reordering port (pFabric) emits it when the
+    /// transmission begins.
     Dequeue {
         ch: u32,
         flow: u32,
         seq: u32,
         is_ack: bool,
+        start: Ns,
     },
     /// The packet reached its end host.
     Deliver { flow: u32, seq: u32, is_ack: bool },
@@ -482,8 +490,17 @@ pub fn event_json(t: Ns, ev: &TraceEvent) -> Json {
             flow,
             seq,
             is_ack,
+            start,
+        } => {
+            fields.push(("ch", Json::from(ch)));
+            fields.push(("flow", Json::from(flow)));
+            fields.push(("seq", Json::from(seq)));
+            fields.push(("ack", Json::from(is_ack)));
+            if start != t {
+                fields.push(("start", Json::from(start)));
+            }
         }
-        | TraceEvent::DropCongestion {
+        TraceEvent::DropCongestion {
             ch,
             flow,
             seq,
@@ -763,6 +780,7 @@ mod tests {
                 flow: 0,
                 seq: 0,
                 is_ack: false,
+                start: 77,
             },
             TraceEvent::Deliver {
                 flow: 0,

@@ -15,7 +15,7 @@ pub const SEC: Ns = 1_000_000_000;
 /// A plain 32-byte value: the route is an id into the run's path table
 /// (see [`crate::path`]), so copying a packet touches no heap and no
 /// reference count.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Packet {
     pub flow: u32,
     pub seq: u32,

@@ -5,8 +5,8 @@
 use dcn_rng::Rng;
 use dcn_routing::RoutingSuite;
 use dcn_sim::{
-    AckActions, CountingTracer, EnqueueOutcome, FaultPlan, Flow, SimConfig, Simulator, Transport,
-    MS, SEC,
+    AckActions, CountingTracer, EnqueueOutcome, FaultPlan, Flow, QueueDiscKind, SimConfig,
+    Simulator, Transport, MS, SEC,
 };
 use dcn_topology::fattree::FatTree;
 use dcn_topology::xpander::Xpander;
@@ -511,11 +511,26 @@ fn boxed_and_by_value_parts_agree() {
             assert!(!sim.run_until(3 * MS), "run must pause mid-flight");
             let image = sim.checkpoint().expect("checkpoint").as_bytes().to_vec();
             let records = sim.run(SEC);
-            (records, sim.events_processed(), sim.conservation(), image)
+            let tx_free = sim.engine_counters().events.tx_free;
+            (
+                records,
+                sim.events_processed(),
+                sim.conservation(),
+                image,
+                tx_free,
+            )
         };
         let (a, b) = (outcome(by_value), outcome(boxed));
         let name = cfg.transport.name();
         assert!(a.2.dropped > 0, "{name}: the load must overflow a queue");
+        // The departure clock follows `cfg.queue_disc`, whichever way the
+        // disciplines are held: FIFO ports push no TxFree.
+        for tx_free in [a.4, b.4] {
+            match cfg.queue_disc {
+                QueueDiscKind::TailDropEcn => assert_eq!(tx_free, 0, "{name}"),
+                QueueDiscKind::PFabric => assert!(tx_free > 0, "{name}"),
+            }
+        }
         assert_eq!(a.0, b.0, "{name}: flow records differ");
         assert_eq!(
             (a.1, a.2),

@@ -302,6 +302,16 @@ test -n "$rss"
 awk -v rss="$rss" 'BEGIN { if (rss > 96) { print "peak RSS " rss " MB > 96 MB"; exit 1 } }'
 rm -rf "$mem_dir"
 
+echo "==> departure clock (a tail-drop run processes no TxFree events)"
+# FIFO ports schedule each packet's Deliver when it is enqueued, so a
+# DCTCP run over tail-drop ECN queues has no transmitter-free events;
+# only reordering (pFabric) ports keep them.
+clock_dir="$(mktemp -d)"
+cargo run --release --quiet --bin dcnsim -- examples/configs/fat_tree_baseline.json \
+  --manifest "$clock_dir/man.json" > /dev/null
+grep -q '^ *"tx_free": 0,$' "$clock_dir/man.json"
+rm -rf "$clock_dir"
+
 echo "==> flow-level golden (fig15_large_scale --scale small, byte-identical stdout)"
 # Pins dcn-flowsim's results across solver changes. Re-bless only for a
 # deliberate change of the simulated rates, and say why in the change.

@@ -171,7 +171,7 @@ fn cmd_util(path: &str, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// `hist`: distribution summaries from a raw event trace — FCT
-/// (`flow_finish`), queue delay (`enqueue`→`dequeue` pairing), and
+/// (`flow_finish`), queue delay (`enqueue`→`dequeue` start pairing), and
 /// flowlet gaps (consecutive `flowlet_switch` per flow).
 fn cmd_hist(path: &str, out: &mut dyn Write) -> io::Result<()> {
     let events = read_jsonl(path);
@@ -197,7 +197,10 @@ fn cmd_hist(path: &str, out: &mut dyn Write) -> io::Result<()> {
                 if e.get("ev").and_then(|v| v.as_str()) == Some("enqueue") {
                     enq.insert(key, t);
                 } else if let Some(t0) = enq.remove(&key) {
-                    qdelay.record(t - t0);
+                    // A FIFO port's dequeue record is written when the
+                    // transmission is scheduled and names its `start`.
+                    let start = e.get("start").and_then(|v| v.as_u64()).unwrap_or(t);
+                    qdelay.record(start - t0);
                 }
             }
             "flowlet_switch" => {
@@ -493,20 +496,20 @@ mod tests {
             .get("engine")
             .and_then(|e| e.get("events_by_kind"))
             .expect("engine.events_by_kind");
-        let tx_free = kinds.get("tx_free").and_then(|v| v.as_u64()).unwrap();
-        assert!(tx_free > 0);
+        let deliver = kinds.get("deliver").and_then(|v| v.as_u64()).unwrap();
+        assert!(deliver > 0);
         let text = a.to_string();
-        let from = format!("\"tx_free\": {tx_free}");
+        let from = format!("\"deliver\": {deliver}");
         assert!(text.contains(&from), "{text}");
         let b =
-            Json::parse(&text.replace(&from, &format!("\"tx_free\": {}", tx_free + 1))).unwrap();
+            Json::parse(&text.replace(&from, &format!("\"deliver\": {}", deliver + 1))).unwrap();
         let mut drift = Vec::new();
         diff_json(&a, &b, "", &mut drift);
         assert_eq!(
             drift,
             vec![format!(
-                "engine.events_by_kind.tx_free: {tx_free} vs {}",
-                tx_free + 1
+                "engine.events_by_kind.deliver: {deliver} vs {}",
+                deliver + 1
             )]
         );
     }
