@@ -162,7 +162,6 @@ fn engine_case<'a>(labels: &[(&str, &str)], seed: u64, mut make: impl FnMut() ->
             ("drops", Json::from(sim.total_drops())),
             ("queue_peak", Json::from(sim.heap_peak())),
             ("ladder_spills", Json::from(eng.ladder_spills)),
-            ("scatter_fallbacks", Json::from(eng.scatter_fallbacks)),
             ("arena_hwm", Json::from(eng.arena_high_water)),
         ];
         match &simulated {
@@ -598,7 +597,6 @@ const TABLE_COLUMNS: &[&str] = &[
     "drops",
     "queue_peak",
     "ladder_spills",
-    "scatter_fallbacks",
     "arena_hwm",
     "switches",
     "links",
@@ -860,7 +858,7 @@ mod tests {
         assert_eq!(lines[0].split('\t').count(), 1 + TABLE_COLUMNS.len());
         assert_eq!(
             lines[1],
-            "failpoint_disarmed/atomic_u8_load\t75000000\t300\t1000\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-"
+            "failpoint_disarmed/atomic_u8_load\t75000000\t300\t1000\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-"
         );
     }
 }

@@ -201,7 +201,6 @@ impl RunManifest {
         let engine = Json::obj(vec![
             ("calendar_peak", Json::from(eng.calendar_peak)),
             ("ladder_spills", Json::from(eng.ladder_spills)),
-            ("scatter_fallbacks", Json::from(eng.scatter_fallbacks)),
             ("arena_live", Json::from(eng.arena_live)),
             ("arena_high_water", Json::from(eng.arena_high_water)),
             (

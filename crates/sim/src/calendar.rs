@@ -39,18 +39,12 @@
 //! cursor advance first migrates newly-in-horizon ladder events into
 //! their buckets, so nothing can be popped late.
 //!
-//! `seq` is one increment per *reservation*, not per push.
-//! [`CalendarQueue::push`] reserves and files at once;
-//! [`CalendarQueue::reserve_seq`] takes a key for an event the engine may
-//! never schedule, and [`CalendarQueue::push_at`] files one later under
-//! its reserved key. Nothing in the layout assumes that keys arrive in
-//! `seq` order: ring slots and sub-buckets are sorted by `(t, seq)` when
-//! they activate, the side heap and the ladder are ordered by it, and
-//! [`CalendarQueue::front`] compares the two fronts by full key. A late
-//! push under an old `seq` therefore pops before same-`t` entries pushed
-//! in between, exactly where the eager push would have popped. The only
-//! cost is the counting scatter's fast path, which needs per-`t` `seq`
-//! order and falls back to a comparison sort without it.
+//! `seq` is one increment per push, so entries reach every structure in
+//! `seq` order and same-`t` ties pop in push order. The counting scatter
+//! relies on it: within one `t`, a sub-bucket's entries arrive in
+//! ascending `seq` (ring slots and sub-buckets are appended in push
+//! order, ladder migrations leave the ladder in `(t, seq)` order, and
+//! [`CalendarQueue::grow`] re-files the ladder sorted).
 //!
 //! # Ladder spill and migration invariants
 //!
@@ -75,8 +69,9 @@
 //! Because the ring/ladder/sub-bucket partition is a pure function of the
 //! ring size, the cursor (`cur_abs`, active sub-bucket), and the pending
 //! event set, [`CalendarQueue::from_items`] rebuilds a checkpointed queue
-//! into exactly the layout it had: the restored queue pops in the same
-//! order *and* spills, grows, and falls back exactly as the original
+//! into the partition it had (each part's entries in key order rather
+//! than push order, which the sorts do not see): the restored queue pops
+//! in the same order *and* spills and grows exactly as the original
 //! would have, so the engine counters replay byte-for-byte.
 
 use crate::engine::Ev;
@@ -229,9 +224,8 @@ pub(crate) struct CalendarQueue {
     overflow: BinaryHeap<CalEntry>,
     /// Total pending events.
     len: usize,
-    /// Monotone reservation counter; the tiebreak half of every event's
-    /// key.
-    pub(crate) seq: u64,
+    /// Monotone push counter; the tiebreak half of every event's key.
+    seq: u64,
     /// High-water mark of [`CalendarQueue::len`] — a memory-footprint
     /// proxy that run manifests report.
     pub(crate) peak: usize,
@@ -239,11 +233,6 @@ pub(crate) struct CalendarQueue {
     /// function of the push/pop sequence (reported by the engine's
     /// deterministic counter set).
     pub(crate) ladder_spills: u64,
-    /// Sub-bucket sorts that fell back from the counting scatter to a
-    /// comparison sort (per-`t` seq monotonicity broken by a ladder
-    /// migration or a late push under a reserved key); also a pure
-    /// function of the push/pop sequence.
-    pub(crate) scatter_fallbacks: u64,
 }
 
 impl CalendarQueue {
@@ -274,7 +263,6 @@ impl CalendarQueue {
             seq: 0,
             peak: 0,
             ladder_spills: 0,
-            scatter_fallbacks: 0,
         }
     }
 
@@ -287,10 +275,9 @@ impl CalendarQueue {
     }
 
     /// Rebuilds a queue from a checkpoint: `items` carry their original
-    /// `seq`s (any order, as long as entries sharing a ring slot or
-    /// sub-bucket keep their relative order — which
-    /// [`CalendarQueue::iter`] guarantees), and the ring size and cursor
-    /// are the original's, so every entry lands where it was.
+    /// keys, in `(t, seq)` order, and the ring size and cursor are the
+    /// original's, so every entry lands in the ring slot, sub-bucket or
+    /// ladder it was in (in key order rather than push order there).
     pub(crate) fn from_items(
         seq: u64,
         peak: usize,
@@ -304,6 +291,22 @@ impl CalendarQueue {
         if sub_cur != NO_SUB && sub_cur >= SUB_COUNT as u32 {
             return Err(format!("calendar sub-bucket cursor {sub_cur} out of range"));
         }
+        // Keys strictly increase, none past the counter, and the first
+        // sits in neither an earlier bucket nor an earlier sub-bucket of
+        // the current one (`NO_SUB + 1` wraps to 0, below every `s + 1`).
+        let pos = |t: Ns| {
+            (
+                t >> WIDTH_BITS,
+                (t >> SUB_SHIFT) as u32 % SUB_COUNT as u32 + 1,
+            )
+        };
+        let ok = seq < 1 << 59
+            && items.windows(2).all(|w| w[0].key() < w[1].key())
+            && items.iter().all(|e| e.seq <= seq)
+            && (items.first()).is_none_or(|e| pos(e.t) >= (cur_abs, sub_cur.wrapping_add(1)));
+        if !ok {
+            return Err("calendar entries out of order or before the cursor".into());
+        }
         let mut q = Self::with_slots(num_slots, cur_abs);
         q.sub_cur = sub_cur;
         q.seq = seq;
@@ -312,12 +315,6 @@ impl CalendarQueue {
             q.len += 1;
             q.insert(e);
         }
-        // `insert` files the active sub-bucket's entries into the side
-        // heap; the original held them sorted in `cur` (the side heap is
-        // all but always empty), so put them back there and a checkpoint
-        // of the restored queue lists them in the original order.
-        q.cur.extend(q.incoming.drain());
-        q.cur.sort_unstable_by_key(|e| Reverse(e.key()));
         Ok(q)
     }
 
@@ -331,11 +328,8 @@ impl CalendarQueue {
         self.slots.len()
     }
 
-    /// Every pending event (checkpoint serialization and in-flight
-    /// accounting). Pop order is derived from `(t, seq)`, not from this
-    /// iteration; entries of one ring slot or sub-bucket come out in
-    /// their stored order, which is what lets
-    /// [`CalendarQueue::from_items`] rebuild the layout exactly.
+    /// Every pending event, in no particular order (checkpoints sort
+    /// them into pop order).
     pub(crate) fn iter(&self) -> impl Iterator<Item = &CalEntry> {
         self.cur
             .iter()
@@ -358,31 +352,22 @@ impl CalendarQueue {
         self.blocks.len() * BLOCK
     }
 
-    /// Schedules `ev` at `t` under a fresh key: the next `seq`.
-    pub(crate) fn push(&mut self, t: Ns, ev: Ev) {
-        let seq = self.reserve_seq();
-        self.push_at(t, seq, ev);
-    }
-
-    /// Takes the next `seq` without scheduling anything. The engine
-    /// reserves a key for every event the eager schedule would have
-    /// pushed — even one it may never need — so the `seq`s of everything
-    /// pushed afterwards are the same either way.
-    pub(crate) fn reserve_seq(&mut self) -> u64 {
-        self.seq += 1;
+    /// The last `seq` taken (checkpoints record it so a restored queue
+    /// numbers its pushes on from there).
+    pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
 
-    /// Schedules `ev` under a key reserved earlier by
-    /// [`CalendarQueue::reserve_seq`]. It pops exactly where a push made
-    /// at reservation time would have: before every same-`t` entry with a
-    /// larger `seq`, however much later those were pushed. The key must
-    /// still be ahead of the last popped one.
-    pub(crate) fn push_at(&mut self, t: Ns, seq: u64, ev: Ev) {
-        debug_assert!(seq != 0 && seq <= self.seq, "push_at needs a reserved seq");
+    /// Schedules `ev` at `t` under a fresh key: the next `seq`.
+    pub(crate) fn push(&mut self, t: Ns, ev: Ev) {
+        self.seq += 1;
         self.len += 1;
         self.peak = self.peak.max(self.len);
-        self.insert(CalEntry { t, seq, ev });
+        self.insert(CalEntry {
+            t,
+            seq: self.seq,
+            ev,
+        });
     }
 
     fn insert(&mut self, e: CalEntry) {
@@ -483,7 +468,9 @@ impl CalendarQueue {
 
     /// Doubles the ring and re-files every non-current event under the new
     /// horizon. `cur`, `cur_abs`, `seq`, and `len` are untouched, so pop
-    /// order is unaffected.
+    /// order is unaffected. Ring entries keep their slot order; ladder
+    /// entries are re-filed in `(t, seq)` order, since equal-`t` ones can
+    /// share a new slot and the heap's own layout is unordered.
     fn grow(&mut self) {
         let new_slots = (self.slots.len() * 2).min(MAX_SLOTS);
         if new_slots == self.slots.len() {
@@ -496,7 +483,9 @@ impl CalendarQueue {
         for s in 0..self.slots.len() {
             self.release(s);
         }
-        all.extend(std::mem::take(&mut self.overflow).into_vec());
+        let mut ladder = std::mem::take(&mut self.overflow).into_vec();
+        ladder.sort_unstable_by_key(CalEntry::key);
+        all.extend(ladder);
         self.slots = vec![EMPTY_SLOT; new_slots];
         self.occupied = vec![0u64; new_slots / 64];
         self.mask = new_slots as u64 - 1;
@@ -536,8 +525,7 @@ impl CalendarQueue {
     /// Locates the next event, activating its bucket if needed: whether
     /// it sits at the back of the sorted sub-bucket (`true`) or on top of
     /// the side heap (`false`), and its timestamp. Keys are unique (`seq`
-    /// is a fresh counter per reservation, and a reserved key is pushed at
-    /// most once), so the `<=` tie bias is immaterial.
+    /// is a fresh counter per push), so the `<=` tie bias is immaterial.
     #[inline]
     fn front(&mut self) -> Option<(bool, Ns)> {
         if self.cur.is_empty() && self.incoming.is_empty() {
@@ -598,13 +586,8 @@ impl CalendarQueue {
     ///
     /// The fast path is a comparison-free counting scatter: a sub-bucket
     /// spans only `2^SUB_SHIFT` distinct `t` values, and appends arrive in
-    /// ascending `seq` order per `t` (direct pushes are globally
-    /// `seq`-monotone, and bucket distribution preserves slot order, which
-    /// is push order). Group by `t` descending, reverse each group, done —
-    /// one move per entry. Ladder migrations and late pushes under
-    /// reserved keys ([`CalendarQueue::push_at`]) break per-`t`
-    /// monotonicity (such an entry has a small `seq`), so the counting pass
-    /// verifies it and falls back to a comparison sort when violated.
+    /// ascending `seq` order per `t` (see the module docs). Group by `t`
+    /// descending, reverse each group, done — one move per entry.
     fn sort_cur_descending(&mut self) {
         const NVALS: usize = 1 << SUB_SHIFT;
         let low = (1u64 << SUB_SHIFT) - 1;
@@ -621,19 +604,11 @@ impl CalendarQueue {
         }
         let mut counts = [0u32; NVALS];
         let mut last = [0u64; NVALS];
-        let mut ordered = true;
         for e in &self.cur {
             let g = (e.t & low) as usize;
             counts[g] += 1;
-            ordered &= e.seq >= last[g];
+            debug_assert!(e.seq > last[g], "entries must arrive in seq order per t");
             last[g] = e.seq;
-        }
-        if !ordered {
-            self.scatter_fallbacks += 1;
-            debug_assert!(self.seq < 1 << 59);
-            self.cur
-                .sort_unstable_by_key(|e| Reverse(((e.t & low) << 59) | e.seq));
-            return;
         }
         // Descending layout: largest `t` group first. `next[g]` starts one
         // past group `g`'s end; placing each (seq-ascending) arrival at
@@ -872,7 +847,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().t, 100);
         assert_eq!(q.pop().unwrap().t, 20_000_000);
         assert_eq!(q.ladder_spills, 1, "the far event must migrate once");
-        assert_eq!(q.scatter_fallbacks, 0);
     }
 
     #[test]
@@ -881,13 +855,36 @@ mod tests {
         assert!(CalendarQueue::from_items(0, 0, Vec::new(), (0, NO_SUB), 3 * MIN_SLOTS).is_err());
         assert!(CalendarQueue::from_items(0, 0, Vec::new(), (0, NO_SUB), 2 * MAX_SLOTS).is_err());
         assert!(CalendarQueue::from_items(0, 0, Vec::new(), (0, 99), MIN_SLOTS).is_err());
+        let e = |t, seq| CalEntry {
+            t,
+            seq,
+            ev: Ev::FlowStart(0),
+        };
+        let ok = || vec![e(5_000, 2), e(5_000, 3), e(9_000, 1)];
+        let cal = |seq, items, cursor| CalendarQueue::from_items(seq, 0, items, cursor, MIN_SLOTS);
+        assert!(cal(3, ok(), (4, NO_SUB)).is_ok());
+        assert!(
+            cal(2, ok(), (4, NO_SUB)).is_err(),
+            "an entry past the counter"
+        );
+        assert!(
+            cal(3, ok(), (5, NO_SUB)).is_err(),
+            "an entry before the cursor"
+        );
+        assert!(
+            cal(3, ok(), (4, 29)).is_err(),
+            "before the active sub-bucket"
+        );
+        let mut dup = ok();
+        dup[1].seq = 2;
+        assert!(cal(3, dup, (4, NO_SUB)).is_err(), "a repeated key");
     }
 
     #[test]
     fn from_items_replays_pops_and_counters_exactly() {
         // Snapshot a queue mid-drain (cursor advanced, a sub-bucket
         // active, events in ring and ladder), rebuild it, and drain both:
-        // pops, spills, and fallbacks must agree.
+        // pops and spills must agree.
         let mut q = CalendarQueue::new();
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         for i in 0..3_000u32 {
@@ -899,12 +896,12 @@ mod tests {
         for _ in 0..700 {
             q.pop();
         }
-        let items: Vec<CalEntry> = q.iter().copied().collect();
+        let mut items: Vec<CalEntry> = q.iter().copied().collect();
+        items.sort_unstable_by_key(CalEntry::key);
         let mut r =
             CalendarQueue::from_items(q.seq, q.peak, items, q.cursor(), q.num_slots()).unwrap();
-        // Checkpoints carry the counters themselves.
+        // Checkpoints carry the counter itself.
         r.ladder_spills = q.ladder_spills;
-        r.scatter_fallbacks = q.scatter_fallbacks;
         assert_eq!(r.len(), q.len());
         loop {
             let (a, b) = (q.pop(), r.pop());
@@ -915,157 +912,6 @@ mod tests {
         }
         assert!(q.ladder_spills > 0, "the scenario must exercise the ladder");
         assert_eq!(r.ladder_spills, q.ladder_spills);
-        assert_eq!(r.scatter_fallbacks, q.scatter_fallbacks);
-    }
-
-    fn drain_ids(q: &mut CalendarQueue) -> Vec<u32> {
-        std::iter::from_fn(|| q.pop())
-            .map(|e| id_of(&e.ev))
-            .collect()
-    }
-
-    #[test]
-    fn late_push_in_a_ring_slot_pops_before_newer_ties() {
-        let mut q = CalendarQueue::new();
-        let old = q.reserve_seq();
-        // Enough same-`t` entries for the counting scatter, which the
-        // late push's small seq must knock onto the comparison sort.
-        for i in 1..=12 {
-            q.push(5_000, Ev::FlowStart(i));
-        }
-        q.push_at(5_000, old, Ev::FlowStart(0));
-        assert_eq!(drain_ids(&mut q), (0..=12).collect::<Vec<_>>());
-        assert_eq!(q.scatter_fallbacks, 1);
-    }
-
-    #[test]
-    fn late_push_into_the_active_sub_bucket_beats_the_sorted_run() {
-        let mut q = CalendarQueue::new();
-        let old = q.reserve_seq();
-        for i in 1..=3 {
-            q.push(100, Ev::FlowStart(i));
-        }
-        // Popping 1 activates (sorts) the sub-bucket holding 2 and 3;
-        // both later pushes at t=100 take the side heap.
-        assert_eq!(id_of(&q.pop().unwrap().ev), 1);
-        q.push(100, Ev::FlowStart(4));
-        q.push_at(100, old, Ev::FlowStart(0));
-        assert!(q.incoming.len() == 2 && q.cur.len() == 2);
-        assert_eq!(drain_ids(&mut q), vec![0, 2, 3, 4]);
-    }
-
-    #[test]
-    fn late_push_on_the_ladder_pops_before_newer_ties() {
-        let mut q = CalendarQueue::new();
-        let old = q.reserve_seq();
-        q.push(10, Ev::FlowStart(9));
-        q.push(5_000_000, Ev::FlowStart(1));
-        q.push(5_000_000, Ev::FlowStart(2));
-        q.push_at(5_000_000, old, Ev::FlowStart(0));
-        assert_eq!(q.overflow.len(), 3, "beyond the ring: all on the ladder");
-        assert_eq!(drain_ids(&mut q), vec![9, 0, 1, 2]);
-        assert_eq!(q.ladder_spills, 3);
-    }
-
-    #[test]
-    fn late_push_after_from_items_restore_pops_before_newer_ties() {
-        // Reserve keys, snapshot with entries pushed after them, restore,
-        // and only then push under the reserved keys: the restored queue
-        // must agree with the original pop for pop.
-        let mut q = CalendarQueue::new();
-        let near = q.reserve_seq();
-        let far = q.reserve_seq();
-        for i in 1..=4 {
-            q.push(3_000, Ev::FlowStart(i));
-            q.push(7_000_000, Ev::FlowStart(10 + i));
-        }
-        let items: Vec<CalEntry> = q.iter().copied().collect();
-        let mut r =
-            CalendarQueue::from_items(q.seq, q.peak, items, q.cursor(), q.num_slots()).unwrap();
-        for c in [&mut q, &mut r] {
-            c.push_at(3_000, near, Ev::FlowStart(0));
-            c.push_at(7_000_000, far, Ev::FlowStart(10));
-        }
-        let want = vec![0, 1, 2, 3, 4, 10, 11, 12, 13, 14];
-        assert_eq!(drain_ids(&mut q), want);
-        assert_eq!(drain_ids(&mut r), want);
-    }
-
-    /// Randomized: eager pushes mixed with reservations that are pushed
-    /// late (or never), against a heap that received every event at
-    /// reservation time. The calendar must pop the same sequence.
-    #[test]
-    fn late_pushes_match_eager_heap_order() {
-        let mut rng = Rng::seed_from_u64(0x1A2E_5EED);
-        for round in 0..20 {
-            let mut cal = CalendarQueue::new();
-            let mut model: BinaryHeap<CalEntry> = BinaryHeap::new();
-            // Reserved but not yet pushed: (t, seq, id).
-            let mut held: Vec<(Ns, u64, u32)> = Vec::new();
-            let mut last = (0, 0);
-            let mut next_id = 0u32;
-            for _ in 0..3_000 {
-                let roll = rng.gen_range(0u32..10);
-                if roll < 5 {
-                    let dt = match rng.gen_range(0u64..4) {
-                        0 => 0,
-                        1 => rng.gen_range(0u64..2_000),
-                        2 => rng.gen_range(0u64..1_000_000),
-                        _ => rng.gen_range(1_000_000u64..20_000_000),
-                    };
-                    let seq = cal.reserve_seq();
-                    let e = CalEntry {
-                        t: last.0 + dt,
-                        seq,
-                        ev: Ev::FlowStart(next_id),
-                    };
-                    next_id += 1;
-                    model.push(e);
-                    if rng.gen_range(0u32..3) == 0 {
-                        held.push((e.t, seq, id_of(&e.ev)));
-                    } else {
-                        cal.push_at(e.t, seq, e.ev);
-                    }
-                } else if roll < 7 && !held.is_empty() {
-                    // Push a held reservation late, as the engine does
-                    // when a packet queues behind a transmitter.
-                    let (t, seq, id) = held.swap_remove(rng.gen_range(0..held.len()));
-                    cal.push_at(t, seq, Ev::FlowStart(id));
-                } else {
-                    // The engine pushes a reservation before its key is
-                    // reached or never; the model pops held events as
-                    // no-ops the calendar never saw.
-                    let want = loop {
-                        match model.pop() {
-                            Some(e) if held.iter().any(|h| h.1 == e.seq) => {
-                                held.retain(|h| h.1 != e.seq);
-                                last = (e.t, e.seq);
-                            }
-                            other => break other,
-                        }
-                    };
-                    let got = cal.pop();
-                    assert_eq!(
-                        got.map(|e| (e.t, e.seq)),
-                        want.map(|e| (e.t, e.seq)),
-                        "round {round}: pop diverged"
-                    );
-                    if let Some(e) = want {
-                        last = (e.t, e.seq);
-                    }
-                }
-            }
-            for (t, seq, id) in held.drain(..) {
-                cal.push_at(t, seq, Ev::FlowStart(id));
-            }
-            loop {
-                let (want, got) = (model.pop(), cal.pop());
-                assert_eq!(got.map(|e| (e.t, e.seq)), want.map(|e| (e.t, e.seq)));
-                if want.is_none() {
-                    break;
-                }
-            }
-        }
     }
 
     /// A ~1,000-event burst into each of 1,100 successive buckets, each
@@ -1118,5 +964,39 @@ mod tests {
             assert!((e.t, e.seq) > last);
             last = (e.t, e.seq);
         }
+    }
+
+    /// Thousands of ladder entries on 16 timestamps, pushed in scrambled
+    /// time order so the heap's layout is far from push order: the push
+    /// that outgrows the ladder doubles the ring and every entry lands in
+    /// a ring slot, hundreds per slot. The counting scatter (and its
+    /// debug assertion) needs each slot's equal-`t` entries in `seq`
+    /// order, so `grow` must re-file the ladder sorted.
+    #[test]
+    fn grow_refiles_equal_time_ladder_entries_in_seq_order() {
+        let mut q = CalendarQueue::new();
+        let mut rng = Rng::seed_from_u64(0x6_2047);
+        // Beyond the 1,024-slot horizon (~1.05 ms), within 2,048 slots'.
+        let times: Vec<Ns> = (0..16u64).map(|i| 1_100_000 + i * 50_000 + i).collect();
+        for i in 0..5_000u32 {
+            q.push(times[rng.gen_range(0..times.len())], Ev::FlowStart(i));
+        }
+        assert_eq!(
+            q.num_slots(),
+            2 * MIN_SLOTS,
+            "the ring must have grown once"
+        );
+        assert!(
+            q.overflow.is_empty(),
+            "every entry is within the new horizon"
+        );
+        let mut last = (0, 0);
+        let mut n = 0;
+        while let Some(e) = q.pop() {
+            assert!(e.key() > last, "pop {n} out of (t, seq) order");
+            last = e.key();
+            n += 1;
+        }
+        assert_eq!(n, 5_000);
     }
 }

@@ -36,7 +36,10 @@
 //! A reordering port (pFabric) cannot know which packet goes next until
 //! the transmitter frees, so it keeps the event-driven model:
 //! [`Channels::offer`], [`Channels::begin_tx`], [`Channels::arm_tx_free`]
-//! and [`Channels::tx_done`] around a lazily pushed `TxFree`.
+//! and [`Channels::tx_done`] around a `TxFree` pushed only once a packet
+//! waits for it. Both models share the tie rule: a transmission that
+//! ends at `t` has ended for everything processed at `t`, so a reordering
+//! port is idle iff no `TxFree` is armed and `cur_end ≤ now`.
 
 use crate::slab::{PacketArena, PktId};
 use crate::switch::{AnyQueue, EnqueueOutcome, QueueDiscipline};
@@ -46,15 +49,14 @@ use crate::types::Ns;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Offer {
     /// Channel idle: the transmission starts now. On a reordering port
-    /// the caller must reserve the transmission's TxFree key (`now + ser`,
-    /// next `seq`), record it with [`Channels::begin_tx`], and schedule
-    /// Deliver(now + ser + prop); the TxFree itself is pushed only once a
-    /// packet queues behind it.
+    /// the caller must record its end (`now + ser`) with
+    /// [`Channels::begin_tx`] and schedule Deliver(now + ser + prop); the
+    /// TxFree itself is pushed only once a packet queues behind it.
     StartTx,
     /// Queued behind the current transmission. On a FIFO port its
     /// transmission is already scheduled; on a reordering port the caller
-    /// pushes the TxFree under its reserved key if
-    /// [`Channels::arm_tx_free`] says it is still virtual.
+    /// pushes the TxFree if [`Channels::arm_tx_free`] says it is not in
+    /// the calendar yet.
     Queued,
     /// The offered packet was dropped by the queue discipline (and its
     /// arena slot freed).
@@ -63,27 +65,20 @@ pub enum Offer {
 
 /// The hot, mutable half of one channel: what every hop reads.
 pub(crate) struct ChanDyn {
-    /// When the transmission in progress ends. On a reordering port: the
-    /// `t` of the key reserved for that transmission's TxFree.
+    /// When the transmission in progress ends.
     pub(crate) cur_end: Ns,
     /// FIFO ports: when the last scheduled transmission ends; the
-    /// channel is idle from then on. A reordering port keeps the `seq`
-    /// of its TxFree key here.
-    pub(crate) tx_end: u64,
+    /// channel is idle from then on. Unused on reordering ports.
+    pub(crate) tx_end: Ns,
     /// Cached `disc.queue_len()`, kept by the channel layer from each
     /// enqueue's outcome: the per-event path checks for an empty queue
     /// without dispatching on the discipline (a virtual call for a
     /// `Custom` one).
     pub(crate) qlen: u32,
-    /// Reordering ports: a transmission started whose TxFree has not run
-    /// yet. With nothing queued behind it that TxFree stays virtual
-    /// (never pushed): the channel is then really busy only until the
-    /// engine's clock passes `(cur_end, tx_end)`, which
-    /// [`Channels::offer`] checks.
-    pub(crate) busy: bool,
-    /// Reordering ports: the TxFree is in the calendar under that key.
+    /// Reordering ports: the TxFree at `cur_end` is in the calendar.
     /// Armed whenever packets are queued (see [`Channels::tx_done`] for
-    /// the one way the queue can empty under an armed TxFree).
+    /// the one way the queue can empty under an armed TxFree); unarmed,
+    /// the transmitter is busy until `cur_end` and no event marks its end.
     pub(crate) armed: bool,
     /// The output queue feeding the transmitter, held by value. On a FIFO
     /// port it holds the packets whose transmission has not begun; each
@@ -190,7 +185,6 @@ impl Channels {
             cur_end: 0,
             tx_end: 0,
             qlen: 0,
-            busy: false,
             armed: false,
             disc,
         });
@@ -364,30 +358,25 @@ impl Channels {
         (offer, end, out)
     }
 
-    /// Reordering ports: offers packet `id` to channel `ch` while the
-    /// engine processes the event with key `now`. On [`Offer::StartTx`]
-    /// the caller owns the in-flight transmission (the id stays live); on
-    /// [`Offer::Queued`] the discipline holds it (possibly evicting less
-    /// urgent packets — those count into `drops` and are freed); on
-    /// [`Offer::Dropped`] the id has been freed. The returned
-    /// [`EnqueueOutcome`] carries the mark flag and eviction victims for
-    /// the observability layer.
-    ///
-    /// A virtual TxFree whose key lies before `now` has already happened
-    /// in the eager schedule, so the channel counts as idle.
+    /// Reordering ports: offers packet `id` to channel `ch` at time `now`.
+    /// The channel is idle iff no TxFree is armed and its last
+    /// transmission has ended by `now` (ties included). On
+    /// [`Offer::StartTx`] the caller owns the in-flight transmission (the
+    /// id stays live); on [`Offer::Queued`] the discipline holds it
+    /// (possibly evicting less urgent packets — those count into `drops`
+    /// and are freed); on [`Offer::Dropped`] the id has been freed. The
+    /// returned [`EnqueueOutcome`] carries the mark flag and eviction
+    /// victims for the observability layer.
     pub(crate) fn offer(
         &mut self,
         ch: u32,
         id: PktId,
         pool: &mut PacketArena,
-        now: (Ns, u64),
+        now: Ns,
     ) -> (Offer, EnqueueOutcome) {
         let d = self.d_mut(ch);
-        if d.busy && !d.armed && (d.cur_end, d.tx_end) < now {
-            d.busy = false;
-        }
-        if !d.busy {
-            d.busy = true;
+        if !d.armed && d.cur_end <= now {
+            debug_assert_eq!(d.qlen, 0, "an unarmed port has no backlog");
             let out = EnqueueOutcome {
                 accepted: true,
                 ..Default::default()
@@ -406,30 +395,26 @@ impl Channels {
         (offer, out)
     }
 
-    /// Reordering ports: records the TxFree key `(free_at, free_seq)`
-    /// reserved for the transmission just started on `ch`. Returns
-    /// whether packets are queued behind it, in which case the caller
-    /// pushes the TxFree now; otherwise it stays virtual.
-    pub(crate) fn begin_tx(&mut self, ch: u32, free_at: Ns, free_seq: u64) -> bool {
+    /// Reordering ports: records that the transmission just started on
+    /// `ch` ends at `free_at`. Returns whether packets are queued behind
+    /// it, in which case the caller pushes its TxFree now.
+    pub(crate) fn begin_tx(&mut self, ch: u32, free_at: Ns) -> bool {
         let d = self.d_mut(ch);
-        debug_assert!(d.busy);
         d.cur_end = free_at;
-        d.tx_end = free_seq;
         d.armed = d.qlen > 0;
         d.armed
     }
 
     /// Reordering ports: called after a packet queued on `ch`; if the
-    /// transmitter's TxFree is still virtual, marks it armed and returns
-    /// its reserved key for the caller to push.
-    pub(crate) fn arm_tx_free(&mut self, ch: u32) -> Option<(Ns, u64)> {
+    /// transmitter's TxFree is not in the calendar yet, marks it armed
+    /// and returns its time for the caller to push.
+    pub(crate) fn arm_tx_free(&mut self, ch: u32) -> Option<Ns> {
         let d = self.d_mut(ch);
-        debug_assert!(d.busy);
         if d.armed {
             return None;
         }
         d.armed = true;
-        Some((d.cur_end, d.tx_end))
+        Some(d.cur_end)
     }
 
     /// Reordering ports: called when channel `ch`'s armed TxFree fires:
@@ -437,14 +422,12 @@ impl Channels {
     /// TxFree is armed only behind a queued packet, so one is there —
     /// unless a discipline's enqueue evicted the whole queue and still
     /// refused the newcomer (the built-in ones cannot: an empty queue
-    /// admits any packet up to the MTU); the channel then goes idle, as
-    /// in the eager schedule.
+    /// admits any packet up to the MTU); the channel then goes idle.
     pub(crate) fn tx_done(&mut self, ch: u32) -> Option<PktId> {
         let d = self.d_mut(ch);
-        debug_assert!(d.busy && d.armed);
+        debug_assert!(d.armed);
         d.armed = false;
         if d.qlen == 0 {
-            d.busy = false;
             return None;
         }
         d.qlen -= 1;
@@ -638,25 +621,34 @@ mod tests {
 
     // --- reordering ports: the event-driven transmitter ---
 
-    /// Offers at the start of time, arming the TxFree when the packet
-    /// queues, as the engine does.
-    fn offer_lazy(c: &mut Channels, id: PktId, a: &mut PacketArena) -> (Offer, EnqueueOutcome) {
-        let (o, out) = c.offer(0, id, a, (0, 0));
-        match o {
-            Offer::StartTx => assert!(!c.begin_tx(0, 1_200, 1)),
-            Offer::Queued => {
-                c.arm_tx_free(0);
-            }
-            Offer::Dropped => {}
-        }
-        (o, out)
+    /// Offers at `now`, starting an idle port's packet (1,200 ns on the
+    /// wire) and arming the TxFree when the packet queues, as the engine
+    /// does; the `Option` is a TxFree the engine would push.
+    fn offer_lazy_at(
+        c: &mut Channels,
+        id: PktId,
+        a: &mut PacketArena,
+        now: Ns,
+    ) -> (Offer, Option<Ns>) {
+        let (o, _) = c.offer(0, id, a, now);
+        let pushed = match o {
+            Offer::StartTx => c.begin_tx(0, now + 1_200).then_some(now + 1_200),
+            Offer::Queued => c.arm_tx_free(0),
+            Offer::Dropped => None,
+        };
+        (o, pushed)
     }
 
-    /// Fires the armed TxFree and starts the dequeued packet.
+    fn offer_lazy(c: &mut Channels, id: PktId, a: &mut PacketArena) -> Offer {
+        offer_lazy_at(c, id, a, 0).0
+    }
+
+    /// Fires the armed TxFree at `cur_end` and starts the dequeued packet.
     fn tx_done(c: &mut Channels) -> Option<PktId> {
         let id = c.tx_done(0);
         if id.is_some() {
-            c.begin_tx(0, 2_400, 2);
+            let end = c.state[0].cur_end + 1_200;
+            c.begin_tx(0, end);
         }
         id
     }
@@ -666,9 +658,9 @@ mod tests {
         let mut a = PacketArena::new();
         let mut c = chan(false);
         let p = pkt(&mut a, 1500);
-        let (o, _) = offer_lazy(&mut c, p, &mut a);
-        assert_eq!(o, Offer::StartTx);
-        assert!(c.state[0].busy);
+        assert_eq!(offer_lazy(&mut c, p, &mut a), Offer::StartTx);
+        let d = &c.state[0];
+        assert_eq!((d.cur_end, d.armed), (1_200, false));
         assert_eq!(a.live_count(), 1, "StartTx leaves the id live");
     }
 
@@ -682,40 +674,72 @@ mod tests {
         a.get_mut(q1).seq = 1;
         let q2 = pkt(&mut a, 100);
         a.get_mut(q2).seq = 2;
-        assert_eq!(offer_lazy(&mut c, q1, &mut a).0, Offer::Queued);
-        assert_eq!(offer_lazy(&mut c, q2, &mut a).0, Offer::Queued);
+        assert_eq!(
+            offer_lazy_at(&mut c, q1, &mut a, 0),
+            (Offer::Queued, Some(1_200)),
+            "the first packet to queue pushes the TxFree"
+        );
+        assert_eq!(offer_lazy_at(&mut c, q2, &mut a, 0), (Offer::Queued, None));
         assert_eq!(c.queue_len(0), 2);
         let n1 = tx_done(&mut c).unwrap();
         assert_eq!(a.get(n1).seq, 1);
         let n2 = tx_done(&mut c).unwrap();
         assert_eq!(a.get(n2).seq, 2);
-        // Nothing queued behind the last packet: its TxFree stays virtual.
+        // Nothing queued behind the last packet: no TxFree marks its end.
         let d = &c.state[0];
-        assert_eq!((d.cur_end, d.tx_end, d.armed), (2_400, 2, false));
-        assert!(d.busy);
+        assert_eq!((d.cur_end, d.armed), (3_600, false));
     }
 
+    /// The FIFO tie rule on a reordering port: a transmission that ends
+    /// at `t` has ended for everything processed at `t`. With nothing
+    /// waiting, a packet offered at exactly `cur_end` starts at once;
+    /// with a packet waiting, the TxFree is armed, so the newcomer queues
+    /// and competes with it when the TxFree runs.
     #[test]
-    fn virtual_tx_free_ends_the_transmission_at_its_key() {
+    fn offer_at_the_end_of_a_transmission_follows_the_fifo_tie_rule() {
         let mut a = PacketArena::new();
         let mut c = chan(false);
         let head = pkt(&mut a, 1500);
-        assert_eq!(c.offer(0, head, &mut a, (0, 0)).0, Offer::StartTx);
-        assert!(
-            !c.begin_tx(0, 1_200, 7),
-            "nothing queued: TxFree stays virtual"
+        assert_eq!(
+            offer_lazy_at(&mut c, head, &mut a, 0),
+            (Offer::StartTx, None)
         );
-        // Same `t`, smaller seq: the eager TxFree has not popped yet.
         let p = pkt(&mut a, 100);
-        assert_eq!(c.offer(0, p, &mut a, (1_200, 6)).0, Offer::Queued);
-        assert_eq!(c.arm_tx_free(0), Some((1_200, 7)), "first packet arms it");
-        assert_eq!(c.arm_tx_free(0), None, "armed once");
-        let next = c.tx_done(0).unwrap();
-        assert!(!c.begin_tx(0, 1_300, 9), "queue drained behind it");
-        a.free(next);
-        // Past the key: the virtual TxFree already freed the channel.
+        assert_eq!(
+            offer_lazy_at(&mut c, p, &mut a, 1_199),
+            (Offer::Queued, Some(1_200)),
+            "still transmitting a nanosecond before the end"
+        );
+        assert_eq!(tx_done(&mut c), Some(p));
+        assert_eq!(c.state[0].cur_end, 2_400);
+        // Nothing waiting at 2,400: the port is idle at its end.
         let p = pkt(&mut a, 100);
-        assert_eq!(c.offer(0, p, &mut a, (1_300, 10)).0, Offer::StartTx);
+        assert_eq!(
+            offer_lazy_at(&mut c, p, &mut a, 2_400),
+            (Offer::StartTx, None)
+        );
+        assert_eq!(c.state[0].cur_end, 3_600);
+
+        // A packet waiting behind the transmission ending at 3,600 armed
+        // its TxFree: an arrival at 3,600 queues too, and the discipline
+        // picks between the two when the TxFree runs.
+        let waiting = pkt(&mut a, 100);
+        assert_eq!(
+            offer_lazy_at(&mut c, waiting, &mut a, 3_000),
+            (Offer::Queued, Some(3_600))
+        );
+        let tie = pkt(&mut a, 100);
+        assert_eq!(
+            offer_lazy_at(&mut c, tie, &mut a, 3_600),
+            (Offer::Queued, None)
+        );
+        assert_eq!(c.queue_len(0), 2);
+        assert_eq!(
+            tx_done(&mut c),
+            Some(waiting),
+            "FIFO discipline: the older one"
+        );
+        assert_eq!(tx_done(&mut c), Some(tie));
     }
 
     #[test]
@@ -733,7 +757,7 @@ mod tests {
         a.get_mut(urgent).prio = 1;
         a.get_mut(urgent).seq = 7;
         let live = a.live_count();
-        let (o, out) = offer_lazy(&mut c, urgent, &mut a);
+        let (o, out) = c.offer(0, urgent, &mut a, 0);
         assert_eq!(o, Offer::Queued, "urgent packet must win");
         assert_eq!(c.drops[0], 1, "the prio-9 victim is a congestion drop");
         assert_eq!(c.evictions[0], 1, "and is attributed to eviction");

@@ -67,14 +67,11 @@ use dcn_routing::PathSelector;
 use dcn_topology::Topology;
 
 const MAGIC: &[u8; 8] = b"DCNCKPT1";
-/// v6: the departure clock. A FIFO port's waiting packets are written
-/// once, in their pending `Deliver` entries, and its channel record
-/// carries the clock (`cur_end`, `tx_end`) and the queue length instead
-/// of a copy of the queue; a reordering port's record is v5's TxFree key
-/// and queue. The per-channel counters follow each record, and the fault
-/// table (empty until a fault first changed a channel) follows the
-/// channels. Everything else is as in v5.
-pub const VERSION: u32 = 6;
+/// v7: no reserved keys — the control schedule's `seq`s, the busy flag
+/// and the scatter-fallback counter are gone, RTO deadlines are times,
+/// and the calendar is written in pop order (v6 added the departure
+/// clock).
+pub const VERSION: u32 = 7;
 /// magic + version + topo fp + cfg fp + now + events_processed.
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 
@@ -139,12 +136,13 @@ impl<'p> Enc<'p> {
     }
 }
 
-/// A cursor over an image's payload. Routes read back are interned into
-/// the restored run's path table.
+/// A cursor over an image's payload. Routes read back are checked against
+/// the fabric's `channels` and interned into the restored path table.
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
     paths: &'a mut PathTable,
+    channels: usize,
 }
 
 impl<'a> Dec<'a> {
@@ -285,6 +283,9 @@ impl Codec for PathId {
                 chans.len()
             ));
         }
+        if let Some(c) = chans.iter().find(|&&c| c as usize >= d.channels) {
+            return Err(format!("checkpoint corrupt: a path through channel {c}"));
+        }
         Ok(d.paths.intern(&chans))
     }
 }
@@ -366,7 +367,7 @@ codec! { FlowRx {
     total_pkts, dst_server, start_ns, in_window, rcv_bitmap, rcv_cum, finished_ns, failed
 } }
 codec! { EventCounts { flow_start, tx_free, deliver, rto_fired, rto_stale } }
-codec! { CtrlEntry { t, seq, ev } }
+codec! { CtrlEntry { t, ev } }
 codec! { FaultEvent { at_ns, kind } }
 // Pure counters and masks: the gray-loss draw state lives in the
 // channels' counters.
@@ -506,9 +507,7 @@ fn place_deliveries(
     for (i, (t, _, ev)) in pending.iter().enumerate() {
         if let Pending::Deliver(p) = ev {
             let ch = paths.hop(p.path, p.hop);
-            let Some(c) = chs.state.get(ch as usize) else {
-                return Err(format!("checkpoint corrupt: a packet on channel {ch}"));
-            };
+            let c = &chs.state[ch as usize];
             let departs = c.cur_end.saturating_add(chs.prop_ns[ch as usize]);
             if chs.fifo && c.qlen > 0 && *t > departs {
                 waiting.push((ch, *t, i));
@@ -519,12 +518,6 @@ fn place_deliveries(
     let mut ids: Vec<Option<PktId>> = vec![None; pending.len()];
     for run in waiting.chunk_by(|a, b| a.0 == b.0) {
         let ch = run[0].0;
-        let c = &mut chs.state[ch as usize];
-        if run.len() != c.qlen as usize || run.windows(2).any(|w| w[0].1 == w[1].1) {
-            return Err(format!(
-                "checkpoint corrupt: channel {ch}'s queue does not match its deliveries"
-            ));
-        }
         let queue: Vec<Packet> = run
             .iter()
             .map(|&(_, _, i)| match pending[i].2 {
@@ -532,6 +525,17 @@ fn place_deliveries(
                 Pending::Ev(_) => unreachable!("only deliveries wait"),
             })
             .collect();
+        // Each waiting packet's Deliver falls one serialization time
+        // after the one ahead of it, and the last ends at `tx_end`.
+        let (prop, mut end) = (chs.prop_ns[ch as usize], chs.state[ch as usize].cur_end);
+        let on_clock = (run.iter().zip(&queue)).all(|(&(_, t, _), p)| {
+            end = end.saturating_add(chs.ser_ns(ch, p.bytes));
+            t == end.saturating_add(prop)
+        });
+        let c = &mut chs.state[ch as usize];
+        if !on_clock || end != c.tx_end {
+            return Err(format!("checkpoint corrupt: channel {ch} off its clock"));
+        }
         // Restore only allocates, so the discipline's allocations take
         // the next slots in order.
         let base = pkts.live_count() as PktId;
@@ -545,12 +549,6 @@ fn place_deliveries(
             ids[i] = Some(base + k as PktId);
         }
     }
-    // Each run matched its channel's length; together they must cover
-    // every waiting packet the channels count.
-    let queued: u64 = chs.state.iter().map(|c| c.qlen as u64).sum();
-    if chs.fifo && queued != waiting.len() as u64 {
-        return Err("checkpoint corrupt: a FIFO queue without its deliveries".into());
-    }
     Ok(pending
         .into_iter()
         .zip(ids)
@@ -562,6 +560,71 @@ fn place_deliveries(
             CalEntry { t, seq, ev }
         })
         .collect())
+}
+
+/// Checks every id the restored state names against the table it
+/// indexes, and the invariants the engine indexes or subtracts by (see
+/// DESIGN.md "Crash safety & checkpointing"): a damaged image that passed
+/// the decoder is refused here rather than panicking the run.
+fn check_restored(sim: &Simulator) -> Result<(), String> {
+    let (chs, flows, now) = (&sim.fabric.channels, &sim.flows, sim.now);
+    let (servers, switches) = (sim.fabric.num_servers() as u32, sim.fabric.num_switches);
+    let flow_ok = |(f, rx): (&Flow, &FlowRx)| {
+        let n = f.total_pkts;
+        f.src_server.max(f.dst_server) < servers
+            && f.src_tor.max(f.dst_tor) < switches
+            && (rx.dst_server, rx.start_ns, rx.total_pkts, rx.in_window)
+                == (f.dst_server, f.start_ns, n, f.in_window)
+            && f.size_bytes.div_ceil(sim.cfg.mss as u64).max(1) == n as u64
+            && f.acked <= f.next_seq
+            && f.next_seq.max(rx.rcv_cum) <= n
+            && [0, (n as usize).div_ceil(64)].contains(&rx.rcv_bitmap.len())
+            && f.last_send_ns <= now
+            && (rx.finished_ns).is_none_or(|t| (f.start_ns..=now).contains(&t))
+            && (f.recovery_ns).is_none_or(|t| f.fault_hit_ns.is_some_and(|h| h <= t && t <= now))
+    };
+    // A data packet's sequence number is below its flow's count; an
+    // ACK's cumulative point may equal it.
+    let pkt_ok = |p: &Packet| {
+        let fits = |f: &Flow| (p.seq as u64) < f.total_pkts as u64 + p.is_ack as u64;
+        p.ts <= now && flows.get(p.flow as usize).is_some_and(fits)
+    };
+    let mut ok = flows.iter().zip(&sim.rx).all(flow_ok);
+    let mut frees = vec![None; chs.len()];
+    for e in sim.queue.iter() {
+        ok &= match e.ev {
+            Ev::FlowStart(f) | Ev::Rto(f) => (f as usize) < flows.len(),
+            Ev::Deliver(id) => pkt_ok(sim.pkts.get(id)),
+            Ev::TxFree(ch) => {
+                let slot = frees.get_mut(ch as usize);
+                !chs.fifo && slot.is_some_and(|s| s.replace(e.t).is_none())
+            }
+        };
+    }
+    for (i, c) in chs.state.iter().enumerate() {
+        let q = c.disc.snapshot_queue(&sim.pkts).unwrap_or_default();
+        ok &= q.len() == c.qlen as usize
+            && (q.iter()).all(|p| pkt_ok(p) && sim.paths.hop(p.path, p.hop) as usize == i)
+            && match chs.fifo {
+                true => !c.armed && (c.qlen > 0 || c.tx_end == c.cur_end),
+                false => frees[i] == c.armed.then_some(c.cur_end) && (c.armed || c.qlen == 0),
+            };
+    }
+    // Every fault still to fire has one control entry, naming the plan.
+    let (faults, mut to_fire) = (&sim.faults, 0);
+    for c in &sim.ctrl {
+        if let CtrlEv::Fault(i) = c.ev {
+            ok &= (i as usize) < faults.events.len();
+            to_fire += 1;
+        }
+    }
+    ok &= faults.pending == to_fire
+        && (faults.events.iter()).all(|e| match e.kind {
+            FaultKind::SwitchDown(n) | FaultKind::SwitchUp(n) => n < faults.down_sw.len() as u32,
+            k => k.target() < faults.down_links.len() as u32,
+        });
+    ok.then_some(())
+        .ok_or_else(|| "checkpoint corrupt: a field out of range or out of step".into())
 }
 
 // ---- the checkpoint image ----
@@ -743,17 +806,19 @@ impl Simulator {
         // Scalars.
         e.put(&(self.window, self.window_remaining, self.pkts_sent))
             .put(&(self.pkts_delivered, self.telemetry_next))
-            .put(&(self.plan_seed, self.ctrl_seq));
+            .put(&self.plan_seed);
         // The calendar: its counters, ring size, and cursor, then the
-        // pending events in iteration order — together enough for restore
-        // to rebuild the exact layout, so the resumed queue pops, spills,
-        // and falls back exactly like the original.
+        // pending events in pop order — together enough for restore to
+        // rebuild its partition, so the resumed queue pops, spills and
+        // grows exactly like the original.
         let q = &self.queue;
-        e.put(&(q.seq, q.peak, q.ladder_spills, q.scatter_fallbacks))
+        e.put(&(q.seq(), q.peak, q.ladder_spills))
             .put(&self.pkts.high_water())
             .put(&self.event_counts)
             .put(&(q.num_slots(), q.cursor(), q.len()));
-        for c in q.iter() {
+        let mut pending: Vec<&CalEntry> = q.iter().collect();
+        pending.sort_unstable_by_key(|c| (c.t, c.seq));
+        for c in pending {
             put_entry(&mut e, c, &self.pkts);
         }
         // Flows: all sender halves, then all receiver halves.
@@ -767,7 +832,7 @@ impl Simulator {
         let chs = &self.fabric.channels;
         e.put(&chs.len());
         for (i, c) in chs.state.iter().enumerate() {
-            e.put(&(c.cur_end, c.tx_end, c.busy, c.armed)).put(&(
+            e.put(&(c.cur_end, c.tx_end, c.armed)).put(&(
                 chs.drops[i],
                 chs.marks[i],
                 chs.evictions[i],
@@ -833,13 +898,14 @@ impl Simulator {
             buf: &ckpt.data[HEADER_LEN..ckpt.data.len() - 8],
             pos: 0,
             paths: &mut sim.paths,
+            channels: sim.fabric.channels.len(),
         };
         (sim.window, sim.window_remaining, sim.pkts_sent) = d.get()?;
         (sim.pkts_delivered, sim.telemetry_next) = d.get()?;
-        (sim.plan_seed, sim.ctrl_seq) = d.get()?;
+        sim.plan_seed = d.get()?;
 
         // The calendar; Deliver packets get their arena slots below.
-        let (seq, peak, ladder_spills, scatter_fallbacks) = d.get()?;
+        let (seq, peak, ladder_spills) = d.get()?;
         sim.pkts.set_high_water(d.get()?);
         sim.event_counts = d.get()?;
         let (num_slots, cursor) = d.get()?;
@@ -859,7 +925,7 @@ impl Simulator {
         }
         for i in 0..chs.len() {
             let c = &mut chs.state[i];
-            (c.cur_end, c.tx_end, c.busy, c.armed) = d.get()?;
+            (c.cur_end, c.tx_end, c.armed) = d.get()?;
             (chs.drops[i], chs.marks[i], chs.evictions[i]) = d.get()?;
             if chs.fifo {
                 c.qlen = d.get()?;
@@ -877,7 +943,6 @@ impl Simulator {
         sim.queue = CalendarQueue::from_items(seq, peak, items, cursor, num_slots)
             .map_err(|e| format!("checkpoint corrupt: {e}"))?;
         sim.queue.ladder_spills = ladder_spills;
-        sim.queue.scatter_fallbacks = scatter_fallbacks;
 
         let want = (sim.faults.down_links.len(), sim.faults.down_sw.len());
         sim.faults = d.get()?;
@@ -895,6 +960,7 @@ impl Simulator {
         {
             return Err("checkpoint corrupt: fault state size mismatch".into());
         }
+        check_restored(&sim)?;
 
         // The selector must see the same survivor view the original's
         // last reconvergence built.
@@ -991,7 +1057,7 @@ mod tests {
         sim.run_until(2 * MS);
         let ckpt = sim.checkpoint().unwrap();
         let meta = ckpt.meta();
-        assert_eq!(meta.version, 6);
+        assert_eq!(meta.version, 7);
         assert_eq!(meta.topo_fingerprint, t.fingerprint());
         assert_eq!(
             meta.cfg_fingerprint,
@@ -1174,29 +1240,28 @@ mod tests {
 
     /// Some flow's live RTO event sits short of a later deadline.
     fn deferred_rto(sim: &Simulator) -> bool {
-        (sim.flows.iter()).any(|f| f.rto_live.1 != 0 && f.rto_live < f.rto_deadline)
+        (sim.flows.iter()).any(|f| f.rto_live != 0 && f.rto_live < f.rto_deadline)
     }
 
-    /// A reordering port paused with a virtual TxFree (reserved, never
-    /// pushed, still ahead of the clock) and a deferred RTO: both must
-    /// survive the image.
+    /// A reordering port paused mid-transmission with no TxFree pushed
+    /// (nothing waits behind it), and a deferred RTO: both must survive
+    /// the image.
     #[test]
     fn resume_with_virtual_tx_free_and_deferred_rto_is_byte_identical() {
-        let virtual_tx_free = |sim: &Simulator, ch: usize, now: (Ns, u64)| {
+        let virtual_tx_free = |sim: &Simulator, ch: usize| {
             let c = &sim.fabric.channels.state[ch];
-            c.busy && !c.armed && (c.cur_end, c.tx_end) > now
+            !c.armed && c.cur_end > sim.now
         };
         resume_matches_straight(
             SimConfig::default().with_pfabric(),
             "lazy",
             |sim| {
-                let now = (sim.now, u64::MAX);
                 let n = sim.fabric.channels.len();
-                let ch = (0..n).find(|&ch| virtual_tx_free(sim, ch, now))?;
+                let ch = (0..n).find(|&ch| virtual_tx_free(sim, ch))?;
                 deferred_rto(sim).then_some(ch)
             },
             |sim, ch| {
-                assert!(virtual_tx_free(sim, ch, (sim.now, u64::MAX)));
+                assert!(virtual_tx_free(sim, ch));
                 assert!(deferred_rto(sim));
             },
         );

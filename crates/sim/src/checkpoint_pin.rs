@@ -1,4 +1,4 @@
-//! Pins the checkpoint wire format (v6) byte for byte.
+//! Pins the checkpoint wire format (v7) byte for byte.
 //!
 //! Three images taken at fixed mid-run pauses cover every section
 //! variant between them, and each is held to the FNV-1a digest and
@@ -15,7 +15,8 @@
 //!
 //! Checkpointing a freshly restored simulator must reproduce its input
 //! image exactly, and a damaged payload under a valid checksum must be
-//! refused by [`Simulator::restore`] without a panic.
+//! refused by [`Simulator::restore`] without a panic, or restore to a
+//! simulator that runs on without one.
 
 use crate::checkpoint::{config_fingerprint, Checkpoint, HEADER_LEN};
 use crate::engine::{Ev, Simulator};
@@ -29,13 +30,13 @@ use dcn_topology::fattree::FatTree;
 use dcn_topology::Topology;
 use dcn_workloads::{generate_flows, AllToAll, PFabricWebSearch};
 
-/// `(length, FNV-1a)` of each pinned image, recorded under format v6
-/// and `SCHEDULE_VERSION` 4.
-const PIN_A: (usize, u64) = (17_514, 0x50a9_e805_67ba_8869);
-const PIN_B: (usize, u64) = (17_656, 0x9b8f_9275_7f90_3b14);
-const PIN_C: (usize, u64) = (5_120, 0x668d_c14b_e112_1dc6);
+/// `(length, FNV-1a)` of each pinned image, recorded under format v7
+/// and `SCHEDULE_VERSION` 5.
+const PIN_A: (usize, u64) = (17_314, 0x42d7_0e33_e42f_225b);
+const PIN_B: (usize, u64) = (17_848, 0xdfd5_5a78_687f_1623);
+const PIN_C: (usize, u64) = (4_992, 0x03a8_ef50_82b7_d9e3);
 /// `config_fingerprint(&SimConfig::default())`.
-const PIN_CFG: u64 = 0x6ad2_a5af_9cd3_f62b;
+const PIN_CFG: u64 = 0x6562_c3c6_1d18_b48a;
 
 const TRACE_C: &str = "ckpt_pin_c.trace.jsonl";
 const TEL_C: &str = "ckpt_pin_c.tel.jsonl";
@@ -103,7 +104,7 @@ fn check(t: &Topology, cfg: SimConfig, img: &[u8], pin: (usize, u64)) {
     assert_eq!(
         (img.len(), Fnv1a::hash(img)),
         pin,
-        "checkpoint image drifted from the pinned v6 bytes"
+        "checkpoint image drifted from the pinned v7 bytes"
     );
     let ckpt = Checkpoint::from_bytes(img.to_vec()).expect("valid image");
     let mut resumed = restore(t, cfg, &ckpt).expect("restore");
@@ -184,7 +185,8 @@ fn checkpoint_pin_decoder_refuses_damaged_payloads() {
             "payload cut at {cut} restored"
         );
     }
-    // Single flipped bytes, resealed: `Ok` or `Err`, never a panic.
+    // Single flipped bytes, resealed: `Ok` or `Err`, never a panic, and
+    // an image that restores runs on without one.
     for (cfg, img) in [
         (SimConfig::default(), a),
         (SimConfig::default().with_pfabric(), b),
@@ -193,7 +195,9 @@ fn checkpoint_pin_decoder_refuses_damaged_payloads() {
             let mut flipped = img.clone();
             flipped[at] ^= 0xff;
             reseal(&mut flipped);
-            let _ = restore(cfg, flipped);
+            if let Ok(mut sim) = restore(cfg, flipped) {
+                sim.run_until(sim.now() + 200 * US);
+            }
         }
     }
 }

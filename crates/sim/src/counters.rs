@@ -1,15 +1,14 @@
 //! Engine self-observability counters.
 //!
 //! [`EngineCounters`] is a pure function of the event schedule: calendar
-//! occupancy high-water, ladder spills, counting-scatter fallbacks, arena
-//! live/high-water, and the processed data-plane events by kind
-//! ([`EventCounts`]). Same seed ⇒ identical values; they snapshot and
-//! restore through checkpoints exactly, and the determinism suite asserts
-//! both properties.
+//! occupancy high-water, ladder spills, arena live/high-water, and the
+//! processed data-plane events by kind ([`EventCounts`]). Same seed ⇒
+//! identical values; they snapshot and restore through checkpoints
+//! exactly, and the determinism suite asserts both properties.
 //!
 //! The calendar and arena counters sit inside branches that already
-//! execute rarely (ladder migration, scatter fallback, slab growth); the
-//! per-kind event counts are one increment per event. `bench perf
+//! execute rarely (ladder migration, slab growth); the per-kind event
+//! counts are one increment per event. `bench perf
 //! --check` holds the engine to its blessed no-observability throughput
 //! floor (`BENCH_sim.json`) with all of this in place.
 
@@ -21,12 +20,6 @@ pub struct EngineCounters {
     /// Ladder→ring migrations: events that sat beyond the ring horizon
     /// and were re-filed into buckets as the cursor advanced.
     pub ladder_spills: u64,
-    /// Sub-bucket sorts that fell back from the counting scatter to a
-    /// comparison sort: per-`t` seq order broken by a ladder migration or
-    /// by an event pushed late under a key reserved earlier (a `TxFree`
-    /// once a packet queues behind the transmitter, an `Rto` moved to its
-    /// deadline). Same pop order either way; only the sort differs.
-    pub scatter_fallbacks: u64,
     /// Packets live in the arena right now.
     pub arena_live: u64,
     /// High-water mark of live packets in the arena.

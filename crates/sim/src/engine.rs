@@ -3,8 +3,8 @@
 //! [`Simulator`] owns the three lower layers and wires them together:
 //!
 //! - **time** — one [`CalendarQueue`] of `(t, seq)`-ordered events; the
-//!   monotonically increasing `seq` makes same-timestamp ordering (and
-//!   therefore every run) deterministic,
+//!   monotonically increasing `seq`, taken when an event is pushed, makes
+//!   same-timestamp ordering (and therefore every run) deterministic,
 //! - **hosts** — [`Flow`] state driven by a pluggable
 //!   [`Transport`] (DCTCP by default; see [`crate::host`]),
 //! - **fabric** — directed channels ([`Channels`](crate::channel::Channels):
@@ -22,7 +22,7 @@
 //!
 //! One sequential loop drains the calendar: each popped event runs to
 //! completion on `&mut Simulator`, and same-timestamp events run in the
-//! order they were scheduled (one global `seq`, taken in schedule order).
+//! order they were pushed (one global `seq`, taken by each push).
 //! Control-plane events (faults, reconvergence) sit on a separate sorted
 //! schedule and run before data events at the same `t`; telemetry samples
 //! fire when the clock reaches a cadence boundary. Every side effect —
@@ -51,38 +51,22 @@
 //! down when it is offered or when it arrives, and the pre-scheduled
 //! `Deliver` is where the arrival check runs.
 //!
-//! # Lazy events under reserved keys
+//! # Lazy events
 //!
 //! Two event kinds mostly do nothing: on a reordering port (pFabric) a
 //! `TxFree` with an empty queue behind it, and an `Rto` that a later ACK
-//! re-armed. The engine still *reserves* the `(t, seq)` key each would
-//! have been pushed under ([`CalendarQueue::reserve_seq`]), so every
-//! other event keeps its `seq`, but pushes only the ones that will do
-//! work ([`CalendarQueue::push_at`]):
+//! re-armed. The engine pushes only the ones that will do work:
 //!
-//! - **TxFree** — [`Simulator::start_tx`] records the reserved key on the
-//!   channel and pushes the event only if packets are queued; the first
-//!   packet to queue behind a virtual TxFree pushes it. An offer to a
-//!   busy channel whose virtual TxFree key lies before the key of the
-//!   event being processed (`now_seq`; control events count as seq 0,
-//!   so they run before the data events at their `t`) finds the channel
-//!   idle, exactly as the eager schedule would have left it. A FIFO port
-//!   reserves the same key for every transmission and pushes its
-//!   `Deliver` right after, so a run in which no packet queues numbers
-//!   its events as a reordering port's run would.
-//! - **Rto** — each arm reserves a key and records it as the flow's
-//!   deadline. A flow keeps one live `Rto` event, pushed only when the
-//!   new deadline is earlier than the live one; when the live event pops
-//!   short of the deadline it moves there. Only the event at the deadline
-//!   key fires.
-//!
-//! Pop order, and with it flow records and traces, is the eager
-//! schedule's. What changes is the number of events processed
-//! (`events_processed`, the telemetry `events`/`heap` fields, and the
-//! engine counters); telemetry boundaries that only a no-op event used
-//! to cross (idle stretches) get no sample; and a run that ends at
-//! `max_time` with work outstanding stops its clock at the last event
-//! that did work.
+//! - **TxFree** — [`Simulator::start_tx`] records the transmission's end
+//!   on the channel and pushes the event only if packets are queued; the
+//!   first packet to queue behind an unpushed TxFree pushes it. An offer
+//!   finds the channel idle iff no TxFree is armed and the transmission
+//!   has ended by `now` — the FIFO tie rule: a transmission that ends at
+//!   `t` has ended for everything processed at `t`.
+//! - **Rto** — each arm records the flow's deadline. A flow keeps one
+//!   live `Rto` event, pushed only when the new deadline is earlier than
+//!   the live one; when the live event pops short of the deadline it
+//!   moves there. Only an event at the deadline fires.
 //!
 //! In-flight packets live in a [`PacketArena`] slab and travel through
 //! events and queues as dense [`PktId`]s. A packet is a 32-byte `Copy`
@@ -130,19 +114,15 @@ const HEADER_BYTES: u32 = 40;
 /// [`crate::config_fingerprint`] stop matching images and results from the
 /// old order.
 ///
-/// History: 1 — the 8-shard conservative parallel engine (per-shard
-/// `seq`, barrier-merge ties); 2 — one sequential calendar with a global
-/// push-order `seq`; 3 — no-op `TxFree` and stale `Rto` events are never
-/// pushed, their keys reserved instead: manifest event counters (and the
-/// telemetry samples that only those events triggered) change, flow
-/// records and traces do not; 4 — FIFO ports run on a departure clock:
-/// a queued packet's `Deliver` is pushed when it is enqueued, under a
-/// `seq` taken then rather than when its transmission starts, and no
-/// `TxFree` exists, so equal-time events reorder (a transmission that
-/// starts or ends at `t` has happened for everything at `t`). Runs in
-/// which no packet ever queues, and every run on reordering ports, keep
-/// v3's schedule.
-pub const SCHEDULE_VERSION: u32 = 4;
+/// History (details in DESIGN.md, "Versioned order"): 1 — the 8-shard
+/// parallel engine; 2 — one sequential calendar with a global push-order
+/// `seq`; 3 — no-op `TxFree` and stale `Rto` events are never pushed,
+/// their keys reserved instead; 4 — FIFO ports run on a departure clock
+/// and push no `TxFree`, so equal-time events reorder; 5 — no reserved
+/// keys: every event takes its `seq` when pushed, RTO deadlines are
+/// times, and pFabric ports follow the FIFO tie rule (an arrival at the
+/// instant a transmission ends, with nothing waiting, starts at once).
+pub const SCHEDULE_VERSION: u32 = 5;
 
 /// Data-plane events.
 #[derive(Debug, Clone, Copy)]
@@ -167,7 +147,6 @@ pub(crate) enum CtrlEv {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CtrlEntry {
     pub(crate) t: Ns,
-    pub(crate) seq: u64,
     pub(crate) ev: CtrlEv,
 }
 
@@ -201,9 +180,6 @@ pub struct Simulator {
     path_buf: Vec<u32>,
     /// Simulated time of the event being (or last) processed.
     pub(crate) now: Ns,
-    /// Its `seq` (0 for control events): with `now`, the key a virtual
-    /// TxFree is compared against.
-    pub(crate) now_seq: u64,
     pub(crate) window: (Ns, Ns),
     pub(crate) window_remaining: usize,
     pub(crate) events_processed: u64,
@@ -212,11 +188,10 @@ pub struct Simulator {
     /// The full (pre-fault) topology, kept to derive survivor views.
     pub(crate) topo: Topology,
     pub(crate) faults: FaultController,
-    /// Control-plane schedule, sorted by `(t, seq)`; `ctrl_pos` is the
-    /// cursor of the next entry to fire.
+    /// Control-plane schedule, sorted by `t` and, at equal `t`, by
+    /// insertion; `ctrl_pos` is the cursor of the next entry to fire.
     pub(crate) ctrl: Vec<CtrlEntry>,
     pub(crate) ctrl_pos: usize,
-    pub(crate) ctrl_seq: u64,
     /// Bytes newly acknowledged per 1-ms bin (goodput timeline).
     pub(crate) goodput_bins: Vec<u64>,
     /// The observability sink ([`crate::trace`]); [`NopTracer`] by
@@ -237,12 +212,11 @@ pub struct Simulator {
     pub(crate) routing_down: Option<(Vec<bool>, Vec<bool>)>,
 }
 
-/// Inserts a control event keeping `ctrl[pos..]` sorted by `(t, seq)`.
-pub(crate) fn ctrl_insert(ctrl: &mut Vec<CtrlEntry>, pos: usize, seq: &mut u64, t: Ns, ev: CtrlEv) {
-    let s = *seq;
-    *seq += 1;
-    let at = pos + ctrl[pos..].partition_point(|e| (e.t, e.seq) <= (t, s));
-    ctrl.insert(at, CtrlEntry { t, seq: s, ev });
+/// Inserts a control event into `ctrl[pos..]` after every entry at or
+/// before `t`, so equal-`t` entries fire in insertion order.
+pub(crate) fn ctrl_insert(ctrl: &mut Vec<CtrlEntry>, pos: usize, t: Ns, ev: CtrlEv) {
+    let at = pos + ctrl[pos..].partition_point(|e| e.t <= t);
+    ctrl.insert(at, CtrlEntry { t, ev });
 }
 
 impl Simulator {
@@ -329,7 +303,6 @@ impl Simulator {
             paths: PathTable::default(),
             path_buf: Vec::new(),
             now: 0,
-            now_seq: 0,
             window: (0, Ns::MAX),
             window_remaining: 0,
             events_processed: 0,
@@ -338,7 +311,6 @@ impl Simulator {
             faults: FaultController::new(topo.num_links(), topo.num_nodes()),
             ctrl: Vec::new(),
             ctrl_pos: 0,
-            ctrl_seq: 0,
             goodput_bins: Vec::new(),
             tracer: Box::new(NopTracer),
             telemetry: None,
@@ -409,13 +381,7 @@ impl Simulator {
         plan.validate(&self.topo);
         self.plan_seed = plan.seed;
         for (at_ns, idx) in self.faults.install(plan) {
-            ctrl_insert(
-                &mut self.ctrl,
-                self.ctrl_pos,
-                &mut self.ctrl_seq,
-                at_ns,
-                CtrlEv::Fault(idx),
-            );
+            ctrl_insert(&mut self.ctrl, self.ctrl_pos, at_ns, CtrlEv::Fault(idx));
         }
     }
 
@@ -514,7 +480,6 @@ impl Simulator {
                 .min(max_time.min(t_stop).saturating_add(1));
             while let Some(e) = self.queue.pop_before(horizon) {
                 self.now = e.t;
-                self.now_seq = e.seq;
                 self.events_processed += 1;
                 let n = &mut self.event_counts;
                 match e.ev {
@@ -714,7 +679,6 @@ impl Simulator {
         EngineCounters {
             calendar_peak: self.queue.peak as u64,
             ladder_spills: self.queue.ladder_spills,
-            scatter_fallbacks: self.queue.scatter_fallbacks,
             arena_live: self.pkts.live_count() as u64,
             arena_high_water: self.pkts.high_water() as u64,
             events: self.event_counts,
@@ -733,7 +697,6 @@ impl Simulator {
         if e.t > self.now {
             self.now = e.t;
         }
-        self.now_seq = 0;
         self.events_processed += 1;
         match e.ev {
             CtrlEv::Fault(i) => self.on_fault(i),
@@ -755,13 +718,7 @@ impl Simulator {
             // configured delay.
             let epoch = self.faults.next_epoch();
             let t = self.now + self.cfg.reconverge_delay_ns;
-            ctrl_insert(
-                &mut self.ctrl,
-                self.ctrl_pos,
-                &mut self.ctrl_seq,
-                t,
-                CtrlEv::Reconverge(epoch),
-            );
+            ctrl_insert(&mut self.ctrl, self.ctrl_pos, t, CtrlEv::Reconverge(epoch));
         }
     }
 
@@ -883,8 +840,8 @@ impl Simulator {
     }
 
     /// Reordering ports: puts packet `id` on channel `ch_id`'s wire:
-    /// reserves the transmission's TxFree key (pushed now only if packets
-    /// wait behind it) and schedules the far-end Deliver.
+    /// records when the transmission ends (its TxFree is pushed now only
+    /// if packets wait behind it) and schedules the far-end Deliver.
     fn start_tx(&mut self, ch_id: u32, id: PktId) {
         let (flow, seq, is_ack, bytes) = {
             let p = self.pkts.get(id);
@@ -906,9 +863,8 @@ impl Simulator {
             tel.on_tx(ch_id, bytes);
         }
         let free_at = self.now + ser;
-        let free_seq = self.queue.reserve_seq();
-        if self.fabric.channels.begin_tx(ch_id, free_at, free_seq) {
-            self.queue.push_at(free_at, free_seq, Ev::TxFree(ch_id));
+        if self.fabric.channels.begin_tx(ch_id, free_at) {
+            self.queue.push(free_at, Ev::TxFree(ch_id));
         }
         self.queue.push(free_at + prop, Ev::Deliver(id));
     }
@@ -980,10 +936,10 @@ impl Simulator {
         }
         let pkt = self.trace_fields(id);
         let chans = &mut self.fabric.channels;
-        let (offer, out) = chans.offer(ch_id, id, &mut self.pkts, (self.now, self.now_seq));
+        let (offer, out) = chans.offer(ch_id, id, &mut self.pkts, self.now);
         if offer == Offer::Queued {
-            if let Some((t, seq)) = chans.arm_tx_free(ch_id) {
-                self.queue.push_at(t, seq, Ev::TxFree(ch_id));
+            if let Some(t) = chans.arm_tx_free(ch_id) {
+                self.queue.push(t, Ev::TxFree(ch_id));
             }
         }
         if self.trace_on {
@@ -996,9 +952,7 @@ impl Simulator {
 
     /// FIFO ports: offers packet `id` to channel `ch_id` on the departure
     /// clock. An accepted packet's transmission is scheduled at once, so
-    /// its Deliver is pushed now. The `seq` a reordering port's TxFree
-    /// would take is reserved first, so a run in which no packet queues
-    /// numbers its events exactly as schedule version 3 did.
+    /// its Deliver is pushed now.
     fn send_fifo(&mut self, ch_id: u32, id: PktId) {
         let now = self.now;
         self.catch_up(ch_id, now);
@@ -1031,7 +985,6 @@ impl Simulator {
                 start,
             });
         }
-        self.queue.reserve_seq();
         self.queue.push(end + prop, Ev::Deliver(id));
     }
 
@@ -1252,39 +1205,39 @@ impl Simulator {
         }
     }
 
-    /// Arms the flow's retransmission timer: reserves the deadline's key,
-    /// and pushes an `Rto` only if the deadline is earlier than the live
-    /// one (the live one moves on to later deadlines when it pops).
+    /// Arms the flow's retransmission timer: records the deadline, and
+    /// pushes an `Rto` only if it is earlier than the live one (the live
+    /// one moves on to later deadlines when it pops).
     fn arm_rto(&mut self, fid: u32) {
         let f = &mut self.flows[fid as usize];
         let rto = ((2.0 * f.srtt) as Ns).max(self.cfg.min_rto_ns) * f.rto_backoff as Ns;
-        let deadline = (self.now + rto, self.queue.reserve_seq());
+        let deadline = self.now + rto;
         f.rto_deadline = deadline;
-        if f.rto_live.1 == 0 || deadline < f.rto_live {
+        if f.rto_live == 0 || deadline < f.rto_live {
             f.rto_live = deadline;
-            self.queue.push_at(deadline.0, deadline.1, Ev::Rto(fid));
+            self.queue.push(deadline, Ev::Rto(fid));
         }
     }
 
     fn on_rto(&mut self, fid: u32) {
-        let key = (self.now, self.now_seq);
+        let now = self.now;
         let f = &mut self.flows[fid as usize];
         let n = &mut self.event_counts;
-        if key != f.rto_live {
+        if now != f.rto_live {
             // Superseded by an earlier deadline pushed after it.
             n.rto_stale += 1;
             return;
         }
-        f.rto_live = (0, 0);
+        f.rto_live = 0;
         if f.acked >= f.total_pkts || f.failed {
             n.rto_stale += 1; // the flow is over; its timer goes with it
             return;
         }
-        if key != f.rto_deadline {
+        if now != f.rto_deadline {
             // Re-armed since this event was pushed: wait for the deadline.
             n.rto_stale += 1;
             f.rto_live = f.rto_deadline;
-            self.queue.push_at(f.rto_live.0, f.rto_live.1, Ev::Rto(fid));
+            self.queue.push(f.rto_live, Ev::Rto(fid));
             return;
         }
         n.rto_fired += 1;

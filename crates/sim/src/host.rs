@@ -67,13 +67,12 @@ pub struct Flow {
     /// RTO backoff multiplier: doubles per timeout (capped at 64), reset
     /// to 1 by the first new ACK.
     pub rto_backoff: u32,
-    /// Key `(t, seq)` of the armed retransmission deadline. Every arm
-    /// reserves a fresh key — where the eager engine pushed its timer.
-    pub(crate) rto_deadline: (Ns, u64),
-    /// Key of this flow's one `Rto` event in the calendar (`seq` 0: none).
+    /// When the armed retransmission timer expires.
+    pub(crate) rto_deadline: Ns,
+    /// When this flow's one `Rto` event in the calendar fires (0: none).
     /// Never later than `rto_deadline`; when it pops short of the
     /// deadline it is re-pushed at the deadline.
-    pub(crate) rto_live: (Ns, u64),
+    pub(crate) rto_live: Ns,
     // --- flowlets ---
     pub(crate) last_send_ns: Ns,
     pub(crate) flowlet_count: u64,
@@ -131,8 +130,8 @@ impl Flow {
             recover: 0,
             srtt: 0.0,
             rto_backoff: 1,
-            rto_deadline: (0, 0),
-            rto_live: (0, 0),
+            rto_deadline: 0,
+            rto_live: 0,
             last_send_ns: 0,
             flowlet_count: 0,
             cur_path: None,

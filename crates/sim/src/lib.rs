@@ -68,7 +68,6 @@ pub mod counters;
 pub mod engine;
 pub mod fault;
 pub mod host;
-pub mod net;
 pub mod path;
 pub mod slab;
 pub mod stats;

@@ -111,7 +111,7 @@ fi
 echo "==> checkpoint equivalence gate (resume must be byte-exact)"
 cargo test --release -q --test checkpoint_resume
 
-echo "==> checkpoint format pin (v5 bytes, restore identity, damaged payloads)"
+echo "==> checkpoint format pin (v7 bytes, restore identity, damaged payloads)"
 cargo test --release -q -p dcn-sim --lib checkpoint_pin
 
 echo "==> checkpoint corruption gate (damage is final, never restored)"
@@ -302,14 +302,17 @@ test -n "$rss"
 awk -v rss="$rss" 'BEGIN { if (rss > 96) { print "peak RSS " rss " MB > 96 MB"; exit 1 } }'
 rm -rf "$mem_dir"
 
-echo "==> departure clock (a tail-drop run processes no TxFree events)"
+echo "==> departure clock (a tail-drop run processes no TxFree events, a pFabric run does)"
 # FIFO ports schedule each packet's Deliver when it is enqueued, so a
 # DCTCP run over tail-drop ECN queues has no transmitter-free events;
-# only reordering (pFabric) ports keep them.
+# only reordering (pFabric) ports keep them, behind queued packets.
 clock_dir="$(mktemp -d)"
 cargo run --release --quiet --bin dcnsim -- examples/configs/fat_tree_baseline.json \
   --manifest "$clock_dir/man.json" > /dev/null
 grep -q '^ *"tx_free": 0,$' "$clock_dir/man.json"
+cargo run --release --quiet --bin dcnsim -- examples/configs/fat_tree_pfabric.json \
+  --manifest "$clock_dir/pfabric.json" > /dev/null
+grep -q '^ *"tx_free": [1-9][0-9]*,$' "$clock_dir/pfabric.json"
 rm -rf "$clock_dir"
 
 echo "==> flow-level golden (fig15_large_scale --scale small, byte-identical stdout)"

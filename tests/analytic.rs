@@ -125,3 +125,28 @@ fn single_flow_fct_is_transport_independent() {
         assert_eq!(got, want, "NewReno, {n} segments");
     }
 }
+
+/// pFabric (its transport over its queue) meets the same closed form
+/// while its fixed 18-packet window covers the flow: the window keeps
+/// the host link busy, since the first ACK even across pods returns after
+/// `6·(S + P) + 6·(32 + P)` = 8,592 ns, well before the window's `18·S` =
+/// 21,600 ns of serialization. Past a window and one packet the closed
+/// form is only a bound: a packet sent after an ACK carries a smaller
+/// remaining size than the flow's packets still queued at the host, so
+/// the priority queue sends it ahead of them, and the reordering draws
+/// duplicate ACKs and spurious retransmissions (a 200-segment flow sends
+/// about 30 to 60 data packets twice).
+#[test]
+fn single_flow_fct_under_pfabric_is_exact_within_a_window() {
+    let (t, dsts) = fabric();
+    for (dst, h) in dsts {
+        for n in [1u64, 10, 11, 18, 19, 200, 1_000] {
+            let want = (n - 1) * S + h * (S + P);
+            let got = fct(&t, dst, n * MSS, SimConfig::default().with_pfabric());
+            match n {
+                ..=19 => assert_eq!(got, want, "pFabric, {n} segments over {h} channels"),
+                _ => assert!(got >= want, "pFabric, {n} segments beat the host link"),
+            }
+        }
+    }
+}

@@ -14,8 +14,12 @@
 //! kept their flow records, packet counts, drops and marks, and only
 //! their traces moved (ties no longer queue, and a queued packet's
 //! `dequeue` record is written when it is scheduled); the uncontended
-//! and pFabric pins kept every byte. A deliberate change of simulated
-//! behavior must re-record them and say why.
+//! and pFabric pins kept every byte. Version 5 gave pFabric ports the
+//! FIFO tie rule (an arrival at the instant a transmission ends, with
+//! nothing waiting, starts at once): the pFabric pin kept its records,
+//! packets, drops and marks, and only its trace moved; the other four
+//! kept every byte. A deliberate change of simulated behavior must
+//! re-record them and say why.
 
 use beyond_fattrees::prelude::*;
 use dcn_rng::Fnv1a;
@@ -167,6 +171,6 @@ fn fat_tree_k4_pfabric_is_pinned() {
     let got = pinned_run(sim, &flows, 1500 * US);
     assert_eq!(
         got,
-        (14066653106893725137, 10445657435737948190, 75286, 102, 0)
+        (14066653106893725137, 3499635465093845593, 75286, 102, 0)
     );
 }
