@@ -25,7 +25,8 @@
 //! memory, telemetry sampling), which must agree with each other on every
 //! simulated field; the disarmed failpoint check (see
 //! [`failpoint_case`]); and the set-up of the 65,536-host Xpander, lift
-//! generation and ECMP table (see [`xpander_2048_cases`]).
+//! generation, ECMP table and simulator construction (see
+//! [`xpander_2048_cases`]).
 //!
 //! [`compare_cases`] is the one comparer: `--check` ([`check_perf`]) and
 //! `dcnstat bench old new` both read its verdicts. Re-bless with
@@ -38,13 +39,14 @@
 use std::hint::black_box;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dcn_core::{diff_json, failpoint, hex64, paper_networks, Routing, Run, Scale};
 use dcn_json::Json;
-use dcn_routing::EcmpTable;
+use dcn_routing::{EcmpSelector, EcmpTable};
 use dcn_sim::{
-    compute_metrics, CountingTracer, JsonlTracer, SharedBuf, SimConfig, Telemetry,
+    compute_metrics, CountingTracer, JsonlTracer, SharedBuf, SimConfig, Simulator, Telemetry,
     DEFAULT_SAMPLE_EVERY_NS, MS, SEC,
 };
 use dcn_topology::fattree::FatTree;
@@ -349,9 +351,12 @@ fn fastest<T>(mut f: impl FnMut() -> T) -> (Duration, T) {
 
 /// The set-up layers of the 65,536-host Xpander (d = 31, 2048 switches,
 /// 32 servers each), one row each: generating the best-of-4 lift
-/// (`build`) and the ECMP table over it (`ecmp_table`). Each row pins the
-/// fabric by its fingerprint, and the table row also by a checksum
-/// (FNV-1a over 32-bit words) of every `distance(node, dst)`; the rate is
+/// (`build`), the ECMP table over it (`ecmp_table`), and the packet
+/// simulator over both (`sim_build`: [`Simulator::new`] under the default
+/// configuration, which sizes its 194,560-channel table). Each row pins
+/// the fabric by its fingerprint, the table row also by a checksum
+/// (FNV-1a over 32-bit words) of every `distance(node, dst)`, and the
+/// simulator row by its channel and channel-class counts; the rate is
 /// builds per second of the fastest build.
 fn xpander_2048_cases(seed: u64) -> Vec<Json> {
     let x = Xpander::for_switches(31, 2048, 32, seed);
@@ -364,7 +369,16 @@ fn xpander_2048_cases(seed: u64) -> Vec<Json> {
             checksum = (checksum ^ table.distance(node, dst) as u64).wrapping_mul(0x100_0000_01b3);
         }
     }
-    let row = |stage: &str, extra: Option<(&str, Json)>, best: Duration| {
+    let table = Arc::new(table);
+    let (sim_build, sim) = fastest(|| {
+        let ecmp = EcmpSelector {
+            table: Arc::clone(&table),
+        };
+        Simulator::new(&t, Box::new(ecmp), SimConfig::default())
+    });
+    let (channels, classes) = sim.channel_counts();
+    drop(sim);
+    let row = |stage: &str, extra: Vec<(&str, Json)>, best: Duration| {
         let mut row = vec![
             ("topology", Json::from("xpander_2048")),
             ("stage", Json::from(stage)),
@@ -380,11 +394,19 @@ fn xpander_2048_cases(seed: u64) -> Vec<Json> {
         Json::obj(row)
     };
     vec![
-        row("build", None, build),
+        row("build", Vec::new(), build),
         row(
             "ecmp_table",
-            Some(("distance_checksum", hex64(checksum))),
+            vec![("distance_checksum", hex64(checksum))],
             table_build,
+        ),
+        row(
+            "sim_build",
+            vec![
+                ("channels", Json::from(channels)),
+                ("channel_classes", Json::from(classes)),
+            ],
+            sim_build,
         ),
     ]
 }
@@ -815,6 +837,21 @@ mod tests {
             diff_json(xpander("none"), xpander(observer), "", &mut drift);
             assert_eq!(drift, vec![format!("observer: \"none\" vs \"{observer}\"")]);
         }
+    }
+
+    /// The committed simulator set-up row counts the 65,536-host
+    /// Xpander's channels: two per link (2048 · 31 / 2 links) and two per
+    /// server.
+    #[test]
+    fn blessed_sim_build_row_counts_every_channel() {
+        let doc = Json::parse(include_str!("../../../BENCH_sim.json")).unwrap();
+        let cases = perf_cases(&doc).unwrap();
+        let row = (cases.iter())
+            .find(|c| case_label(c) == "xpander_2048/sim_build")
+            .expect("no xpander_2048/sim_build case");
+        let field = |k: &str| row.get(k).and_then(|v| v.as_f64());
+        assert_eq!(field("channels"), Some((2 * 31_744 + 2 * 65_536) as f64));
+        assert_eq!(field("channel_classes"), Some(2.0));
     }
 
     /// A string field after the first number is a measurement: it is

@@ -8,16 +8,18 @@
 //! the channel layer itself only models the transmitter, the wire, and
 //! the fault state.
 //!
-//! [`Channels`] keeps the immutable per-channel fields (endpoints, rates,
-//! precomputed serialization times) in dense `Vec`s indexed by channel
-//! id, and the mutable state in three places: one hot [`ChanDyn`] record
-//! per channel (the transmitter clock, the queue length and the queue
-//! discipline itself, inline), dense counter `Vec`s that only drops and
-//! marks touch, and a fault table ([`ChanFault`]) that stays empty — and
-//! unread — until a fault plan first changes a channel. The
-//! serialization-time cache for the two wire sizes that dominate every
-//! run (full MTU data packets and ACKs) removes the float divide from the
-//! common case.
+//! [`Channels`] keeps one `to_node` entry and one hot [`ChanDyn`] record
+//! per channel (the transmitter clock, the queue length and the class
+//! index). The immutable fields a channel shares with every other channel
+//! of its link class — rate, propagation delay, the serialization times
+//! of the two wire sizes that dominate every run (full MTU data packets
+//! and ACKs), queue cap and ECN threshold — live once per class in a
+//! small [`ChanClass`] table. The rest is allocated only where it is
+//! used: the drop, mark and eviction counters are zeroed tables whose
+//! pages only a drop or mark touches; a port's queue is built the first
+//! time a packet waits there (every reader treats a port without one as
+//! empty); and the fault table ([`ChanFault`]) stays empty — and unread —
+//! until a fault plan first changes a channel.
 //!
 //! # Two transmitter models
 //!
@@ -43,7 +45,7 @@
 
 use crate::slab::{PacketArena, PktId};
 use crate::switch::{AnyQueue, EnqueueOutcome, QueueDiscipline};
-use crate::types::Ns;
+use crate::types::{Ns, Packet, QueueDiscKind};
 
 /// Result of offering a packet to a channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,23 +72,45 @@ pub(crate) struct ChanDyn {
     /// FIFO ports: when the last scheduled transmission ends; the
     /// channel is idle from then on. Unused on reordering ports.
     pub(crate) tx_end: Ns,
-    /// Cached `disc.queue_len()`, kept by the channel layer from each
-    /// enqueue's outcome: the per-event path checks for an empty queue
-    /// without dispatching on the discipline (a virtual call for a
-    /// `Custom` one).
+    /// Cached `queue.queue_len()` (0 without a queue), kept by the
+    /// channel layer from each enqueue's outcome: the per-event path
+    /// checks for an empty queue without following the queue pointer or
+    /// dispatching on the discipline (a virtual call for a `Custom` one).
     pub(crate) qlen: u32,
+    /// The channel's index into [`Channels::classes`].
+    class: u16,
     /// Reordering ports: the TxFree at `cur_end` is in the calendar.
     /// Armed whenever packets are queued (see [`Channels::tx_done`] for
     /// the one way the queue can empty under an armed TxFree); unarmed,
     /// the transmitter is busy until `cur_end` and no event marks its end.
     pub(crate) armed: bool,
-    /// The output queue feeding the transmitter, held by value. On a FIFO
-    /// port it holds the packets whose transmission has not begun; each
-    /// of them also has its Deliver in the calendar already.
-    pub(crate) disc: AnyQueue,
+    /// The output queue feeding the transmitter. A built-in discipline
+    /// is built the first time a packet waits at the port, so a port
+    /// that never queues holds none; a caller's discipline
+    /// ([`crate::Simulator::with_parts`]) is built with the fabric. On a
+    /// FIFO port it holds the packets whose transmission has not begun;
+    /// each of them also has its Deliver in the calendar already.
+    queue: Option<Box<AnyQueue>>,
 }
 
-const _: () = assert!(std::mem::size_of::<ChanDyn>() <= 80);
+const _: () = assert!(std::mem::size_of::<ChanDyn>() <= 32);
+
+/// The static fields every channel of one link class shares: one entry
+/// per distinct (rate, propagation delay, queue cap, ECN threshold).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct ChanClass {
+    /// Bytes per nanosecond.
+    rate_bpns: f64,
+    prop_ns: Ns,
+    /// Precomputed [`Channels::ser_ns`] for a full-MTU packet.
+    ser_mtu_ns: Ns,
+    /// Precomputed [`Channels::ser_ns`] for an ACK.
+    ser_ack_ns: Ns,
+    /// Byte capacity of the port's queue.
+    cap_bytes: u64,
+    /// Queue depth in bytes at which the port marks ECN.
+    ecn_bytes: u64,
+}
 
 /// One channel's fault state.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -114,20 +138,16 @@ impl ChanFault {
     };
 }
 
-/// All directed channels of a fabric: dense static `Vec`s plus one
-/// [`ChanDyn`] record per channel and the cold side tables.
+/// All directed channels of a fabric: one `to_node` entry and one
+/// [`ChanDyn`] record per channel, the [`ChanClass`] table, and the cold
+/// side tables.
 pub struct Channels {
     /// Node (switch or server, in the simulator's global id space) that
     /// packets *leaving* the channel arrive at.
     pub(crate) to_node: Vec<u32>,
-    /// Bytes per nanosecond.
-    pub(crate) rate_bpns: Vec<f64>,
-    pub(crate) prop_ns: Vec<Ns>,
-    /// Precomputed [`Channels::ser_ns`] for a full-MTU packet.
-    ser_mtu_ns: Vec<Ns>,
-    /// Precomputed [`Channels::ser_ns`] for an ACK.
-    ser_ack_ns: Vec<Ns>,
     pub(crate) state: Vec<ChanDyn>,
+    /// The distinct link classes, indexed by [`ChanDyn`]'s `class`.
+    classes: Vec<ChanClass>,
     /// Congestion drops (tail or priority-evicted), per channel.
     pub(crate) drops: Vec<u64>,
     /// ECN marks applied, per channel.
@@ -144,58 +164,97 @@ pub struct Channels {
     /// runs on the departure clock (decided by the run's
     /// [`crate::types::QueueDiscKind`]).
     pub(crate) fifo: bool,
+    /// The built-in discipline a port builds when a packet first waits
+    /// there; `None` when every port's queue was built with the fabric.
+    built_in: Option<QueueDiscKind>,
     mtu_bytes: u32,
     ack_bytes: u32,
 }
 
 impl Channels {
-    /// An empty table with room for `capacity` channels; `mtu_bytes`/
-    /// `ack_bytes` are the two wire sizes the serialization-time cache
-    /// covers, and `fifo` selects the departure clock for every channel.
-    pub(crate) fn new(mtu_bytes: u32, ack_bytes: u32, capacity: usize, fifo: bool) -> Self {
+    /// An empty table for `n` channels: the counter tables are allocated
+    /// zeroed here, in one step each, so the pages of ports that never
+    /// drop or mark are never touched. `mtu_bytes`/`ack_bytes` are the
+    /// two wire sizes the serialization-time cache covers, `fifo` selects
+    /// the departure clock for every channel, and `built_in` is the
+    /// discipline a port without a queue builds (`None`: every
+    /// [`Channels::push`] brings its own).
+    pub(crate) fn new(
+        mtu_bytes: u32,
+        ack_bytes: u32,
+        n: usize,
+        fifo: bool,
+        built_in: Option<QueueDiscKind>,
+    ) -> Self {
         Channels {
-            to_node: Vec::with_capacity(capacity),
-            rate_bpns: Vec::with_capacity(capacity),
-            prop_ns: Vec::with_capacity(capacity),
-            ser_mtu_ns: Vec::with_capacity(capacity),
-            ser_ack_ns: Vec::with_capacity(capacity),
-            state: Vec::with_capacity(capacity),
-            drops: Vec::with_capacity(capacity),
-            marks: Vec::with_capacity(capacity),
-            evictions: Vec::with_capacity(capacity),
+            to_node: Vec::with_capacity(n),
+            state: Vec::with_capacity(n),
+            classes: Vec::new(),
+            drops: vec![0; n],
+            marks: vec![0; n],
+            evictions: vec![0; n],
             faults: Vec::new(),
             fifo,
+            built_in,
             mtu_bytes,
             ack_bytes,
         }
     }
 
-    /// Appends one channel and returns its id.
-    pub(crate) fn push(&mut self, to_node: u32, gbps: f64, prop_ns: Ns, disc: AnyQueue) -> u32 {
-        let id = self.to_node.len() as u32;
+    /// Appends a link class — `gbps` line rate, `prop_ns` propagation
+    /// delay, a queue of `cap_bytes` that marks ECN from `ecn_bytes` —
+    /// and returns its index. Callers intern: one class per distinct
+    /// tuple (see [`crate::switch::Fabric`]).
+    pub(crate) fn add_class(
+        &mut self,
+        gbps: f64,
+        prop_ns: Ns,
+        cap_bytes: u64,
+        ecn_bytes: u64,
+    ) -> u16 {
+        let id = u16::try_from(self.classes.len()).expect("at most 65,536 channel classes");
         let rate_bpns = gbps / 8.0;
+        self.classes.push(ChanClass {
+            rate_bpns,
+            prop_ns,
+            ser_mtu_ns: (self.mtu_bytes as f64 / rate_bpns).ceil() as Ns,
+            ser_ack_ns: (self.ack_bytes as f64 / rate_bpns).ceil() as Ns,
+            cap_bytes,
+            ecn_bytes,
+        });
+        id
+    }
+
+    /// Appends one channel of link class `class` and returns its id.
+    /// `queue` is its discipline when built up front; `None` builds the
+    /// run's built-in one when a packet first waits.
+    pub(crate) fn push(&mut self, to_node: u32, class: u16, queue: Option<AnyQueue>) -> u32 {
+        let id = self.to_node.len() as u32;
+        assert!(
+            (id as usize) < self.drops.len(),
+            "more channels than the table was sized for"
+        );
+        assert!((class as usize) < self.classes.len());
+        debug_assert!(queue.is_some() || self.built_in.is_some());
         self.to_node.push(to_node);
-        self.rate_bpns.push(rate_bpns);
-        self.prop_ns.push(prop_ns);
-        self.ser_mtu_ns
-            .push((self.mtu_bytes as f64 / rate_bpns).ceil() as Ns);
-        self.ser_ack_ns
-            .push((self.ack_bytes as f64 / rate_bpns).ceil() as Ns);
         self.state.push(ChanDyn {
             cur_end: 0,
             tx_end: 0,
             qlen: 0,
+            class,
             armed: false,
-            disc,
+            queue: queue.map(Box::new),
         });
-        self.drops.push(0);
-        self.marks.push(0);
-        self.evictions.push(0);
         id
     }
 
     pub(crate) fn len(&self) -> usize {
         self.to_node.len()
+    }
+
+    /// Number of distinct link classes.
+    pub(crate) fn num_classes(&self) -> usize {
+        self.classes.len()
     }
 
     #[inline]
@@ -206,6 +265,38 @@ impl Channels {
     #[inline]
     fn d_mut(&mut self, ch: u32) -> &mut ChanDyn {
         &mut self.state[ch as usize]
+    }
+
+    #[inline]
+    fn class(&self, ch: u32) -> &ChanClass {
+        &self.classes[self.d(ch).class as usize]
+    }
+
+    /// The byte cap and ECN threshold of channel `ch`'s queue.
+    #[cfg(test)]
+    pub(crate) fn queue_limits(&self, ch: u32) -> (u64, u64) {
+        let c = self.class(ch);
+        (c.cap_bytes, c.ecn_bytes)
+    }
+
+    /// Whether channel `ch` holds a queue (has ever had a packet wait,
+    /// or was handed its discipline up front).
+    #[cfg(test)]
+    pub(crate) fn has_queue(&self, ch: u32) -> bool {
+        self.d(ch).queue.is_some()
+    }
+
+    /// Channel `ch`'s queue, built first if no packet has waited there
+    /// yet.
+    #[inline]
+    fn queue_mut(&mut self, ch: u32) -> &mut AnyQueue {
+        let d = &mut self.state[ch as usize];
+        let (classes, built_in) = (&self.classes, self.built_in);
+        d.queue.get_or_insert_with(|| {
+            let c = &classes[d.class as usize];
+            let kind = built_in.expect("a channel without a queue has a built-in discipline");
+            Box::new(AnyQueue::of(kind, c.cap_bytes, c.ecn_bytes))
+        })
     }
 
     /// Whether some channel's fault state has ever been set: until then
@@ -256,18 +347,25 @@ impl Channels {
         f.gray_ctr
     }
 
+    /// Propagation delay of channel `ch`.
+    #[inline]
+    pub(crate) fn prop_ns(&self, ch: u32) -> Ns {
+        self.class(ch).prop_ns
+    }
+
     /// Serialization time for `bytes` on channel `ch`. MTU-sized packets
-    /// and ACKs hit the precomputed cache; odd sizes (a flow's final
-    /// packet) fall back to the same float expression the cache was
+    /// and ACKs hit the class's precomputed cache; odd sizes (a flow's
+    /// final packet) fall back to the same float expression the cache was
     /// filled from, so timing is bit-identical either way.
     #[inline]
     pub(crate) fn ser_ns(&self, ch: u32, bytes: u32) -> Ns {
+        let c = self.class(ch);
         if bytes == self.mtu_bytes {
-            self.ser_mtu_ns[ch as usize]
+            c.ser_mtu_ns
         } else if bytes == self.ack_bytes {
-            self.ser_ack_ns[ch as usize]
+            c.ser_ack_ns
         } else {
-            (bytes as f64 / self.rate_bpns[ch as usize]).ceil() as Ns
+            (bytes as f64 / c.rate_bpns).ceil() as Ns
         }
     }
 
@@ -302,7 +400,11 @@ impl Channels {
         }
         loop {
             let d = &mut self.state[ch as usize];
-            let bytes = d.disc.dequeue_fifo(pool);
+            let q = d
+                .queue
+                .as_deref_mut()
+                .expect("a port with a backlog has a queue");
+            let bytes = q.dequeue_fifo(pool);
             d.qlen -= 1;
             let left = d.qlen;
             let ser = self.ser_ns(ch, bytes);
@@ -344,7 +446,8 @@ impl Channels {
             };
             return (Offer::StartTx, d.cur_end, out);
         }
-        let out = d.disc.enqueue(id, pool);
+        let out = self.queue_mut(ch).enqueue(id, pool);
+        let d = self.d_mut(ch);
         let offer = if out.accepted {
             d.qlen += 1;
             d.tx_end += ser;
@@ -374,7 +477,7 @@ impl Channels {
         pool: &mut PacketArena,
         now: Ns,
     ) -> (Offer, EnqueueOutcome) {
-        let d = self.d_mut(ch);
+        let d = self.d(ch);
         if !d.armed && d.cur_end <= now {
             debug_assert_eq!(d.qlen, 0, "an unarmed port has no backlog");
             let out = EnqueueOutcome {
@@ -383,7 +486,8 @@ impl Channels {
             };
             return (Offer::StartTx, out);
         }
-        let out = d.disc.enqueue(id, pool);
+        let out = self.queue_mut(ch).enqueue(id, pool);
+        let d = self.d_mut(ch);
         d.qlen = d.qlen + out.accepted as u32 - out.evicted.len() as u32;
         let offer = if out.accepted {
             Offer::Queued
@@ -431,7 +535,11 @@ impl Channels {
             return None;
         }
         d.qlen -= 1;
-        let id = d.disc.dequeue();
+        let q = d
+            .queue
+            .as_deref_mut()
+            .expect("a port with a backlog has a queue");
+        let id = q.dequeue();
         debug_assert!(id.is_some(), "qlen said non-empty but dequeue had nothing");
         id
     }
@@ -439,14 +547,36 @@ impl Channels {
     /// Bytes queued at `ch`. On a FIFO port, the packets still waiting as
     /// of its last [`Channels::catch_up`].
     pub(crate) fn queue_bytes(&self, ch: u32) -> u64 {
-        self.d(ch).disc.queue_bytes()
+        self.d(ch).queue.as_ref().map_or(0, |q| q.queue_bytes())
     }
 
     /// Packets queued at `ch`, as [`Channels::queue_bytes`] counts them.
     pub(crate) fn queue_len(&self, ch: u32) -> usize {
         let d = self.d(ch);
-        debug_assert_eq!(d.qlen as usize, d.disc.queue_len());
+        debug_assert_eq!(
+            d.qlen as usize,
+            d.queue.as_ref().map_or(0, |q| q.queue_len())
+        );
         d.qlen as usize
+    }
+
+    /// Checkpoint support: copies of the packets queued at `ch` in
+    /// arrival order (none for a port without a queue), or `None` if its
+    /// discipline refuses the snapshot.
+    pub(crate) fn snapshot_queue(&self, ch: u32, pool: &PacketArena) -> Option<Vec<Packet>> {
+        match &self.d(ch).queue {
+            Some(q) => q.snapshot_queue(pool),
+            None => Some(Vec::new()),
+        }
+    }
+
+    /// Checkpoint support: reinstates packets captured by
+    /// [`Channels::snapshot_queue`] into `ch`'s queue, building it only
+    /// if there is a packet to hold. The caller sets the cached length.
+    pub(crate) fn restore_queue(&mut self, ch: u32, pkts: Vec<Packet>, pool: &mut PacketArena) {
+        if !pkts.is_empty() {
+            self.queue_mut(ch).restore_queue(pkts, pool);
+        }
     }
 
     // --- whole-table sums (stats) ---
@@ -472,8 +602,6 @@ impl Channels {
 mod tests {
     use super::*;
     use crate::path::PathId;
-    use crate::switch::TailDropEcn;
-    use crate::types::Packet;
 
     fn pkt(a: &mut PacketArena, bytes: u32) -> PktId {
         a.alloc(Packet {
@@ -493,13 +621,9 @@ mod tests {
     /// 10 Gbps (1,200 ns per 1,500 B), 100 ns prop, 10-packet queue, ECN
     /// at 3 packets.
     fn chan(fifo: bool) -> Channels {
-        let mut c = Channels::new(1500, 40, 1, fifo);
-        c.push(
-            1,
-            10.0,
-            100,
-            AnyQueue::TailDropEcn(TailDropEcn::new(10 * 1500, 3 * 1500)),
-        );
+        let mut c = Channels::new(1500, 40, 1, fifo, Some(QueueDiscKind::TailDropEcn));
+        let class = c.add_class(10.0, 100, 10 * 1500, 3 * 1500);
+        c.push(1, class, None);
         c
     }
 
@@ -523,6 +647,8 @@ mod tests {
         let mut c = chan(true);
         let p = pkt(&mut a, 1500);
         assert_eq!(offer_at(&mut c, p, &mut a, 0), (Offer::StartTx, 1_200));
+        assert!(!c.has_queue(0), "a packet that never waits builds no queue");
+        assert_eq!((c.queue_len(0), c.queue_bytes(0)), (0, 0));
         let q1 = pkt(&mut a, 1500);
         let q2 = pkt(&mut a, 40);
         assert_eq!(offer_at(&mut c, q1, &mut a, 500), (Offer::Queued, 2_400));
@@ -601,8 +727,9 @@ mod tests {
 
     #[test]
     fn serialization_uses_channel_rate_and_cache() {
-        let mut c = Channels::new(1500, 40, 1, true);
-        c.push(0, 40.0, 0, AnyQueue::TailDropEcn(TailDropEcn::new(1, 1)));
+        let mut c = Channels::new(1500, 40, 1, true, Some(QueueDiscKind::TailDropEcn));
+        let class = c.add_class(40.0, 0, 1, 1);
+        c.push(0, class, None);
         assert_eq!(c.ser_ns(0, 1500), 300); // cached MTU path, 4x faster than 10G
         assert_eq!(c.ser_ns(0, 40), 8); // cached ACK path
         assert_eq!(c.ser_ns(0, 777), 156); // uncached fallback: ceil(777/5)
@@ -744,10 +871,10 @@ mod tests {
 
     #[test]
     fn eviction_counts_as_channel_drop() {
-        use crate::switch::PFabricQueue;
         let mut a = PacketArena::new();
-        let mut c = Channels::new(1500, 40, 1, false);
-        c.push(1, 10.0, 100, AnyQueue::PFabric(PFabricQueue::new(2 * 1500)));
+        let mut c = Channels::new(1500, 40, 1, false, Some(QueueDiscKind::PFabric));
+        let class = c.add_class(10.0, 100, 2 * 1500, 0);
+        c.push(1, class, None);
         offer_lazy(&mut c, pkt(&mut a, 1500), &mut a); // in flight
         let low = pkt(&mut a, 1500);
         a.get_mut(low).prio = 9;

@@ -58,7 +58,6 @@ use crate::host::{Flow, FlowRx};
 use crate::path::{PathId, PathTable, MAX_PATH_CHANNELS};
 use crate::slab::{PacketArena, PktId};
 use crate::stats::{ChannelCounters, DropCounters, TraceCounters};
-use crate::switch::QueueDiscipline;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::trace::TracerSnapshot;
 use crate::types::{Ns, Packet, SimConfig};
@@ -493,7 +492,7 @@ fn get_entry(d: &mut Dec) -> Result<(Ns, u64, Pending), String> {
 /// Gives every decoded `Deliver` packet its arena slot. On a FIFO port
 /// the waiting packets are the ones whose transmission ends after the
 /// one in progress (`cur_end`), in the order their Deliveries fall;
-/// [`QueueDiscipline::restore_queue`] re-queues them, and their Deliver
+/// [`Channels::restore_queue`] re-queues them, and their Deliver
 /// entries take the ids it allocates. Every other packet is on a wire
 /// and gets a fresh slot.
 fn place_deliveries(
@@ -508,7 +507,7 @@ fn place_deliveries(
         if let Pending::Deliver(p) = ev {
             let ch = paths.hop(p.path, p.hop);
             let c = &chs.state[ch as usize];
-            let departs = c.cur_end.saturating_add(chs.prop_ns[ch as usize]);
+            let departs = c.cur_end.saturating_add(chs.prop_ns(ch));
             if chs.fifo && c.qlen > 0 && *t > departs {
                 waiting.push((ch, *t, i));
             }
@@ -527,19 +526,18 @@ fn place_deliveries(
             .collect();
         // Each waiting packet's Deliver falls one serialization time
         // after the one ahead of it, and the last ends at `tx_end`.
-        let (prop, mut end) = (chs.prop_ns[ch as usize], chs.state[ch as usize].cur_end);
+        let (prop, mut end) = (chs.prop_ns(ch), chs.state[ch as usize].cur_end);
         let on_clock = (run.iter().zip(&queue)).all(|(&(_, t, _), p)| {
             end = end.saturating_add(chs.ser_ns(ch, p.bytes));
             t == end.saturating_add(prop)
         });
-        let c = &mut chs.state[ch as usize];
-        if !on_clock || end != c.tx_end {
+        if !on_clock || end != chs.state[ch as usize].tx_end {
             return Err(format!("checkpoint corrupt: channel {ch} off its clock"));
         }
         // Restore only allocates, so the discipline's allocations take
         // the next slots in order.
         let base = pkts.live_count() as PktId;
-        c.disc.restore_queue(queue.clone(), pkts);
+        chs.restore_queue(ch, queue.clone(), pkts);
         let in_order = pkts.live_count() == base as usize + queue.len()
             && (queue.iter().enumerate()).all(|(k, p)| pkts.get(base + k as PktId) == p);
         if !in_order {
@@ -602,7 +600,7 @@ fn check_restored(sim: &Simulator) -> Result<(), String> {
         };
     }
     for (i, c) in chs.state.iter().enumerate() {
-        let q = c.disc.snapshot_queue(&sim.pkts).unwrap_or_default();
+        let q = chs.snapshot_queue(i as u32, &sim.pkts).unwrap_or_default();
         ok &= q.len() == c.qlen as usize
             && (q.iter()).all(|p| pkt_ok(p) && sim.paths.hop(p.path, p.hop) as usize == i)
             && match chs.fifo {
@@ -840,9 +838,8 @@ impl Simulator {
             if chs.fifo {
                 e.put(&c.qlen);
             } else {
-                let queue = c
-                    .disc
-                    .snapshot_queue(&self.pkts)
+                let queue = chs
+                    .snapshot_queue(i as u32, &self.pkts)
                     .ok_or("a channel's queue discipline does not support checkpointing")?;
                 e.put(&queue);
             }
@@ -932,7 +929,7 @@ impl Simulator {
             } else {
                 let queue: Vec<Packet> = d.get()?;
                 c.qlen = queue.len() as u32;
-                c.disc.restore_queue(queue, &mut sim.pkts);
+                chs.restore_queue(i as u32, queue, &mut sim.pkts);
             }
         }
         chs.faults = d.get()?;
@@ -1265,6 +1262,38 @@ mod tests {
                 assert!(deferred_rto(sim));
             },
         );
+    }
+
+    /// A pause where some ports have never had a packet wait, and so hold
+    /// no queue, while another has packets waiting: the image records the
+    /// bare ports as empty, and the restored run holds a queue exactly
+    /// where packets wait.
+    #[test]
+    fn resume_with_ports_that_never_queued_is_byte_identical() {
+        for (cfg, leg) in [
+            (SimConfig::default(), "bare_fifo"),
+            (SimConfig::default().with_pfabric(), "bare_pfabric"),
+        ] {
+            resume_matches_straight(
+                cfg,
+                leg,
+                |sim| {
+                    sim.catch_up_all(sim.now);
+                    let chs = &sim.fabric.channels;
+                    let n = chs.len() as u32;
+                    let bare = (0..n).any(|ch| !chs.has_queue(ch));
+                    let ch = (0..n).find(|&ch| chs.queue_len(ch) > 0)?;
+                    bare.then_some(ch as usize)
+                },
+                |sim, ch| {
+                    let chs = &sim.fabric.channels;
+                    assert!(chs.queue_len(ch as u32) > 0);
+                    for ch in 0..chs.len() as u32 {
+                        assert_eq!(chs.has_queue(ch), chs.queue_len(ch) > 0, "channel {ch}");
+                    }
+                },
+            );
+        }
     }
 
     /// A FIFO port paused with a deep queue, each waiting packet's

@@ -8,15 +8,18 @@
 //! - **hosts** — [`Flow`] state driven by a pluggable
 //!   [`Transport`] (DCTCP by default; see [`crate::host`]),
 //! - **fabric** — directed channels ([`Channels`](crate::channel::Channels):
-//!   dense static arrays, one hot mutable record per channel, and cold
-//!   counter and fault tables) with
-//!   per-port [`QueueDiscipline`](crate::switch::QueueDiscipline)s (see
+//!   one hot mutable record per channel, the static fields once per link
+//!   class, and counter and fault tables whose pages only drops, marks
+//!   and faults touch) with per-port
+//!   [`QueueDiscipline`](crate::switch::QueueDiscipline)s (see
 //!   [`crate::switch`]), degraded by the fault layer ([`crate::fault`]).
 //!
-//! The transport and every channel's discipline are held by value
-//! (`AnyTransport`, `AnyQueue`): [`Simulator::new`] builds no boxes,
-//! and the built-ins are called without a virtual dispatch. Only the
-//! constructors that take caller-supplied trait objects box them.
+//! The transport is held by value (`AnyTransport`), and a port builds
+//! its built-in discipline (`AnyQueue`) the first time a packet waits
+//! there, so [`Simulator::new`]'s memory follows the fabric's classes
+//! and its busy ports; the built-ins are called without a virtual
+//! dispatch. Only the constructors that take caller-supplied trait
+//! objects hold them as `Custom` arms.
 //!
 //! # Event loop
 //!
@@ -96,7 +99,7 @@ use crate::host::{AnyTransport, Flow, FlowRx, Transport};
 use crate::path::PathTable;
 use crate::slab::{PacketArena, PktId};
 use crate::stats::{DropCounters, FlowRecord, TraceCounters};
-use crate::switch::{AnyQueue, DisciplineFactory, EnqueueOutcome, Fabric};
+use crate::switch::{DisciplineFactory, EnqueueOutcome, Fabric};
 use crate::telemetry::{Sample, Telemetry};
 use crate::trace::{Conservation, NopTracer, TraceEvent, Tracer};
 use crate::types::{Ns, Packet, SimConfig, MS};
@@ -226,14 +229,7 @@ impl Simulator {
     /// tail-drop+ECN by default). Server count and placement come from the
     /// topology's per-switch server counts.
     pub fn new(topo: &Topology, selector: Box<dyn PathSelector>, cfg: SimConfig) -> Self {
-        let kind = cfg.queue_disc;
-        Self::assemble(
-            topo,
-            selector,
-            cfg,
-            AnyTransport::of(cfg.transport),
-            &|cap, ecn| AnyQueue::of(kind, cap, ecn),
-        )
+        Self::assemble(topo, selector, cfg, AnyTransport::of(cfg.transport), None)
     }
 
     /// Like [`Simulator::new`] but with a caller-supplied [`Transport`]
@@ -244,14 +240,7 @@ impl Simulator {
         cfg: SimConfig,
         transport: Box<dyn Transport>,
     ) -> Self {
-        let kind = cfg.queue_disc;
-        Self::assemble(
-            topo,
-            selector,
-            cfg,
-            AnyTransport::Custom(transport),
-            &|cap, ecn| AnyQueue::of(kind, cap, ecn),
-        )
+        Self::assemble(topo, selector, cfg, AnyTransport::Custom(transport), None)
     }
 
     /// Fully explicit constructor: caller-supplied transport *and* a
@@ -277,7 +266,7 @@ impl Simulator {
             selector,
             cfg,
             AnyTransport::Custom(transport),
-            &|cap, ecn| AnyQueue::Custom(disc(cap, ecn)),
+            Some(disc),
         )
     }
 
@@ -286,7 +275,7 @@ impl Simulator {
         selector: Box<dyn PathSelector>,
         cfg: SimConfig,
         transport: AnyTransport,
-        disc: &dyn Fn(u64, u64) -> AnyQueue,
+        disc: Option<DisciplineFactory>,
     ) -> Self {
         Simulator {
             fabric: Fabric::build(topo, &cfg, disc),
@@ -400,6 +389,13 @@ impl Simulator {
     /// Number of servers in the simulated network.
     pub fn num_servers(&self) -> usize {
         self.fabric.num_servers()
+    }
+
+    /// Directed channels in the fabric, and the distinct link classes
+    /// (rate, propagation delay, queue cap, ECN threshold) they share.
+    pub fn channel_counts(&self) -> (usize, usize) {
+        let chans = &self.fabric.channels;
+        (chans.len(), chans.num_classes())
     }
 
     /// Name of the active congestion-control transport (e.g. `"dctcp"`).
@@ -858,7 +854,7 @@ impl Simulator {
         }
         let chans = &self.fabric.channels;
         let ser = chans.ser_ns(ch_id, bytes);
-        let prop = chans.prop_ns[ch_id as usize];
+        let prop = chans.prop_ns(ch_id);
         if let Some(tel) = self.telemetry.as_mut() {
             tel.on_tx(ch_id, bytes);
         }
@@ -967,7 +963,7 @@ impl Simulator {
             return;
         }
         let chans = &self.fabric.channels;
-        let prop = chans.prop_ns[ch_id as usize];
+        let prop = chans.prop_ns(ch_id);
         if offer == Offer::StartTx {
             // A queued packet is credited when a catch-up retires it.
             if let Some(tel) = self.telemetry.as_mut() {
@@ -1392,9 +1388,8 @@ fn least_queued(
         let mut u = src;
         let mut queued = 0u64;
         for &l in links {
-            let link = fabric.links[l as usize];
-            let ch = if link.a == u { 2 * l } else { 2 * l + 1 };
-            u = link.other(u);
+            let ch = fabric.link_channel(l, u);
+            u = fabric.channels.to_node[ch as usize];
             queued += fabric.channels.queue_bytes(ch);
         }
         let tie = hash3(key, i as u64, 0x07AC1E);
@@ -1433,15 +1428,9 @@ fn build_path(
         }
         let mut u = f.src_tor;
         for l in links {
-            let link = fabric.links[l as usize];
-            if link.a == u {
-                path.push(2 * l);
-                u = link.b;
-            } else {
-                debug_assert_eq!(link.b, u);
-                path.push(2 * l + 1);
-                u = link.a;
-            }
+            let ch = fabric.link_channel(l, u);
+            path.push(ch);
+            u = fabric.channels.to_node[ch as usize];
         }
         debug_assert_eq!(u, f.dst_tor);
     }
@@ -1495,6 +1484,42 @@ mod tests {
         // The pods are joined by k²/4 = 4 equal-cost core routes; the ACKs
         // ride their reversals, which add no entries.
         assert_eq!(sim.paths.len(), 4);
+    }
+
+    /// A port builds its queue the first time a packet waits there: after
+    /// one flow on an idle fabric, every port that holds a queue carried
+    /// the flow's data or ACKs, and the other ports hold none.
+    #[test]
+    fn only_ports_a_lone_flow_crossed_hold_a_queue() {
+        use std::collections::HashSet;
+        use std::sync::{Arc, Mutex};
+        /// Records the channel of every transmission.
+        struct Hops(Arc<Mutex<HashSet<u32>>>);
+        impl Tracer for Hops {
+            fn event(&mut self, _t: Ns, ev: &TraceEvent) {
+                if let TraceEvent::Dequeue { ch, .. } = ev {
+                    self.0.lock().unwrap().insert(*ch);
+                }
+            }
+        }
+        let t = FatTree::full(4).build();
+        for cfg in [SimConfig::default(), SimConfig::default().with_pfabric()] {
+            let mut sim = Simulator::new(&t, Box::new(RoutingSuite::new(&t).ecmp()), cfg);
+            let hops = Arc::new(Mutex::new(HashSet::new()));
+            sim.set_tracer(Box::new(Hops(Arc::clone(&hops))));
+            sim.inject(&[flow(0.0, (0, 0), (12, 1), 1_000_000)]);
+            assert!(sim.run(SEC)[0].fct_ns.is_some());
+            let (hops, chs) = (hops.lock().unwrap(), &sim.fabric.channels);
+            let queues: Vec<u32> = (0..chs.len() as u32)
+                .filter(|&ch| chs.has_queue(ch))
+                .collect();
+            assert!(!queues.is_empty(), "the sender's window waits at its NIC");
+            assert!(
+                queues.iter().all(|ch| hops.contains(ch)),
+                "queues {queues:?} outside the flow's hops {hops:?}"
+            );
+            assert!(hops.len() < chs.len() / 4, "one flow crosses few ports");
+        }
     }
 
     #[test]

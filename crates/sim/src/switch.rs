@@ -24,8 +24,9 @@
 //!   first; when full, evict from the tail of the *lowest*-priority flow
 //!   (or reject the newcomer if it is itself the least urgent).
 //!
-//! Each channel holds its discipline by value as an `AnyQueue`: a
-//! built-in one inline, or a caller's behind a box.
+//! A channel holds its discipline as a boxed `AnyQueue` (a built-in one
+//! or a caller's), built the first time a packet waits at the port for
+//! a built-in discipline and with the fabric for a caller's.
 //!
 //! [`Fabric`] bundles the channel table, the link→channel numbering, and
 //! the server↔rack maps — the static substrate the engine routes over
@@ -34,8 +35,8 @@
 use crate::channel::Channels;
 use crate::slab::{PacketArena, PktId};
 use crate::types::{Packet, QueueDiscKind, SimConfig};
-use dcn_topology::{Link, NodeId, Topology};
-use std::collections::VecDeque;
+use dcn_topology::{NodeId, Topology};
+use std::collections::{HashMap, VecDeque};
 
 /// What happened when a packet was offered to a queue discipline.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -101,9 +102,9 @@ pub trait QueueDiscipline: Send {
 /// called with the channel's byte capacity and ECN threshold.
 pub type DisciplineFactory<'a> = &'a dyn Fn(u64, u64) -> Box<dyn QueueDiscipline>;
 
-/// One channel's discipline, held by value: a built-in one, or a
-/// caller's behind a box (only [`crate::Simulator::with_parts`] builds
-/// the `Custom` arm).
+/// One channel's discipline: a built-in one, called without a virtual
+/// dispatch, or a caller's behind a box (only
+/// [`crate::Simulator::with_parts`] builds the `Custom` arm).
 pub(crate) enum AnyQueue {
     TailDropEcn(TailDropEcn),
     PFabric(PFabricQueue),
@@ -433,13 +434,13 @@ impl QueueDiscipline for PFabricQueue {
 }
 
 /// The static forwarding substrate: every directed channel (two per
-/// topology link, two per server), the link list, and the server↔rack
-/// numbering. Built once per simulation; the fault layer flips channel
-/// `up` flags, the engine routes packets over it.
+/// topology link, two per server) and the server↔rack numbering. Built
+/// once per simulation; the fault layer flips channel `up` flags, the
+/// engine routes packets over it.
 pub struct Fabric {
     pub(crate) channels: Channels,
-    pub(crate) links: Vec<Link>,
-    /// First channel id of the host (server) channel block.
+    /// First channel id of the host (server) channel block; link
+    /// channels come first, two per link.
     pub(crate) host_ch_base: u32,
     /// Node ids `< num_switches` are switches; servers follow.
     pub(crate) num_switches: u32,
@@ -450,71 +451,91 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds the channel table for `topo` under `cfg`, one
-    /// queue-discipline instance per channel from `disc` (called with the
-    /// channel's byte capacity and ECN threshold). Channel numbering:
-    /// link `l`'s a→b direction is channel `2l`, b→a is `2l+1`; after
-    /// [`Fabric::host_ch_base`] come per-server (up, down) pairs.
+    /// Builds the channel table for `topo` under `cfg`. Channel
+    /// numbering: link `l`'s a→b direction is channel `2l`, b→a is
+    /// `2l+1`; after [`Fabric::host_ch_base`] come per-server (up, down)
+    /// pairs. Channels that share (rate, propagation delay, queue cap,
+    /// ECN threshold) share one class. With `custom`, every channel's
+    /// discipline is built here from the factory (called with the
+    /// channel's byte capacity and ECN threshold); without, each port
+    /// builds `cfg.queue_disc` the first time a packet waits there.
     pub(crate) fn build(
         topo: &Topology,
         cfg: &SimConfig,
-        disc: &dyn Fn(u64, u64) -> AnyQueue,
+        custom: Option<DisciplineFactory>,
     ) -> Self {
         let mtu = cfg.mtu as u64;
         let link_cap = cfg.queue_pkts as u64 * mtu;
+        let host_cap = cfg.host_queue_pkts as u64 * mtu;
         let ecn_at = cfg.ecn_k_pkts as u64 * mtu;
+        let prop = cfg.prop_delay_ns;
         let servers = topo.num_servers();
         let fifo = cfg.queue_disc == QueueDiscKind::TailDropEcn;
-        let mut channels = Channels::new(
-            cfg.mtu,
-            cfg.ack_bytes,
-            2 * topo.num_links() + 2 * servers,
-            fifo,
-        );
+        let built_in = custom.is_none().then_some(cfg.queue_disc);
+        let n = 2 * topo.num_links() + 2 * servers;
+        let mut channels = Channels::new(cfg.mtu, cfg.ack_bytes, n, fifo, built_in);
+        // Looked up once per link and per rack, not per channel: hashing
+        // the key of every channel costs more than the rest of the build.
+        let mut class_ids = HashMap::new();
+        let mut class = |channels: &mut Channels, gbps: f64, cap: u64| {
+            let key = ((gbps / 8.0).to_bits(), prop, cap, ecn_at);
+            *class_ids
+                .entry(key)
+                .or_insert_with(|| channels.add_class(gbps, prop, cap, ecn_at))
+        };
+        let queue = |cap| custom.map(|disc| AnyQueue::Custom(disc(cap, ecn_at)));
         for l in topo.links() {
-            let gbps = cfg.link_gbps * l.capacity;
-            channels.push(l.b, gbps, cfg.prop_delay_ns, disc(link_cap, ecn_at));
-            channels.push(l.a, gbps, cfg.prop_delay_ns, disc(link_cap, ecn_at));
+            let c = class(&mut channels, cfg.link_gbps * l.capacity, link_cap);
+            channels.push(l.b, c, queue(link_cap));
+            channels.push(l.a, c, queue(link_cap));
         }
         let host_ch_base = channels.len() as u32;
         let num_switches = topo.num_nodes() as u32;
         let mut server_tor = Vec::with_capacity(servers);
         let mut rack_base = vec![u32::MAX; topo.num_nodes()];
-        let host_cap = cfg.host_queue_pkts as u64 * mtu;
         for rack in 0..topo.num_nodes() as NodeId {
             let s = topo.servers_at(rack);
             if s == 0 {
                 continue;
             }
             rack_base[rack as usize] = server_tor.len() as u32;
+            let up = class(&mut channels, cfg.server_link_gbps, host_cap);
+            let down = class(&mut channels, cfg.server_link_gbps, link_cap);
             for _ in 0..s {
                 let server_node = num_switches + server_tor.len() as u32;
                 // Up: server → ToR. The NIC queue marks ECN like a switch
                 // port so DCTCP self-paces instead of overflowing the host
                 // queue (real stacks backpressure at the qdisc).
-                channels.push(
-                    rack,
-                    cfg.server_link_gbps,
-                    cfg.prop_delay_ns,
-                    disc(host_cap, ecn_at),
-                );
+                channels.push(rack, up, queue(host_cap));
                 // Down: ToR → server (a real switch port: ECN + drops).
-                channels.push(
-                    server_node,
-                    cfg.server_link_gbps,
-                    cfg.prop_delay_ns,
-                    disc(link_cap, ecn_at),
-                );
+                channels.push(server_node, down, queue(link_cap));
                 server_tor.push(rack);
             }
         }
         Fabric {
             channels,
-            links: topo.links().to_vec(),
             host_ch_base,
             num_switches,
             server_tor,
             rack_base,
+        }
+    }
+
+    /// The directed channel of link `l` that leaves node `from` (one of
+    /// the link's ends): `2l` if `from` is its `a` end, else `2l + 1`.
+    #[inline]
+    pub(crate) fn link_channel(&self, l: u32, from: NodeId) -> u32 {
+        let to_node = &self.channels.to_node;
+        // Channel 2l arrives at b and 2l+1 at a.
+        if to_node[2 * l as usize + 1] == from {
+            2 * l
+        } else {
+            debug_assert_eq!(
+                to_node[2 * l as usize],
+                from,
+                "node is not an end of the link"
+            );
+            2 * l + 1
         }
     }
 
@@ -534,10 +555,12 @@ impl Fabric {
     /// state. Downed channels keep serializing their queues — those
     /// packets drain onto the dead wire and are dropped at delivery.
     pub(crate) fn apply_fault_state(&mut self, down_links: &[bool], down_sw: &[bool]) {
-        for (l, link) in self.links.iter().enumerate() {
-            let up = !down_links[l] && !down_sw[link.a as usize] && !down_sw[link.b as usize];
-            self.channels.set_up(2 * l as u32, up);
-            self.channels.set_up(2 * l as u32 + 1, up);
+        for l in 0..self.host_ch_base / 2 {
+            // Channel 2l arrives at the link's b end and 2l+1 at its a end.
+            let ends = [2 * l, 2 * l + 1].map(|ch| self.channels.to_node[ch as usize]);
+            let up = !down_links[l as usize] && !ends.iter().any(|&n| down_sw[n as usize]);
+            self.channels.set_up(2 * l, up);
+            self.channels.set_up(2 * l + 1, up);
         }
         for s in 0..self.server_tor.len() {
             let up = !down_sw[self.server_tor[s] as usize];
@@ -722,6 +745,71 @@ mod tests {
         for seq in 0..4 {
             assert_eq!(b.get(q2.dequeue().unwrap()).seq, seq);
         }
+    }
+
+    /// The class table reproduces, bit for bit, the serialization times
+    /// and delays each channel used to precompute from its own rate, on
+    /// links of mixed capacity, with one class per distinct (rate, delay,
+    /// queue cap, ECN threshold).
+    #[test]
+    fn channel_classes_reproduce_per_channel_timing_bits() {
+        use crate::types::Ns;
+        use dcn_topology::NodeKind;
+        use std::collections::HashSet;
+        let mut t = Topology::new("mixed");
+        for _ in 0..4 {
+            t.add_node(NodeKind::Tor, 2);
+        }
+        for (a, b, cap) in [
+            (0, 1, 1.0),
+            (1, 2, 0.5),
+            (2, 3, 1.0 / 3.0),
+            (3, 0, 2.5),
+            (0, 2, 1.0),
+        ] {
+            t.add_link_cap(a, b, cap);
+        }
+        let cfg = SimConfig {
+            link_gbps: 10.0,
+            server_link_gbps: 10.0,
+            ..SimConfig::default()
+        };
+        let fabric = Fabric::build(&t, &cfg, None);
+        let chs = &fabric.channels;
+        let (mtu, link_cap) = (cfg.mtu as u64, cfg.queue_pkts as u64 * cfg.mtu as u64);
+        let (host_cap, ecn) = (
+            cfg.host_queue_pkts as u64 * mtu,
+            cfg.ecn_k_pkts as u64 * mtu,
+        );
+        // Each channel's (rate in Gbps, queue cap), in channel order.
+        let mut want: Vec<(f64, u64)> = Vec::new();
+        for l in t.links() {
+            want.extend([(cfg.link_gbps * l.capacity, link_cap); 2]);
+        }
+        for _ in 0..t.num_servers() {
+            want.extend([
+                (cfg.server_link_gbps, host_cap),
+                (cfg.server_link_gbps, link_cap),
+            ]);
+        }
+        assert_eq!(chs.len(), want.len());
+        let mut tuples = HashSet::new();
+        for (ch, &(gbps, cap)) in want.iter().enumerate() {
+            let ch = ch as u32;
+            let rate_bpns = gbps / 8.0;
+            for bytes in [cfg.mtu, cfg.ack_bytes, 1, 777, 1499, 9000] {
+                let old = (bytes as f64 / rate_bpns).ceil() as Ns;
+                assert_eq!(chs.ser_ns(ch, bytes), old, "channel {ch}, {bytes} B");
+            }
+            assert_eq!(chs.prop_ns(ch), cfg.prop_delay_ns);
+            assert_eq!(chs.queue_limits(ch), (cap, ecn));
+            tuples.insert((rate_bpns.to_bits(), cfg.prop_delay_ns, cap, ecn));
+        }
+        // Link rates 10, 5, 3.33 and 25 Gbps with the link cap (the 10 Gbps
+        // class shared with the servers' down ports), plus the servers'
+        // up ports with the host cap.
+        assert_eq!(tuples.len(), 5);
+        assert_eq!(chs.num_classes(), tuples.len());
     }
 
     #[test]
